@@ -19,7 +19,8 @@ import numpy as np
 from .errors import SolverAbort
 from .geometry import Bathymetry, LayerPartition, layer_thicknesses
 from .gridops import pad_cells
-from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
+from .state import (H_DRY, exchange_fluxes, interface_velocities, max_wave_speed,
+                    velocities)
 
 
 @dataclass
@@ -76,15 +77,21 @@ def hll_fluxes(
 
     c_l = np.sqrt(g * H_l)
     c_r = np.sqrt(g * H_r)
-    s_l = np.minimum(u_l.min(axis=0) - c_l, u_r.min(axis=0) - c_r)
-    s_r = np.maximum(u_l.max(axis=0) + c_l, u_r.max(axis=0) + c_r)
+    umin_l, umax_l = u_l.min(axis=0), u_l.max(axis=0)
+    umin_r, umax_r = u_r.min(axis=0), u_r.max(axis=0)
+    s_l = np.minimum(umin_l - c_l, umin_r - c_r)
+    s_r = np.maximum(umax_l + c_l, umax_r + c_r)
 
     dry_l = H_l <= h_dry
     dry_r = H_r <= h_dry
-    s_l = np.where(dry_r & ~dry_l, u_l.min(axis=0) - c_l, s_l)
-    s_r = np.where(dry_r & ~dry_l, u_l.max(axis=0) + 2.0 * c_l, s_r)
-    s_l = np.where(dry_l & ~dry_r, u_r.min(axis=0) - 2.0 * c_r, s_l)
-    s_r = np.where(dry_l & ~dry_r, u_r.max(axis=0) + c_r, s_r)
+    wet_to_dry = dry_r & ~dry_l
+    if wet_to_dry.any():
+        s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
+        s_r = np.where(wet_to_dry, umax_l + 2.0 * c_l, s_r)
+    dry_to_wet = dry_l & ~dry_r
+    if dry_to_wet.any():
+        s_l = np.where(dry_to_wet, umin_r - 2.0 * c_r, s_l)
+        s_r = np.where(dry_to_wet, umax_r + c_r, s_r)
 
     span = s_r - s_l
     safe = np.where(span > 0.0, span, 1.0)
@@ -113,9 +120,14 @@ def euler_rhs(
     bc: str,
     h_dry: float = H_DRY,
     interface_mode: str = "upwind",
+    u: np.ndarray | None = None,
 ) -> EulerRhs:
-    """Tendencies of (H, q) from pressure, advection and mass exchange."""
-    u = velocities(H, q, part, h_dry)
+    """Tendencies of (H, q) from pressure, advection and mass exchange.
+
+    `u` is velocities(H, q, part, h_dry) when the caller already has it.
+    """
+    if u is None:
+        u = velocities(H, q, part, h_dry)
 
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
@@ -145,9 +157,5 @@ def euler_rhs(
     u_if = interface_velocities(u, G, mode=interface_mode)
     dq += u_if[1:] * G[1:] - u_if[:-1] * G[:-1]
 
-    wet = H > h_dry
-    if np.any(wet):
-        max_speed = float((np.abs(u[:, wet]).max(axis=0) + np.sqrt(g * H[wet])).max())
-    else:
-        max_speed = 0.0
-    return EulerRhs(dH=dH, dq=dq, G=G, u_if=u_if, div=div, max_speed=max_speed)
+    return EulerRhs(dH=dH, dq=dq, G=G, u_if=u_if, div=div,
+                    max_speed=max_wave_speed(H, u, g, h_dry))

@@ -100,7 +100,12 @@ def layer_thicknesses(H: np.ndarray, part: LayerPartition) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     h = part.fractions[:, None] * H
     if part.n_layers > 1:
-        h[-1] = H - np.cumsum(h[:-1], axis=0)[-1]
+        # running sum of rows: the same additions in the same order as a
+        # cumsum along axis 0, without striding across the rows
+        below = h[0].copy()
+        for a in range(1, part.n_layers - 1):
+            below += h[a]
+        h[-1] = H - below
     else:
         h[0] = H
     return h

@@ -54,6 +54,17 @@ def _num(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_rows(f, rows: np.ndarray) -> None:
+    """One CSV line per row of a 2-D table, every value as `_num` writes it.
+
+    "%.17g" formats a Python float exactly as format(v, ".17g") does,
+    including nan, inf and negative zero.
+    """
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        f.write(line % tuple(row.tolist()))
+
+
 def snapshot_header(n_layers: int) -> list[str]:
     cols = ["x", "zb", "H", "eta"]
     cols += [f"u_{a + 1}" for a in range(n_layers)]
@@ -71,8 +82,7 @@ def write_snapshot(path, snap: Snapshot) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(f"# t = {_num(snap.t)}\n")
         f.write(",".join(snapshot_header(N)) + "\n")
-        for i in range(table.shape[1]):
-            f.write(",".join(_num(v) for v in table[:, i]) + "\n")
+        _write_rows(f, table.T)
 
 
 def read_snapshot(path) -> tuple[float, list[str], np.ndarray]:
@@ -91,12 +101,11 @@ ENERGY_COLUMNS = ["t", "E_total", "D_G", "R_E", "friction", "residual", "mass"]
 def write_energy_series(path, result: RunResult) -> None:
     """Per-step audit rows; the residual of the closing row is nan."""
     res = np.append(result.residuals, np.nan)
+    table = np.column_stack([result.times, result.E_total, result.D_G, result.R_E,
+                             result.friction, res, result.mass])
     with open(path, "w", newline="\n") as f:
         f.write(",".join(ENERGY_COLUMNS) + "\n")
-        for k in range(result.times.size):
-            row = (result.times[k], result.E_total[k], result.D_G[k],
-                   result.R_E[k], result.friction[k], res[k], result.mass[k])
-            f.write(",".join(_num(v) for v in row) + "\n")
+        _write_rows(f, table)
 
 
 def read_energy_series(path) -> tuple[list[str], np.ndarray]:

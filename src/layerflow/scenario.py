@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import LayerPartition
+from .geometry import PARTITION_TOL, LayerPartition
 from .gridops import BOUNDARY_KINDS, Grid
 
 BATHYMETRY_KINDS = ("flat", "slope", "bump", "table")
@@ -283,8 +283,9 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             bad("layers.fractions", f"{len(lay.fractions)} fractions for layers.n = {lay.n}")
         elif any(f <= 0 for f in lay.fractions):
             bad("layers.fractions", "fractions must be strictly positive")
-        elif abs(sum(lay.fractions) - 1.0) > 1e-12:
-            bad("layers.fractions", f"fractions sum to {sum(lay.fractions):.17g}, expected 1")
+        elif abs(np.sum(lay.fractions) - 1.0) > PARTITION_TOL:
+            bad("layers.fractions", f"fractions sum to {np.sum(lay.fractions):.17g}, "
+                f"expected 1 within {PARTITION_TOL}")
 
     b = scn.bathymetry
     if b.kind not in BATHYMETRY_KINDS:

@@ -47,16 +47,29 @@ class LayerState:
 
 
 def velocities(
-    H: np.ndarray, q: np.ndarray, part: LayerPartition, h_dry: float = H_DRY
+    H: np.ndarray, q: np.ndarray, part: LayerPartition, h_dry: float = H_DRY,
+    h: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Layer velocities u_a = q_a / h_a, zeroed on dry columns."""
+    """Layer velocities u_a = q_a / h_a, zeroed on dry columns.
+
+    `h` is layer_thicknesses(H, part) when the caller already has it.
+    """
     if q.shape[0] != part.n_layers:
         raise ValueError(f"{q.shape[0]} discharge rows for {part.n_layers} layers")
-    h = layer_thicknesses(H, part)
+    if h is None:
+        h = layer_thicknesses(H, part)
     u = np.zeros_like(q)
-    wet = H > h_dry
-    u[:, wet] = q[:, wet] / h[:, wet]
+    np.divide(q, h, out=u, where=H > h_dry)
     return u
+
+
+def max_wave_speed(H: np.ndarray, u: np.ndarray, g: float, h_dry: float = H_DRY) -> float:
+    """Fastest |u_a| + sqrt(g H) over the wet columns, 0 when all are dry."""
+    wet = H > h_dry
+    if not np.any(wet):
+        return 0.0
+    speed = np.abs(u).max(axis=0) + np.sqrt(g * np.maximum(H, 0.0))
+    return float(speed[wet].max())
 
 
 def hydrostatic_pressures(h: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:

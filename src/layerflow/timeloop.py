@@ -8,6 +8,17 @@ Friction adds a relaxation bound h_1 cos^3 / kappa.  After every stage
 the depth is clipped: small negatives (round-off from drying fronts)
 snap to zero and the momentum of dry columns is dropped; anything worse
 aborts with the offending cell.
+
+Each right-hand-side evaluation computes velocities, layer thicknesses
+and fluxes once and returns the tendencies at once.  The diagnostics the
+run loop reads (interface geometry, dissipation rates) are built only
+when first asked for, which happens at accepted states: there the loop
+audits energy, takes snapshots and sizes the next step.  An evaluation
+the stepper only advances through, such as the second SSP-RK2 stage,
+therefore computes tendencies only.  Inviscid tendencies need no
+geometry; viscous ones build it at every stage for the stresses.  The
+vertical velocity w for the audit's boundary flux is reconstructed at
+accepted states only as well.
 """
 from __future__ import annotations
 
@@ -20,14 +31,16 @@ import numpy as np
 
 from . import energy as energy_mod
 from .errors import SolverAbort
-from .euler import euler_rhs
+from .euler import EulerRhs, euler_rhs
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, make_bathymetry)
 from .gridops import Grid
+from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
                        viscous_rhs)
 from .scenario import Scenario, bathymetry_values, initial_fields
-from .state import H_DRY, LayerState, hydrostatic_pressures, velocities
+from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
+                    velocities)
 from .sv import sv_dissipation, sv_rhs, sv_velocity
 
 FORWARD_EULER = "forward-euler"
@@ -67,11 +80,26 @@ class Diagnostics:
     diss_friction: float
 
 
-@dataclass
 class RhsEval:
-    dH: np.ndarray
-    dq: np.ndarray
-    diag: Optional[Diagnostics] = None
+    """Tendencies of one state; its diagnostics are built on first access.
+
+    `diagnose` builds them from what the evaluation already computed, so
+    an evaluation whose diagnostics nobody reads never pays for them.
+    """
+
+    def __init__(self, dH: np.ndarray, dq: np.ndarray,
+                 diagnose: Optional[Callable[[], Diagnostics]] = None):
+        self.dH = dH
+        self.dq = dq
+        self._diagnose = diagnose
+        self._diag: Optional[Diagnostics] = None
+
+    @property
+    def diag(self) -> Optional[Diagnostics]:
+        if self._diagnose is not None:
+            self._diag = self._diagnose()
+            self._diagnose = None
+        return self._diag
 
 
 @dataclass
@@ -105,7 +133,7 @@ def stable_dt(
     wet = H > ctx.h_dry
     if not np.any(wet):
         return c.cfl * dx / np.sqrt(ctx.g * ctx.h_dry)
-    speed = float((np.abs(u[:, wet]).max(axis=0) + np.sqrt(ctx.g * H[wet])).max())
+    speed = max_wave_speed(H, u, ctx.g, ctx.h_dry)
     dt = c.cfl * dx / speed if speed > 0.0 else np.inf
 
     bounds = []
@@ -213,29 +241,42 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
 
 def _make_multilayer_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
     dx, bc, g = ctx.dx, ctx.bc, ctx.g
+    bathy, part, h_dry = ctx.bathy, ctx.part, ctx.h_dry
     viscous = ctx.model.active or ctx.friction.active
 
     def rhs(state: LayerState) -> RhsEval:
-        geom = build_geometry(state.H, ctx.bathy, ctx.part, dx, bc)
-        ev = euler_rhs(state.H, state.q, ctx.bathy, ctx.part, g, dx, bc, ctx.h_dry)
-        u = velocities(state.H, state.q, ctx.part, ctx.h_dry)
-        dq = ev.dq
-        S = None
-        if viscous:
-            S = stress_closure(ctx.model, ctx.friction, state.H, u, geom, dx, bc)
-            dq = dq + viscous_rhs(S, geom, dx, bc)
-        d_exch = energy_mod.exchange_dissipation(u, ev.G, dx)
-        if S is not None:
-            d_stress, d_fric = energy_mod.newtonian_dissipation(
-                S, geom, ctx.model, ctx.friction, state.H, u, geom.cos_if[0], dx)
-        else:
-            d_stress, d_fric = 0.0, 0.0
-        diag = Diagnostics(geom=geom, u=u, G=ev.G, u_if=ev.u_if, stress=S,
-                           max_speed=ev.max_speed, diss_exchange=d_exch,
-                           diss_stress=d_stress, diss_friction=d_fric)
-        return RhsEval(dH=ev.dH, dq=dq, diag=diag)
+        H, q = state.H, state.q
+        # inviscid tendencies need no geometry; it is built for the
+        # diagnostics only, if they are read
+        if not viscous:
+            u = velocities(H, q, part, h_dry)
+            ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
+            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev))
+        geom = build_geometry(H, bathy, part, dx, bc)
+        u = velocities(H, q, part, h_dry, h=geom.h)
+        ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
+        S = stress_closure(ctx.model, ctx.friction, H, u, geom, dx, bc)
+        dq = ev.dq + viscous_rhs(S, geom, dx, bc)
+        return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S))
 
     return rhs
+
+
+def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
+                 geom: Optional[InterfaceGeometry] = None,
+                 S: Optional[StressField] = None) -> Diagnostics:
+    """Audit fields of one multilayer evaluation; geometry is built if absent."""
+    if geom is None:
+        geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc)
+    if S is not None:
+        d_stress, d_fric = energy_mod.newtonian_dissipation(
+            S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
+    else:
+        d_stress, d_fric = 0.0, 0.0
+    return Diagnostics(geom=geom, u=u, G=ev.G, u_if=ev.u_if, stress=S,
+                       max_speed=ev.max_speed,
+                       diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx),
+                       diss_stress=d_stress, diss_friction=d_fric)
 
 
 def _make_sv_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
@@ -248,17 +289,20 @@ def _make_sv_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
         H = state.H
         q = state.q[0]
         ev = sv_rhs(H, q, zb, g, mu, k_l, k_t, dx, bc, ctx.h_dry)
-        u = sv_velocity(H, q, ctx.h_dry)
-        geom = build_geometry(H, ctx.bathy, ctx.part, dx, bc)
-        d_total = sv_dissipation(ev, H, u, zb, mu, k_l, k_t, dx, bc)
-        kappa = ctx.friction.kappa(u, H)
-        d_fric = float(-(kappa / ctx.bathy.cos**3 * u * u).sum() * dx)
-        G = np.zeros((2, H.size))
-        diag = Diagnostics(geom=geom, u=u[None, :], G=G, u_if=np.vstack([u, u]),
-                           stress=None, max_speed=ev.max_speed,
-                           diss_exchange=0.0, diss_stress=d_total - d_fric,
-                           diss_friction=d_fric)
-        return RhsEval(dH=ev.dH, dq=ev.dq[None, :], diag=diag)
+
+        def diagnose() -> Diagnostics:
+            u = sv_velocity(H, q, ctx.h_dry)
+            geom = build_geometry(H, ctx.bathy, ctx.part, dx, bc)
+            d_total = sv_dissipation(ev, H, u, zb, mu, k_l, k_t, dx, bc)
+            kappa = ctx.friction.kappa(u, H)
+            d_fric = float(-(kappa / ctx.bathy.cos**3 * u * u).sum() * dx)
+            G = np.zeros((2, H.size))
+            return Diagnostics(geom=geom, u=u[None, :], G=G, u_if=np.vstack([u, u]),
+                               stress=None, max_speed=ev.max_speed,
+                               diss_exchange=0.0, diss_stress=d_total - d_fric,
+                               diss_friction=d_fric)
+
+        return RhsEval(ev.dH, ev.dq[None, :], diagnose)
 
     return rhs
 
@@ -283,13 +327,29 @@ class RunResult:
 def _influx(diag: Diagnostics, ctx: SimContext) -> float:
     if ctx.bc == "periodic":
         return 0.0
-    from .kinematics import reconstruct_w
-
     p_mid, _ = hydrostatic_pressures(diag.geom.h, ctx.g)
     w, _ = reconstruct_w(diag.u, diag.geom, ctx.dx, ctx.bc)
     flux = energy_mod.energy_flux_density(
         diag.u, w, diag.geom, p_mid, ctx.g, diag.stress, ctx.dx, ctx.bc)
     return energy_mod.boundary_influx(flux, ctx.bc)
+
+
+def next_snapshot_time(t: float, every: float) -> float:
+    """First multiple k * every of the snapshot cadence past time t.
+
+    "Past" carries the same 1e-12 relative slack as the snapshot test in
+    run().  The time is computed, not accumulated: adding a cadence far
+    below the resolution of t would leave a running sum unchanged.  When
+    every is that small, the result may not exceed t, and the next step
+    takes the next snapshot.  A cadence of 0 means no snapshots.
+    """
+    if not every > 0.0:
+        return np.inf
+    past = t * (1.0 + 1e-12)
+    k = np.floor(past / every) + 1.0
+    if k * every <= past:  # past / every rounded up to a whole number
+        k += 1.0
+    return float(k * every)
 
 
 def run(
@@ -324,7 +384,7 @@ def run(
     r = rhs(state)
     audit(r)
     snapshots.append((t, r.diag, state.copy()))
-    next_snap = every if every > 0 else np.inf
+    next_snap = next_snapshot_time(t, every)
 
     while t < t_end * (1.0 - 1e-13):
         dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
@@ -342,8 +402,7 @@ def run(
         audit(r)
         if t >= next_snap * (1.0 - 1e-12):
             snapshots.append((t, r.diag, state.copy()))
-            while next_snap <= t * (1.0 + 1e-12):
-                next_snap += every
+            next_snap = next_snapshot_time(t, every)
         if progress_every and step_no % progress_every == 0:
             print(f"step={step_no} t={t:.6g} dt={dt:.3e} "
                   f"mass={cols['mass'][-1]:.12g} energy={cols['E'][-1]:.12g}",

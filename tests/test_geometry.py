@@ -33,6 +33,18 @@ def test_thicknesses_sum_exactly_to_depth():
         assert np.allclose(h[a], part.fractions[a] * H, rtol=1e-15)
 
 
+def test_thicknesses_match_cumsum_closure_bitwise():
+    # reference: the top layer closed with a cumulative sum along the layers
+    rng = np.random.default_rng(19)
+    for N in (1, 2, 3, 8, 12):
+        fr = rng.uniform(0.2, 1.0, N)
+        part = LayerPartition(fr / fr.sum())
+        H = rng.uniform(0.0, 5.0, 257)
+        ref = part.fractions[:, None] * H
+        ref[-1] = H - np.cumsum(ref[:-1], axis=0)[-1] if N > 1 else H
+        assert np.array_equal(layer_thicknesses(H, part), ref)
+
+
 def test_interface_levels_half_half_column():
     part = LayerPartition(np.array([0.5, 0.5]))
     H = np.array([1.0, 1.0, 1.0])

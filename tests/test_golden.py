@@ -1,0 +1,103 @@
+"""Golden outputs: `layerflow run` must reproduce these files byte for byte.
+
+The digests were recorded before the tendency evaluation was reorganized
+to compute each quantity once per stage.  The CSVs carry 17 significant
+digits, so any change to the arithmetic the stepper applies, to the
+audit or to the snapshot schedule shows up here.  A change that alters
+them on purpose has to explain every changed digit and re-record them.
+"""
+import hashlib
+
+import pytest
+
+from layerflow import cli
+
+INVISCID_WALL_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 120
+boundary.kind = wall
+layers.n = 3
+bathymetry.kind = bump
+bathymetry.a = 0.1
+bathymetry.x0 = 0.3
+bathymetry.width = 0.05
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.5
+init.x0 = 0.5
+physics.g = 9.81
+controls.t_end = 0.04
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.01
+"""
+
+VISCOUS_FRICTION_PERIODIC_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 40
+boundary.kind = periodic
+layers.n = 4
+bathymetry.kind = flat
+bathymetry.z0 = -0.5
+init.kind = shear
+init.eta0 = 0.5
+init.u = 0.0, 0.05, 0.1, 0.15
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+controls.t_end = 0.05
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.02
+"""
+
+DRY_FRONT_TRANSMISSIVE_EULER = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 200
+boundary.kind = transmissive
+layers.n = 4
+bathymetry.kind = slope
+bathymetry.z0 = 0
+bathymetry.s = 0.1
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.0
+init.x0 = 0.3
+physics.g = 9.81
+controls.t_end = 0.02
+controls.integrator = forward-euler
+output.snapshot_every = 0
+"""
+
+GOLDEN = {
+    "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
+        "energy.csv": "37afad6bdcb910039ecee8dbb6734d3cb5af46ba7fc270afed80a527545d9450",
+        "snapshot_0000.csv": "34cba07e2bc77c49b5174c02a9e6cb358830fc68eabd255114341bef19d0005d",
+        "snapshot_0001.csv": "00b20ee9b508ae86df16f4e8da6dd45489dc7380805366b892fc74bc79dff55d",
+        "snapshot_0002.csv": "e971b8812b0450b7932a1f9e4502a4b992e50f0db623a453e22f6a20c0be6b3c",
+        "snapshot_0003.csv": "f7e587c7bae12a9df0ffa0f6a517feb9c32a77fca8a380283f88af28932c5221",
+        "snapshot_0004.csv": "b822e9a6005da9fab7f6d2944730239d125c8ee9b60675c679b134502ab69786",
+    }),
+    "viscous_friction_periodic_rk2": (VISCOUS_FRICTION_PERIODIC_RK2, {
+        "energy.csv": "e0217acc3504ef9fcd90bcc920052615ac3cac0212a3246a680300d5a7e90462",
+        "snapshot_0000.csv": "d0a148a569a5d162bd9a3c1d474e7e09097456cecfa11e0031890ad07a46d5d5",
+        "snapshot_0001.csv": "0a91a2ede09070bd033e66b0d3354b4d9c52d380ab117bd4dcd678d0c44a7a0b",
+        "snapshot_0002.csv": "3fbcbfc80450a5261560b8d8f735dfd71accdb9601cd43899446012026412751",
+        "snapshot_0003.csv": "db0068ec7d54dac5c29ac354656aacf71cae86ae5c24c47b06a74f3c27ef921a",
+    }),
+    "dry_front_transmissive_euler": (DRY_FRONT_TRANSMISSIVE_EULER, {
+        "energy.csv": "ff1e57332f4fdeadff4917c7eca3b364e7e60917bec547ac5e2367994aead411",
+        "snapshot_0000.csv": "e2b4e083650729fc11f4b3867a7c866ae60ed73fd01c1fd9f113ee4157c905f1",
+        "snapshot_0001.csv": "2774d8d86981c977d2bf6c9800186c59e28a3eb30223cb338bd0af5033d1657d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_reproduces_golden_files(name, tmp_path, capsys):
+    config, digests = GOLDEN[name]
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == digests

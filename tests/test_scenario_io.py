@@ -101,6 +101,20 @@ controls.cfl = 1.5
     assert "(line 10)" in msg
 
 
+def test_check_rejects_fractions_the_partition_rejects(tmp_path, capsys):
+    text = CLI_CFG.replace("layers.n = 2\n",
+                           "layers.n = 3\nlayers.fractions = 0.3, 0.3, 0.4000000000005\n")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert any(p.startswith("layers.fractions:") for p in err.value.problems)
+    with pytest.raises(ValueError):
+        LayerPartition(np.array([0.3, 0.3, 0.4000000000005]))
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert cli.main(["check", str(cfg)]) == 1
+    assert "layers.fractions" in capsys.readouterr().err
+
+
 def _random_scenario(rng) -> Scenario:
     N = int(rng.integers(1, 5))
     fr = rng.uniform(0.2, 1.0, N)

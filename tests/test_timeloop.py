@@ -10,8 +10,9 @@ from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
                                 Scenario)
 from layerflow.state import LayerState
+from layerflow import timeloop
 from layerflow.timeloop import (RhsEval, SimContext, TimeControls, make_rhs,
-                                run, stable_dt, step)
+                                next_snapshot_time, run, stable_dt, step)
 
 
 def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
@@ -148,6 +149,39 @@ def test_run_snapshot_cadence():
     assert abs(t_snaps[-1] - 0.1) < 1e-12
     assert len(t_snaps) >= 4
     assert (np.diff(t_snaps) > 0.0).all()
+
+
+def test_snapshot_times_are_multiples_of_the_cadence():
+    assert next_snapshot_time(0.0, 0.025) == 0.025
+    assert next_snapshot_time(0.0301, 0.025) == 2 * 0.025
+    # a step that lands within the relative slack counts as on time
+    assert next_snapshot_time(0.05 * (1.0 - 1e-13), 0.025) == 3 * 0.025
+    assert next_snapshot_time(0.05, 0.025) == 3 * 0.025
+    assert next_snapshot_time(7.3, 0.0) == np.inf
+
+
+def test_snapshot_time_advances_for_a_cadence_below_resolution():
+    # t + every == t here, so a running sum would never pass t
+    t = 0.05
+    assert t + 1e-300 == t
+    nxt = next_snapshot_time(t, 1e-300)
+    assert np.isfinite(nxt)
+    # the very next step is at least one ulp later and takes a snapshot
+    assert np.nextafter(t * (1.0 + 1e-12), np.inf) >= nxt * (1.0 - 1e-12)
+
+
+def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
+    built = []
+    real = timeloop.build_geometry
+    monkeypatch.setattr(timeloop, "build_geometry",
+                        lambda *a: built.append(1) or real(*a))
+    state, rhs, ctx = make_rhs(_smooth_scenario())
+    r = rhs(state)
+    assert built == []
+    geom = r.diag.geom
+    assert built == [1]
+    assert r.diag.geom is geom and built == [1]
+    assert (geom.h.sum(axis=0) == state.H).all()
 
 
 def test_run_is_deterministic():
