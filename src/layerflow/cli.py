@@ -61,8 +61,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     scn = _load_scenario(args.config)
-    print(f"ok: {args.config} ({scn.mesh.n_cells} cells, "
-          f"{scn.layers.n} layers, solver {scn.physics.solver})")
+    print(f"ok: {args.config} ({scn.mesh.n_cells} cells, {scn.layers.n} layers)")
     return EXIT_OK
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import SolverAbort
 from .geometry import Bathymetry, LayerPartition, layer_thicknesses
 from .gridops import pad_cells
-from .state import (H_DRY, exchange_fluxes, interface_velocities, max_wave_speed,
-                    velocities)
+from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
 
 
 @dataclass
@@ -40,9 +39,7 @@ class EulerRhs:
     dH: np.ndarray       # (n,)
     dq: np.ndarray       # (N, n)
     G: np.ndarray        # (N+1, n) interface mass-transfer rates
-    u_if: np.ndarray     # (N+1, n) upwinded interface velocities
     div: np.ndarray      # (N, n) discrete mass-flux divergences
-    max_speed: float     # fastest |u| + sqrt(gH) seen (wet cells)
 
 
 def hll_fluxes(
@@ -119,7 +116,6 @@ def euler_rhs(
     dx: float,
     bc: str,
     h_dry: float = H_DRY,
-    interface_mode: str = "upwind",
     u: np.ndarray | None = None,
 ) -> EulerRhs:
     """Tendencies of (H, q) from pressure, advection and mass exchange.
@@ -154,8 +150,6 @@ def euler_rhs(
     dq = -((fx.momentum[:, 1:] + corr_l[:, 1:]) - (fx.momentum[:, :-1] + corr_r[:, :-1])) / dx
 
     G = exchange_fluxes(div, part)
-    u_if = interface_velocities(u, G, mode=interface_mode)
+    u_if = interface_velocities(u, G)
     dq += u_if[1:] * G[1:] - u_if[:-1] * G[:-1]
-
-    return EulerRhs(dH=dH, dq=dq, G=G, u_if=u_if, div=div,
-                    max_speed=max_wave_speed(H, u, g, h_dry))
+    return EulerRhs(dH=dH, dq=dq, G=G, div=div)

@@ -9,20 +9,23 @@ reports them all at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PARTITION_TOL, LayerPartition
+from .geometry import PARTITION_TOL, LayerPartition, layer_thicknesses
 from .gridops import BOUNDARY_KINDS, Grid
+from .rheology import INTERFACE, LAYER
+from .state import H_DRY
 
 BATHYMETRY_KINDS = ("flat", "slope", "bump", "table")
 INIT_KINDS = ("lake_at_rest", "dam_break", "shear", "table")
-INTEGRATORS = ("forward-euler", "ssp-rk2")
-PLACEMENTS = ("interface", "layer")
-SOLVERS = ("multilayer", "sv1")
+FORWARD_EULER = "forward-euler"
+SSP_RK2 = "ssp-rk2"
+INTEGRATORS = (FORWARD_EULER, SSP_RK2)
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,14 @@ class PhysicsSpec:
     mu: float = 0.0
     k_l: float = 0.0
     k_t: float = 0.0
-    placement: str = "interface"
-    solver: str = "multilayer"
+    placement: str = INTERFACE
 
 
 @dataclass(frozen=True)
 class ControlsSpec:
     cfl: float = 0.5
     t_end: float = 1.0
-    integrator: str = "ssp-rk2"
+    integrator: str = SSP_RK2
     viscous_safety: float = 0.5
 
 
@@ -145,7 +147,6 @@ _REGISTRY = {
     "physics.k_l": ("float", "physics", "k_l"),
     "physics.k_t": ("float", "physics", "k_t"),
     "physics.placement": ("str", "physics", "placement"),
-    "physics.solver": ("str", "physics", "solver"),
     "controls.cfl": ("float", "controls", "cfl"),
     "controls.t_end": ("float", "controls", "t_end"),
     "controls.integrator": ("str", "controls", "integrator"),
@@ -266,9 +267,16 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         where = f" (line {ln})" if ln else ""
         problems.append(f"{key}: {message}{where}")
 
+    for key, (kind, section, attr) in _REGISTRY.items():
+        if kind in ("float", "floats"):
+            value = getattr(getattr(scn, section), attr)
+            values = (value,) if kind == "float" else value
+            if values is not None and not all(map(math.isfinite, values)):
+                bad(key, f"must be finite, got {_fmt(value)}")
+
     m = scn.mesh
-    if not np.isfinite(m.x_min) or not np.isfinite(m.x_max) or m.x_max <= m.x_min:
-        bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty or not finite")
+    if m.x_max <= m.x_min:
+        bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty")
     if m.n_cells < 3:
         bad("mesh.n_cells", f"need at least 3 cells, got {m.n_cells}")
 
@@ -323,24 +331,21 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
 
     p = scn.physics
-    if not (p.g > 0.0) or not np.isfinite(p.g):
-        bad("physics.g", f"gravity must be positive and finite, got {p.g:g}")
-    if p.mu < 0 or not np.isfinite(p.mu):
-        bad("physics.mu", "viscosity must be nonnegative and finite")
+    if not (p.g > 0.0):
+        bad("physics.g", f"gravity must be positive, got {p.g:g}")
+    if p.mu < 0:
+        bad("physics.mu", "viscosity must be nonnegative")
     if p.k_l < 0 or p.k_t < 0:
         bad("physics.k_l", "friction coefficients must be nonnegative")
-    if p.placement not in PLACEMENTS:
-        bad("physics.placement", f"unknown placement {p.placement!r}, expected one of {PLACEMENTS}")
-    if p.solver not in SOLVERS:
-        bad("physics.solver", f"unknown solver {p.solver!r}, expected one of {SOLVERS}")
-    elif p.solver == "sv1" and lay.n != 1:
-        bad("physics.solver", f"solver sv1 requires layers.n = 1, got {lay.n}")
+    if p.placement not in (INTERFACE, LAYER):
+        bad("physics.placement",
+            f"unknown placement {p.placement!r}, expected one of {(INTERFACE, LAYER)}")
 
     c = scn.controls
     if not (0.0 < c.cfl <= 1.0):
         bad("controls.cfl", f"cfl must lie in (0, 1], got {c.cfl:g}")
-    if not (c.t_end > 0.0) or not np.isfinite(c.t_end):
-        bad("controls.t_end", f"t_end must be positive and finite, got {c.t_end:g}")
+    if not (c.t_end > 0.0):
+        bad("controls.t_end", f"t_end must be positive, got {c.t_end:g}")
     if c.integrator not in INTEGRATORS:
         bad("controls.integrator",
             f"unknown integrator {c.integrator!r}, expected one of {INTEGRATORS}")
@@ -390,9 +395,6 @@ def initial_fields(scn: Scenario, grid: Grid, part: LayerPartition,
         u = np.repeat(np.asarray(ini.u, dtype=float)[:, None], n, axis=1)
     else:
         u = np.zeros((N, n))
-
-    from .geometry import layer_thicknesses
-    from .state import H_DRY
 
     q = layer_thicknesses(H, part) * u
     q[:, H <= H_DRY] = 0.0

@@ -102,23 +102,18 @@ def exchange_fluxes(div: np.ndarray, part: LayerPartition) -> np.ndarray:
     return G
 
 
-def interface_velocities(u: np.ndarray, G: np.ndarray, mode: str = "upwind") -> np.ndarray:
-    """Velocity advected through each interface, shape (N+1, n).
+def interface_velocities(u: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Upwinded velocity advected through each interface, shape (N+1, n).
 
     G[k] > 0 feeds the layer below interface k, so the donor is the
     layer above and its velocity is carried through; G[k] <= 0 drains
-    the lower layer and the lower velocity is carried.  The centered
-    variant is kept only as a test mode: it is not energy-diffusive.
+    the lower layer and the lower velocity is carried.  Only this donor
+    choice makes the exchange term energy-diffusive.
     """
     N, n = u.shape
     u_if = np.empty((N + 1, n))
     u_if[0] = u[0]
     u_if[-1] = u[-1]
     if N > 1:
-        if mode == "upwind":
-            u_if[1:-1] = np.where(G[1:-1] <= 0.0, u[:-1], u[1:])
-        elif mode == "centered":
-            u_if[1:-1] = 0.5 * (u[:-1] + u[1:])
-        else:
-            raise ValueError(f"unknown interface velocity mode {mode!r}")
+        u_if[1:-1] = np.where(G[1:-1] <= 0.0, u[:-1], u[1:])
     return u_if

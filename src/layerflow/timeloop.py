@@ -38,31 +38,10 @@ from .gridops import Grid
 from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
                        viscous_rhs)
-from .scenario import Scenario, bathymetry_values, initial_fields
+from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, Scenario,
+                       bathymetry_values, initial_fields)
 from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
                     velocities)
-from .sv import sv_dissipation, sv_rhs, sv_velocity
-
-FORWARD_EULER = "forward-euler"
-SSP_RK2 = "ssp-rk2"
-
-
-@dataclass
-class TimeControls:
-    t_end: float
-    cfl: float = 0.5
-    viscous_safety: float = 0.5
-    integrator: str = SSP_RK2
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
-        if not (0.0 < self.viscous_safety <= 1.0):
-            raise ValueError("viscous_safety must lie in (0, 1]")
-        if self.integrator not in (FORWARD_EULER, SSP_RK2):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not (self.t_end > 0.0):
-            raise ValueError("t_end must be positive")
 
 
 @dataclass
@@ -72,9 +51,7 @@ class Diagnostics:
     geom: InterfaceGeometry
     u: np.ndarray
     G: np.ndarray
-    u_if: np.ndarray
     stress: Optional[StressField]
-    max_speed: float
     diss_exchange: float
     diss_stress: float
     diss_friction: float
@@ -104,7 +81,7 @@ class RhsEval:
 
 @dataclass
 class SimContext:
-    """Everything make_rhs derived from a scenario."""
+    """Everything make_context derived from a validated scenario."""
 
     grid: Grid
     bc: str
@@ -113,7 +90,7 @@ class SimContext:
     g: float
     model: RheologyModel
     friction: FrictionLaw
-    controls: TimeControls
+    controls: ControlsSpec
     h_dry: float = H_DRY
 
     @property
@@ -202,11 +179,13 @@ def step(
 
 
 def make_context(scn: Scenario) -> SimContext:
+    """Grid, bed, closures and controls of a scenario; ConfigError if invalid."""
+    scn.validate()
     grid = scn.grid()
     part = scn.partition()
     zb = bathymetry_values(scn, grid)
     bathy = make_bathymetry(zb, grid.dx, scn.boundary)
-    ctx = SimContext(
+    return SimContext(
         grid=grid,
         bc=scn.boundary,
         part=part,
@@ -214,35 +193,17 @@ def make_context(scn: Scenario) -> SimContext:
         g=scn.physics.g,
         model=RheologyModel(mu=scn.physics.mu, placement=scn.physics.placement),
         friction=FrictionLaw(k_l=scn.physics.k_l, k_t=scn.physics.k_t),
-        controls=TimeControls(
-            t_end=scn.controls.t_end,
-            cfl=scn.controls.cfl,
-            viscous_safety=scn.controls.viscous_safety,
-            integrator=scn.controls.integrator,
-        ),
+        controls=scn.controls,
     )
-    return ctx
 
 
 def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval], SimContext]:
     """Initial state plus the full right-hand-side closure for a scenario."""
-    scn.validate()
     ctx = make_context(scn)
-    zb = ctx.bathy.zb
-    H0, q0 = initial_fields(scn, ctx.grid, ctx.part, zb)
-    state0 = LayerState(H0, q0)
-
-    if scn.physics.solver == "sv1":
-        rhs = _make_sv_rhs(ctx)
-    else:
-        rhs = _make_multilayer_rhs(ctx)
-    return state0, rhs, ctx
-
-
-def _make_multilayer_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
     dx, bc, g = ctx.dx, ctx.bc, ctx.g
     bathy, part, h_dry = ctx.bathy, ctx.part, ctx.h_dry
     viscous = ctx.model.active or ctx.friction.active
+    H0, q0 = initial_fields(scn, ctx.grid, part, bathy.zb)
 
     def rhs(state: LayerState) -> RhsEval:
         H, q = state.H, state.q
@@ -259,13 +220,13 @@ def _make_multilayer_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
         dq = ev.dq + viscous_rhs(S, geom, dx, bc)
         return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S))
 
-    return rhs
+    return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
                  geom: Optional[InterfaceGeometry] = None,
                  S: Optional[StressField] = None) -> Diagnostics:
-    """Audit fields of one multilayer evaluation; geometry is built if absent."""
+    """Audit fields of one evaluation; geometry is built if absent."""
     if geom is None:
         geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc)
     if S is not None:
@@ -273,38 +234,9 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
             S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
     else:
         d_stress, d_fric = 0.0, 0.0
-    return Diagnostics(geom=geom, u=u, G=ev.G, u_if=ev.u_if, stress=S,
-                       max_speed=ev.max_speed,
+    return Diagnostics(geom=geom, u=u, G=ev.G, stress=S,
                        diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx),
                        diss_stress=d_stress, diss_friction=d_fric)
-
-
-def _make_sv_rhs(ctx: SimContext) -> Callable[[LayerState], RhsEval]:
-    dx, bc, g = ctx.dx, ctx.bc, ctx.g
-    mu = ctx.model.mu
-    k_l, k_t = ctx.friction.k_l, ctx.friction.k_t
-    zb = ctx.bathy.zb
-
-    def rhs(state: LayerState) -> RhsEval:
-        H = state.H
-        q = state.q[0]
-        ev = sv_rhs(H, q, zb, g, mu, k_l, k_t, dx, bc, ctx.h_dry)
-
-        def diagnose() -> Diagnostics:
-            u = sv_velocity(H, q, ctx.h_dry)
-            geom = build_geometry(H, ctx.bathy, ctx.part, dx, bc)
-            d_total = sv_dissipation(ev, H, u, zb, mu, k_l, k_t, dx, bc)
-            kappa = ctx.friction.kappa(u, H)
-            d_fric = float(-(kappa / ctx.bathy.cos**3 * u * u).sum() * dx)
-            G = np.zeros((2, H.size))
-            return Diagnostics(geom=geom, u=u[None, :], G=G, u_if=np.vstack([u, u]),
-                               stress=None, max_speed=ev.max_speed,
-                               diss_exchange=0.0, diss_stress=d_total - d_fric,
-                               diss_friction=d_fric)
-
-        return RhsEval(ev.dH, ev.dq[None, :], diagnose)
-
-    return rhs
 
 
 @dataclass

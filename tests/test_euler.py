@@ -5,7 +5,7 @@ import pytest
 from layerflow.errors import SolverAbort
 from layerflow.euler import euler_rhs, hll_fluxes
 from layerflow.geometry import LayerPartition, make_bathymetry
-from layerflow.state import H_DRY
+from layerflow.state import H_DRY, max_wave_speed, velocities
 
 
 def _hll_reference(hl, ul, hr, ur, g, h_dry=H_DRY):
@@ -169,5 +169,5 @@ def test_one_step_positivity_near_dry_fronts():
         u[:, H <= H_DRY] = 0.0
         q = part.fractions[:, None] * H[None, :] * u
         ev = euler_rhs(H, q, bathy, part, 9.81, dx, "transmissive")
-        dt = 0.45 * dx / ev.max_speed
+        dt = 0.45 * dx / max_wave_speed(H, velocities(H, q, part), 9.81)
         assert (H + dt * ev.dH).min() > -1e-12

@@ -9,8 +9,8 @@ from layerflow.gridops import Grid
 from layerflow.output import (ENERGY_COLUMNS, Snapshot, read_energy_series,
                               read_snapshot, snapshot_header, write_energy_series,
                               write_snapshot)
-from layerflow.scenario import (ControlsSpec, InitSpec, LayersSpec, MeshSpec,
-                                PhysicsSpec, Scenario, bathymetry_values,
+from layerflow.scenario import (_REGISTRY, ControlsSpec, InitSpec, LayersSpec,
+                                MeshSpec, PhysicsSpec, Scenario, bathymetry_values,
                                 format_scenario, initial_fields, parse_scenario)
 from layerflow.timeloop import run
 
@@ -84,7 +84,6 @@ layers.n = 2
 layers.fractions = 0.5, 0.6
 init.kind = shear
 physics.g = -9.81
-physics.solver = sv1
 controls.cfl = 1.5
 """
     with pytest.raises(ConfigError) as err:
@@ -95,10 +94,9 @@ controls.cfl = 1.5
     assert "fractions sum to 1.1" in msg
     assert "init.u: required" in msg
     assert "gravity must be positive" in msg
-    assert "sv1 requires layers.n = 1" in msg
     assert "cfl must lie in (0, 1]" in msg
     # the offending line is cited when the key appeared in the file
-    assert "(line 10)" in msg
+    assert "(line 9)" in msg
 
 
 def test_check_rejects_fractions_the_partition_rejects(tmp_path, capsys):
@@ -268,6 +266,20 @@ def test_cli_check_accepts_and_rejects(tmp_path, capsys):
     assert cli.main(["check", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "required key is missing" in err
+
+
+FLOAT_KEYS = [key for key, (kind, _, _) in _REGISTRY.items()
+              if kind in ("float", "floats")]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_check_rejects_a_nan_in_every_float_key(key, tmp_path, capsys):
+    lines = [ln for ln in CLI_CFG.splitlines() if not ln.startswith(key + " ")]
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+    assert cli.main(["check", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite" in err
 
 
 def test_cli_missing_file_is_a_usage_error(capsys):

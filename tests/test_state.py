@@ -82,10 +82,3 @@ def test_interface_velocity_takes_donor_side():
     # bed and surface rows carry the adjacent layer velocity
     assert (u_if[0] == u[0]).all()
     assert (u_if[-1] == u[-1]).all()
-
-
-def test_interface_velocity_centered_mode():
-    u = np.array([[1.0], [3.0]])
-    G = np.array([[0.0], [9.9], [0.0]])
-    u_if = interface_velocities(u, G, mode="centered")
-    assert u_if[1, 0] == 2.0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerflow.errors import SolverAbort
+from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
 from layerflow.gridops import Grid
 from layerflow.rheology import FrictionLaw, RheologyModel
@@ -11,7 +11,7 @@ from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 Scenario)
 from layerflow.state import LayerState
 from layerflow import timeloop
-from layerflow.timeloop import (RhsEval, SimContext, TimeControls, make_rhs,
+from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
                                 next_snapshot_time, run, stable_dt, step)
 
 
@@ -23,7 +23,7 @@ def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
     return SimContext(grid=grid, bc="periodic", part=part, bathy=bathy, g=g,
                       model=RheologyModel(mu=mu),
                       friction=FrictionLaw(k_l=k_l, k_t=k_t),
-                      controls=TimeControls(t_end=1.0, cfl=cfl,
+                      controls=ControlsSpec(t_end=1.0, cfl=cfl,
                                             viscous_safety=vs))
 
 
@@ -68,6 +68,16 @@ def test_stable_dt_survives_a_dry_domain():
 
 def _decay_rhs(state):
     return RhsEval(dH=-state.H, dq=-state.q)
+
+
+def test_make_context_validates_the_scenario():
+    scn = Scenario(mesh=MeshSpec(0.0, 1.0, 10),
+                   init=InitSpec(kind="lake_at_rest", eta0=1.0),
+                   physics=PhysicsSpec(g=9.81),
+                   controls=ControlsSpec(cfl=1.5))
+    with pytest.raises(ConfigError) as err:
+        make_context(scn)
+    assert any(p.startswith("controls.cfl:") for p in err.value.problems)
 
 
 def test_step_forward_euler_and_rk2_on_linear_decay():
