@@ -16,7 +16,7 @@ from .euler import euler_rhs, hll_fluxes
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
 from .gridops import Grid, ddx, d2dx2, pad_cells
-from .kinematics import reconstruct_w, vertical_field, what_coefficients
+from .kinematics import reconstruct_w, what_coefficients
 from .rheology import (FrictionLaw, RheologyModel, StressField,
                        stress_closure, viscous_rhs)
 from .scenario import Scenario, format_scenario, parse_scenario
@@ -38,6 +38,6 @@ __all__ = [
     "layer_thicknesses", "make_bathymetry", "make_context", "make_rhs",
     "newtonian_dissipation", "pad_cells", "parse_scenario", "reconstruct_w",
     "run", "stable_dt", "step", "stress_closure", "sv_rhs", "sv_velocity",
-    "total_energy", "velocities", "vertical_field", "viscous_rhs",
+    "total_energy", "velocities", "viscous_rhs",
     "what_coefficients",
 ]

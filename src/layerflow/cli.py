@@ -14,7 +14,6 @@ import os
 import sys
 from typing import Optional
 
-from .acceptance import run_acceptance
 from .errors import ConfigError, SolverAbort
 from .output import snapshot_frame, write_energy_series, write_snapshot
 from .scenario import parse_scenario
@@ -74,6 +73,8 @@ def _cmd_verify(args) -> int:
             raise ConfigError([f"bad criteria list {args.criteria!r}"])
         if any(i < 1 or i > 10 for i in ids):
             raise ConfigError(["criteria ids must lie in 1..10"])
+    # imported here: the suite pulls in scipy, which no other command needs
+    from .acceptance import run_acceptance
     results = run_acceptance(ids)
     for res in results:
         print(res.line())

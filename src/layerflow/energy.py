@@ -57,12 +57,10 @@ def newtonian_dissipation(
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
-    The stress part divides by mu, which is exact for the built-in
-    Newtonian closures; custom stress laws are outside the audit.
+    The stress part divides by mu, which is exact for the Newtonian
+    closures.
     """
     friction_part = float(-(friction.kappa(u[0], H) / cos_b**3 * u[0] * u[0]).sum() * dx)
-    if model.stress_fn is not None:
-        raise NotImplementedError("energy audit covers the built-in Newtonian closures only")
     if model.mu <= 0.0:
         return 0.0, friction_part
     if model.placement == INTERFACE:
@@ -73,16 +71,15 @@ def newtonian_dissipation(
 
 
 def energy_flux_density(
-    u: np.ndarray, w: np.ndarray, geom: InterfaceGeometry,
-    p_mid: np.ndarray, g: float, S: StressField | None,
+    u: np.ndarray, w: np.ndarray | None, geom: InterfaceGeometry,
+    E: np.ndarray, p_mid: np.ndarray, S: StressField | None,
     dx: float, bc: str,
 ) -> np.ndarray:
     """Horizontal energy flux per cell (n,), used for boundary budgets.
 
     Advective/pressure part u (E + h p) per layer, plus the in-layer
-    viscous working when a stress field is supplied.
+    viscous working when a stress field is supplied (only it reads w).
     """
-    E = layer_energies(u, geom, g)
     flux = (u * (E + geom.h * p_mid)).sum(axis=0)
     if S is not None:
         inner = ddx(geom.h * geom.z_mid * S.zx_mid, dx, bc)

@@ -24,12 +24,10 @@ from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
 
 @dataclass
 class EdgeFluxes:
-    """Per-edge HLL fluxes and the wave speeds that produced them."""
+    """Per-edge HLL mass and momentum fluxes."""
 
     mass: np.ndarray      # (N, n_edges)
     momentum: np.ndarray  # (N, n_edges)
-    s_left: np.ndarray    # (n_edges,)
-    s_right: np.ndarray   # (n_edges,)
 
 
 @dataclass
@@ -104,7 +102,7 @@ def hll_fluxes(
     both_dry = dry_l & dry_r
     f_mass[:, both_dry] = 0.0
     f_mom[:, both_dry] = 0.0
-    return EdgeFluxes(mass=f_mass, momentum=f_mom, s_left=s_l, s_right=s_r)
+    return EdgeFluxes(mass=f_mass, momentum=f_mom)
 
 
 def euler_rhs(

@@ -9,29 +9,10 @@ h_a w_a to round-off instead of to O(dx^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import InterfaceGeometry
 from .gridops import ddx
-
-
-@dataclass
-class VerticalField:
-    """Layer-mean vertical velocities and the affine profile pieces.
-
-    what(x, z) = k[a] - z * dudx[a] inside layer a; its layer mean is
-    w[a] up to round-off.
-    """
-
-    w: np.ndarray     # (N, n) layer-mean vertical velocity
-    k: np.ndarray     # (N, n) profile offsets
-    dudx: np.ndarray  # (N, n) horizontal divergence, profile slope is -dudx
-
-    def profile(self, a: int, z: np.ndarray) -> np.ndarray:
-        """Evaluate the in-layer profile of layer a at heights z (n,)."""
-        return self.k[a] - z * self.dudx[a]
 
 
 def reconstruct_w(
@@ -64,10 +45,3 @@ def what_coefficients(
     for a in range(N - 1):
         k[a + 1] = k[a] + ddx(geom.z_if[a + 1] * (u[a + 1] - u[a]), dx, bc)
     return k
-
-
-def vertical_field(
-    u: np.ndarray, geom: InterfaceGeometry, dx: float, bc: str
-) -> VerticalField:
-    w, dudx = reconstruct_w(u, geom, dx, bc)
-    return VerticalField(w=w, k=what_coefficients(u, geom, dx, bc), dudx=dudx)

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import reconstruct_w
-from .energy import layer_energies
-from .state import hydrostatic_pressures
 from .timeloop import Diagnostics, RunResult, SimContext
 
 
@@ -34,8 +32,9 @@ class Snapshot:
 def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
                    ctx: SimContext) -> Snapshot:
     geom = diag.geom
-    w, _ = reconstruct_w(diag.u, geom, ctx.dx, ctx.bc)
-    p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
+    w = diag.w
+    if w is None:  # inviscid runs derive w for the snapshots only
+        w, _ = reconstruct_w(diag.u, geom, ctx.dx, ctx.bc)
     return Snapshot(
         t=t,
         x=ctx.grid.x,
@@ -45,8 +44,8 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
         u=diag.u.copy(),
         w=w,
         G=diag.G[1:-1].copy(),
-        p=p_mid,
-        E=layer_energies(diag.u, geom, ctx.g),
+        p=diag.p_mid,
+        E=diag.E,
     )
 
 

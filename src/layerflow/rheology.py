@@ -18,7 +18,7 @@ sigma = kappa u_1 / cos^3 with kappa = k_l + k_t H |u_1|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,16 +64,10 @@ class StressField:
 
 @dataclass
 class RheologyModel:
-    """Stress model: dynamic viscosity, placement, optional custom law.
-
-    A custom `stress_fn(u, w, dudx, geom, dx, bc)` may return any
-    StressField; the traction and momentum assembly below then apply
-    unchanged.
-    """
+    """Newtonian stress model: dynamic viscosity and stress placement."""
 
     mu: float = 0.0
     placement: str = INTERFACE
-    stress_fn: Optional[Callable] = None
 
     def __post_init__(self):
         if self.placement not in (INTERFACE, LAYER):
@@ -83,7 +77,7 @@ class RheologyModel:
 
     @property
     def active(self) -> bool:
-        return self.mu > 0.0 or self.stress_fn is not None
+        return self.mu > 0.0
 
 
 def _pad_layers_zero(f: np.ndarray) -> np.ndarray:
@@ -155,11 +149,9 @@ def newtonian_layer_stresses(
 
 
 def tangential_traction(xx: np.ndarray, zx: np.ndarray, zz: np.ndarray,
-                        slope: np.ndarray, xz: Optional[np.ndarray] = None) -> np.ndarray:
+                        slope: np.ndarray) -> np.ndarray:
     """Traction along a surface of slope `slope` for a symmetric tensor."""
-    if xz is None:
-        xz = zx
-    return xz - slope * (xx + slope * zx - zz)
+    return zx - slope * (xx + slope * zx - zz)
 
 
 def bottom_traction(friction: FrictionLaw, u_bottom: np.ndarray,
@@ -188,9 +180,7 @@ def stress_closure(
     """Build the full stress field (with tractions) for one state."""
     if w is None or dudx is None:
         w, dudx = reconstruct_w(u, geom, dx, bc)
-    if model.stress_fn is not None:
-        S = model.stress_fn(u, w, dudx, geom, dx, bc)
-    elif model.placement == INTERFACE:
+    if model.placement == INTERFACE:
         S = newtonian_interface_stresses(u, w, dudx, geom, dx, bc, model.mu)
     else:
         S = newtonian_layer_stresses(u, w, dudx, geom, dx, bc, model.mu)

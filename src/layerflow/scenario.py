@@ -98,10 +98,6 @@ class Scenario:
     controls: ControlsSpec = field(default_factory=ControlsSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
 
-    @property
-    def n_layers(self) -> int:
-        return self.layers.n
-
     def grid(self) -> Grid:
         return Grid(self.mesh.x_min, self.mesh.x_max, self.mesh.n_cells)
 
@@ -335,8 +331,9 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         bad("physics.g", f"gravity must be positive, got {p.g:g}")
     if p.mu < 0:
         bad("physics.mu", "viscosity must be nonnegative")
-    if p.k_l < 0 or p.k_t < 0:
-        bad("physics.k_l", "friction coefficients must be nonnegative")
+    for key, value in (("physics.k_l", p.k_l), ("physics.k_t", p.k_t)):
+        if value < 0:
+            bad(key, f"friction coefficient must be nonnegative, got {value:g}")
     if p.placement not in (INTERFACE, LAYER):
         bad("physics.placement",
             f"unknown placement {p.placement!r}, expected one of {(INTERFACE, LAYER)}")

@@ -38,10 +38,6 @@ class LayerState:
         if self.q.shape[-1] != self.H.shape[-1]:
             raise ValueError("H and q disagree on the number of cells")
 
-    @property
-    def n_layers(self) -> int:
-        return self.q.shape[0]
-
     def copy(self) -> "LayerState":
         return LayerState(self.H.copy(), self.q.copy())
 

@@ -16,9 +16,10 @@ when first asked for, which happens at accepted states: there the loop
 audits energy, takes snapshots and sizes the next step.  An evaluation
 the stepper only advances through, such as the second SSP-RK2 stage,
 therefore computes tendencies only.  Inviscid tendencies need no
-geometry; viscous ones build it at every stage for the stresses.  The
-vertical velocity w for the audit's boundary flux is reconstructed at
-accepted states only as well.
+geometry; viscous ones build it, and reconstruct the vertical velocity w
+for the stresses, at every stage.  The diagnostics derive every field
+the audit and the snapshots read (layer energies, midpoint pressures,
+boundary influx), so those compute nothing again.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import SolverAbort
 from .euler import EulerRhs, euler_rhs
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, make_bathymetry)
-from .gridops import Grid
+from .gridops import PERIODIC, Grid
 from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
                        viscous_rhs)
@@ -46,12 +47,15 @@ from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
 
 @dataclass
 class Diagnostics:
-    """Per-evaluation fields reused by the audit and the output layer."""
+    """Fields of one evaluated state, shared by the audit and the output layer."""
 
     geom: InterfaceGeometry
     u: np.ndarray
     G: np.ndarray
-    stress: Optional[StressField]
+    w: Optional[np.ndarray]         # the stress closure's w; None if inviscid
+    E: np.ndarray                   # (N, n) layer energies
+    p_mid: np.ndarray               # (N, n) midpoint pressures
+    influx: float                   # net boundary energy inflow
     diss_exchange: float
     diss_stress: float
     diss_friction: float
@@ -216,17 +220,19 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
         geom = build_geometry(H, bathy, part, dx, bc)
         u = velocities(H, q, part, h_dry, h=geom.h)
         ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
-        S = stress_closure(ctx.model, ctx.friction, H, u, geom, dx, bc)
+        w, dudx = reconstruct_w(u, geom, dx, bc)
+        S = stress_closure(ctx.model, ctx.friction, H, u, geom, dx, bc, w=w, dudx=dudx)
         dq = ev.dq + viscous_rhs(S, geom, dx, bc)
-        return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S))
+        return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S, w))
 
     return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
                  geom: Optional[InterfaceGeometry] = None,
-                 S: Optional[StressField] = None) -> Diagnostics:
-    """Audit fields of one evaluation; geometry is built if absent."""
+                 S: Optional[StressField] = None,
+                 w: Optional[np.ndarray] = None) -> Diagnostics:
+    """Audit and snapshot fields of one evaluation; geometry is built if absent."""
     if geom is None:
         geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc)
     if S is not None:
@@ -234,7 +240,13 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
             S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
     else:
         d_stress, d_fric = 0.0, 0.0
-    return Diagnostics(geom=geom, u=u, G=ev.G, stress=S,
+    E = energy_mod.layer_energies(u, geom, ctx.g)
+    p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
+    influx = 0.0
+    if ctx.bc != PERIODIC:
+        flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S, ctx.dx, ctx.bc)
+        influx = energy_mod.boundary_influx(flux, ctx.bc)
+    return Diagnostics(geom=geom, u=u, G=ev.G, w=w, E=E, p_mid=p_mid, influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx),
                        diss_stress=d_stress, diss_friction=d_fric)
 
@@ -254,16 +266,6 @@ class RunResult:
     snapshots: list                 # [(t, Diagnostics, LayerState), ...]
     summary: dict
     final: LayerState
-
-
-def _influx(diag: Diagnostics, ctx: SimContext) -> float:
-    if ctx.bc == "periodic":
-        return 0.0
-    p_mid, _ = hydrostatic_pressures(diag.geom.h, ctx.g)
-    w, _ = reconstruct_w(diag.u, diag.geom, ctx.dx, ctx.bc)
-    flux = energy_mod.energy_flux_density(
-        diag.u, w, diag.geom, p_mid, ctx.g, diag.stress, ctx.dx, ctx.bc)
-    return energy_mod.boundary_influx(flux, ctx.bc)
 
 
 def next_snapshot_time(t: float, every: float) -> float:
@@ -304,11 +306,11 @@ def run(
 
     def audit(r: RhsEval):
         d = r.diag
-        cols["E"].append(energy_mod.total_energy(d.u, d.geom, ctx.g, dx))
+        cols["E"].append(float(d.E.sum() * dx))
         cols["DG"].append(d.diss_exchange)
         cols["RE"].append(d.diss_stress)
         cols["fric"].append(d.diss_friction)
-        cols["influx"].append(_influx(d, ctx))
+        cols["influx"].append(d.influx)
         cols["mass"].append(float(state.H.sum() * dx))
 
     t = 0.0

@@ -1,7 +1,10 @@
 """Golden outputs: `layerflow run` must reproduce these files byte for byte.
 
-The digests were recorded before the tendency evaluation was reorganized
-to compute each quantity once per stage.  The CSVs carry 17 significant
+The first three digest sets were recorded before the tendency evaluation
+was reorganized to compute each quantity once per stage.  The viscous
+wall case, the one golden run whose energy audit reads the boundary work
+of the stress field (and so the w the stress closure used), was recorded
+before the accepted-state fields moved into `Diagnostics`.  The CSVs carry 17 significant
 digits, so any change to the arithmetic the stepper applies, to the
 audit or to the snapshot schedule shows up here.  A change that alters
 them on purpose has to explain every changed digit and re-record them.
@@ -68,6 +71,30 @@ controls.integrator = forward-euler
 output.snapshot_every = 0
 """
 
+VISCOUS_FRICTION_WALL_LAYER_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 40
+boundary.kind = wall
+layers.n = 3
+bathymetry.kind = bump
+bathymetry.z0 = -0.5
+bathymetry.a = 0.1
+bathymetry.x0 = 0.3
+bathymetry.width = 0.1
+init.kind = dam_break
+init.eta_l = 0.6
+init.eta_r = 0.4
+init.x0 = 0.5
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+physics.placement = layer
+controls.t_end = 0.03
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.01
+"""
+
 GOLDEN = {
     "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
         "energy.csv": "37afad6bdcb910039ecee8dbb6734d3cb5af46ba7fc270afed80a527545d9450",
@@ -83,6 +110,13 @@ GOLDEN = {
         "snapshot_0001.csv": "0a91a2ede09070bd033e66b0d3354b4d9c52d380ab117bd4dcd678d0c44a7a0b",
         "snapshot_0002.csv": "3fbcbfc80450a5261560b8d8f735dfd71accdb9601cd43899446012026412751",
         "snapshot_0003.csv": "db0068ec7d54dac5c29ac354656aacf71cae86ae5c24c47b06a74f3c27ef921a",
+    }),
+    "viscous_friction_wall_layer_rk2": (VISCOUS_FRICTION_WALL_LAYER_RK2, {
+        "energy.csv": "c1fc8e87cc3c0c5fd7fbbd6ac520b446ef7def095d1ac36e4accb4d8903612da",
+        "snapshot_0000.csv": "04021eca199e53ec51d6f387512d62d55838f2ad3f230a479b52ba6046c3b022",
+        "snapshot_0001.csv": "a46e9ee2ce6158da82e27dfdac36d822910afe125c26afd56cbde03df1838ff7",
+        "snapshot_0002.csv": "652c03c074c74a0db0833525dfc0709f8bfa5057e02c7131c3143138f6c50da1",
+        "snapshot_0003.csv": "28f46720ee302ba993607fd62972524c36be34167be1500eb0f7ad04fb3fd34d",
     }),
     "dry_front_transmissive_euler": (DRY_FRONT_TRANSMISSIVE_EULER, {
         "energy.csv": "ff1e57332f4fdeadff4917c7eca3b364e7e60917bec547ac5e2367994aead411",

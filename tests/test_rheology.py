@@ -90,29 +90,6 @@ def test_tangential_traction_formula():
     assert np.isclose(sig[0], 0.5 - 0.3 * (2.0 + 0.15 + 2.0))
 
 
-def test_custom_stress_hook_matches_builtin():
-    rng = np.random.default_rng(43)
-    n, dx, mu = 20, 0.05, 0.2
-    part = LayerPartition.uniform(3)
-    bathy = make_bathymetry(0.1 * rng.standard_normal(n), dx, "periodic")
-    H = rng.uniform(0.5, 1.5, n)
-    geom = build_geometry(H, bathy, part, dx, "periodic")
-    u = rng.standard_normal((3, n))
-
-    def clone(u_, w_, dudx_, geom_, dx_, bc_):
-        return newtonian_interface_stresses(u_, w_, dudx_, geom_, dx_, bc_, mu)
-
-    friction = FrictionLaw(k_l=0.1)
-    builtin = stress_closure(RheologyModel(mu=mu), friction, H, u, geom, dx, "periodic")
-    hooked = stress_closure(RheologyModel(mu=mu, stress_fn=clone), friction,
-                            H, u, geom, dx, "periodic")
-    assert np.allclose(builtin.zx_if, hooked.zx_if, atol=0, rtol=0)
-    assert np.allclose(builtin.sigma, hooked.sigma, atol=0, rtol=0)
-    Va = viscous_rhs(builtin, geom, dx, "periodic")
-    Vb = viscous_rhs(hooked, geom, dx, "periodic")
-    assert (Va == Vb).all()
-
-
 def test_internal_stresses_do_not_create_momentum():
     # flat periodic box without friction: the stress terms only move
     # momentum between layers and cells

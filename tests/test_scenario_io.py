@@ -1,4 +1,8 @@
 """Config parsing/validation, CSV round trips and the command line."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -280,6 +284,28 @@ def test_check_rejects_a_nan_in_every_float_key(key, tmp_path, capsys):
     assert cli.main(["check", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert f"{key}: must be finite" in err
+
+
+@pytest.mark.parametrize("key", ["physics.k_l", "physics.k_t"])
+def test_check_names_the_negative_friction_key(key, tmp_path, capsys):
+    cfg = tmp_path / "friction.cfg"
+    cfg.write_text(CLI_CFG + f"{key} = -1\n")
+    line = len(CLI_CFG.splitlines()) + 1
+    assert cli.main(["check", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: friction coefficient must be nonnegative, got -1 (line {line})" in err
+    assert err.count("friction coefficient") == 1
+
+
+def test_importing_the_cli_loads_no_scipy(capsys):
+    # only `verify` needs scipy; `run` and `check` must not pay its import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, layerflow.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    # criterion 8, the scipy user, still runs from the command line
+    assert cli.main(["verify", "--criteria", "8"]) == 0
+    assert "1/1 criteria passed" in capsys.readouterr().out
 
 
 def test_cli_missing_file_is_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
                                 Scenario)
 from layerflow.state import LayerState
-from layerflow import timeloop
+from layerflow import output, rheology, timeloop
 from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
                                 next_snapshot_time, run, stable_dt, step)
 
@@ -192,6 +192,45 @@ def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
     assert built == [1]
     assert r.diag.geom is geom and built == [1]
     assert (geom.h.sum(axis=0) == state.H).all()
+
+
+def _count_reconstruct_w(monkeypatch, module):
+    calls = []
+    real = module.reconstruct_w
+    monkeypatch.setattr(module, "reconstruct_w",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_inviscid_audit_reconstructs_no_w(monkeypatch):
+    # no audit term reads w without a stress field; snapshots rebuild it
+    # once per frame
+    in_loop = _count_reconstruct_w(monkeypatch, timeloop)
+    in_output = _count_reconstruct_w(monkeypatch, output)
+    scn = _smooth_scenario(boundary="wall")
+    state, rhs, ctx = make_rhs(scn)
+    d = rhs(state).diag
+    assert d.w is None and np.isfinite(d.influx)
+    assert in_loop == []
+    output.snapshot_frame(0.0, state.H, d, ctx)
+    assert in_output == [1]
+    run(scn)
+    assert in_loop == []
+
+
+def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
+    # the stress closure, the audit and the snapshot share one w
+    in_loop = _count_reconstruct_w(monkeypatch, timeloop)
+    in_closure = _count_reconstruct_w(monkeypatch, rheology)
+    in_output = _count_reconstruct_w(monkeypatch, output)
+    scn = _smooth_scenario(boundary="wall",
+                           physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
+    state, rhs, ctx = make_rhs(scn)
+    d = rhs(state).diag
+    snap = output.snapshot_frame(0.0, state.H, d, ctx)
+    assert (in_loop, in_closure, in_output) == ([1], [], [])
+    assert snap.w is d.w
+    assert np.isfinite(d.influx)
 
 
 def test_run_is_deterministic():
