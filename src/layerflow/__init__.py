@@ -9,8 +9,7 @@ a per-step energy audit, and degenerates to a classic single-layer
 scheme when N = 1.
 """
 
-from .energy import (exchange_dissipation, layer_energies,
-                     newtonian_dissipation, total_energy)
+from .energy import exchange_dissipation, layer_energies, newtonian_dissipation
 from .errors import ConfigError, SolverAbort
 from .euler import euler_rhs, hll_fluxes
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
@@ -38,6 +37,6 @@ __all__ = [
     "layer_thicknesses", "make_bathymetry", "make_context", "make_rhs",
     "newtonian_dissipation", "pad_cells", "parse_scenario", "reconstruct_w",
     "run", "stable_dt", "step", "stress_closure", "sv_rhs", "sv_velocity",
-    "total_energy", "velocities", "viscous_rhs",
+    "velocities", "viscous_rhs",
     "what_coefficients",
 ]

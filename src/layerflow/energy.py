@@ -19,17 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import PERIODIC, ddx
+from .gridops import ddx
 from .rheology import INTERFACE, FrictionLaw, RheologyModel, StressField
 
 
 def layer_energies(u: np.ndarray, geom: InterfaceGeometry, g: float) -> np.ndarray:
     """Mechanical energy density per layer, shape (N, n)."""
     return geom.h * (0.5 * u * u + g * geom.z_mid)
-
-
-def total_energy(u: np.ndarray, geom: InterfaceGeometry, g: float, dx: float) -> float:
-    return float(layer_energies(u, geom, g).sum() * dx)
 
 
 def interface_energy_term(u_lo: np.ndarray, u_hi: np.ndarray,
@@ -103,8 +99,6 @@ def budget_residuals(
     return dE / dt - sinks[:-1]
 
 
-def boundary_influx(flux_density: np.ndarray, bc: str) -> float:
-    """Net energy inflow across the domain ends (0 on periodic domains)."""
-    if bc == PERIODIC:
-        return 0.0
+def boundary_influx(flux_density: np.ndarray) -> float:
+    """Net energy inflow across the two ends of a non-periodic domain."""
     return float(flux_density[0] - flux_density[-1])

@@ -57,23 +57,22 @@ def hll_fluxes(
     depth nonnegative.  Bitwise-identical traces short-circuit to the
     exact physical flux.
     """
-    if not (np.all(np.isfinite(H_l)) and np.all(np.isfinite(H_r))
-            and np.all(np.isfinite(u_l)) and np.all(np.isfinite(u_r))):
+    umin_l, umax_l = u_l.min(axis=0), u_l.max(axis=0)
+    umin_r, umax_r = u_r.min(axis=0), u_r.max(axis=0)
+    # a nan or an infinity in a velocity column shows in its min or max
+    if not np.isfinite(np.concatenate((H_l, H_r, umin_l, umax_l, umin_r, umax_r))).all():
         raise SolverAbort("non-finite edge trace in flux evaluation")
 
     h_l = layer_thicknesses(H_l, part)
     h_r = layer_thicknesses(H_r, part)
     q_l = h_l * u_l
     q_r = h_r * u_r
-    f_mass_l = q_l
-    f_mass_r = q_r
-    f_mom_l = q_l * u_l + 0.5 * g * h_l * H_l
-    f_mom_r = q_r * u_r + 0.5 * g * h_r * H_r
+    tmp = np.empty_like(q_l)
+    f_mom_l = _momentum_flux(q_l, u_l, h_l, H_l, g, tmp)
+    f_mom_r = _momentum_flux(q_r, u_r, h_r, H_r, g, tmp)
 
     c_l = np.sqrt(g * H_l)
     c_r = np.sqrt(g * H_r)
-    umin_l, umax_l = u_l.min(axis=0), u_l.max(axis=0)
-    umin_r, umax_r = u_r.min(axis=0), u_r.max(axis=0)
     s_l = np.minimum(umin_l - c_l, umin_r - c_r)
     s_r = np.maximum(umax_l + c_l, umax_r + c_r)
 
@@ -90,19 +89,49 @@ def hll_fluxes(
 
     span = s_r - s_l
     safe = np.where(span > 0.0, span, 1.0)
-    f_mass = (s_r * f_mass_l - s_l * f_mass_r + s_l * s_r * (h_r - h_l)) / safe
-    f_mom = (s_r * f_mom_l - s_l * f_mom_r + s_l * s_r * (q_r - q_l)) / safe
-    f_mass = np.where(s_l >= 0.0, f_mass_l, np.where(s_r <= 0.0, f_mass_r, f_mass))
-    f_mom = np.where(s_l >= 0.0, f_mom_l, np.where(s_r <= 0.0, f_mom_r, f_mom))
+    s_lr = s_l * s_r
+    f_mass = _hll(q_l, q_r, h_l, h_r, s_l, s_r, s_lr, safe, tmp)
+    f_mom = _hll(f_mom_l, f_mom_r, q_l, q_r, s_l, s_r, s_lr, safe, tmp)
 
-    same = (h_l == h_r) & (q_l == q_r)
-    f_mass = np.where(same, f_mass_l, f_mass)
-    f_mom = np.where(same, f_mom_l, f_mom)
-
+    # edges whose whole fan lies on one side take that side's flux; where
+    # both tests hold, the left side wins
+    for side, mass, mom in ((s_r <= 0.0, q_r, f_mom_r), (s_l >= 0.0, q_l, f_mom_l)):
+        if side.any():
+            np.copyto(f_mass, mass, where=side)
+            np.copyto(f_mom, mom, where=side)
+    same = h_l == h_r
+    same &= q_l == q_r
+    if same.any():
+        np.copyto(f_mass, q_l, where=same)
+        np.copyto(f_mom, f_mom_l, where=same)
     both_dry = dry_l & dry_r
-    f_mass[:, both_dry] = 0.0
-    f_mom[:, both_dry] = 0.0
+    if both_dry.any():
+        np.copyto(f_mass, 0.0, where=both_dry)
+        np.copyto(f_mom, 0.0, where=both_dry)
     return EdgeFluxes(mass=f_mass, momentum=f_mom)
+
+
+# The helpers below take a scratch array `tmp` of the flux shape and
+# apply the operations of the written formula in its order.
+
+def _momentum_flux(q, u, h, H, g, tmp):
+    """q u + (g/2 h) H."""
+    out = q * u
+    np.multiply(h, 0.5 * g, out=tmp)
+    tmp *= H
+    out += tmp
+    return out
+
+
+def _hll(f_l, f_r, c_l, c_r, s_l, s_r, s_lr, safe, tmp):
+    """(s_r f_l - s_l f_r + (s_l s_r) (c_r - c_l)) / safe; `s_lr` is s_l s_r."""
+    out = s_r * f_l
+    out -= np.multiply(s_l, f_r, out=tmp)
+    np.subtract(c_r, c_l, out=tmp)
+    tmp *= s_lr
+    out += tmp
+    out /= safe
+    return out
 
 
 def euler_rhs(
@@ -120,34 +149,46 @@ def euler_rhs(
 
     `u` is velocities(H, q, part, h_dry) when the caller already has it.
     """
+    if bathy.bc != bc:
+        raise ValueError(f"bathymetry was made for {bathy.bc!r} boundaries, not {bc!r}")
     if u is None:
         u = velocities(H, q, part, h_dry)
 
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
-    zbp = pad_cells(bathy.zb, bc)
-
     H_l, H_r = Hp[:-1], Hp[1:]
     u_l, u_r = up[:, :-1], up[:, 1:]
-    zb_l, zb_r = zbp[:-1], zbp[1:]
 
     # hydrostatic reconstruction: remeasure depth from the higher bed
-    z_edge = np.maximum(zb_l, zb_r)
-    H_ls = np.maximum((H_l + zb_l) - z_edge, 0.0)
-    H_rs = np.maximum((H_r + zb_r) - z_edge, 0.0)
+    H_ls = np.add(H_l, bathy.zb_l)
+    H_ls -= bathy.z_edge
+    np.maximum(H_ls, 0.0, out=H_ls)
+    H_rs = np.add(H_r, bathy.zb_r)
+    H_rs -= bathy.z_edge
+    np.maximum(H_rs, 0.0, out=H_rs)
 
     fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g, h_dry)
 
-    # pressure seen by each adjacent cell, restoring the still-water balance
-    frac = part.fractions[:, None]
-    corr_l = 0.5 * g * frac * (H_l * H_l - H_ls * H_ls)
-    corr_r = 0.5 * g * frac * (H_r * H_r - H_rs * H_rs)
+    # pressure seen by each adjacent cell, restoring the still-water
+    # balance: cell j is the left side of edge j+1 and the right side of
+    # edge j, and both traces there hold H[j]
+    HH = H * H
+    g_frac = (0.5 * g) * part.fractions[:, None]
+    dq = np.multiply(g_frac, HH - H_ls[1:] * H_ls[1:])
+    dq += fx.momentum[:, 1:]
+    tmp = np.multiply(g_frac, HH - H_rs[:-1] * H_rs[:-1])
+    tmp += fx.momentum[:, :-1]
+    dq -= tmp
+    np.negative(dq, out=dq)
+    dq /= dx
 
-    div = (fx.mass[:, 1:] - fx.mass[:, :-1]) / dx
+    div = np.subtract(fx.mass[:, 1:], fx.mass[:, :-1])
+    div /= dx
     dH = -div.sum(axis=0)
-    dq = -((fx.momentum[:, 1:] + corr_l[:, 1:]) - (fx.momentum[:, :-1] + corr_r[:, :-1])) / dx
 
     G = exchange_fluxes(div, part)
     u_if = interface_velocities(u, G)
-    dq += u_if[1:] * G[1:] - u_if[:-1] * G[:-1]
+    np.multiply(u_if[1:], G[1:], out=tmp)
+    tmp -= u_if[:-1] * G[:-1]
+    dq += tmp
     return EulerRhs(dH=dH, dq=dq, G=G, div=div)

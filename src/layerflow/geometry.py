@@ -15,10 +15,11 @@ to half the single adjacent layer thickness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gridops import check_boundary, ddx
+from .gridops import check_boundary, cumsum_layers, ddx, pad_cells
 
 PARTITION_TOL = 1e-14
 
@@ -59,11 +60,21 @@ class LayerPartition:
 
 @dataclass(frozen=True)
 class Bathymetry:
-    """Bed elevation with its centered slope and slope cosine."""
+    """Bed elevation with its centered slope and slope cosine.
+
+    The bed on either side of every cell edge (the boundary kind `bc`
+    supplies the ghost cells) and the higher of the two, `z_edge`, are
+    fixed for a run; hydrostatic reconstruction reads them at each
+    evaluation.
+    """
 
     zb: np.ndarray
     slope: np.ndarray
     cos: np.ndarray
+    bc: str
+    zb_l: np.ndarray     # (n+1,) bed of the cell left of each edge
+    zb_r: np.ndarray     # (n+1,) bed of the cell right of each edge
+    z_edge: np.ndarray   # (n+1,) max(zb_l, zb_r)
 
 
 def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
@@ -72,23 +83,42 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     if not np.all(np.isfinite(zb)):
         raise ValueError("bed elevation must be finite")
     slope = ddx(zb, dx, bc)
-    return Bathymetry(zb=zb, slope=slope, cos=1.0 / np.sqrt(1.0 + slope * slope))
+    zbp = pad_cells(zb, bc)
+    zb_l, zb_r = zbp[:-1], zbp[1:]
+    return Bathymetry(zb=zb, slope=slope, cos=1.0 / np.sqrt(1.0 + slope * slope),
+                      bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
 
 
 @dataclass(frozen=True)
 class InterfaceGeometry:
     """All per-column geometric fields for one (H, z_b, partition) triple.
 
-    Shapes: layer fields (N, n), interface fields (N+1, n).
+    Shapes: layer fields (N, n), interface fields (N+1, n).  The slope
+    fields are computed on first access, with the `dx` and `bc` the
+    geometry was built for; only the stresses and the friction read them.
     """
 
     h: np.ndarray          # layer thicknesses
     z_if: np.ndarray       # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
     z_mid: np.ndarray      # layer midpoints
     h_half: np.ndarray     # midpoint gaps across each interface
-    dz_if_dx: np.ndarray   # interface slopes
-    cos_if: np.ndarray     # interface slope cosines
-    dz_mid_dx: np.ndarray  # midpoint slopes
+    dx: float
+    bc: str
+
+    @cached_property
+    def dz_if_dx(self) -> np.ndarray:
+        """Interface slopes."""
+        return ddx(self.z_if, self.dx, self.bc)
+
+    @cached_property
+    def cos_if(self) -> np.ndarray:
+        """Interface slope cosines."""
+        return 1.0 / np.sqrt(1.0 + self.dz_if_dx * self.dz_if_dx)
+
+    @cached_property
+    def dz_mid_dx(self) -> np.ndarray:
+        """Midpoint slopes."""
+        return ddx(self.z_mid, self.dx, self.bc)
 
 
 def layer_thicknesses(H: np.ndarray, part: LayerPartition) -> np.ndarray:
@@ -117,8 +147,12 @@ def build_geometry(
     part: LayerPartition,
     dx: float,
     bc: str,
+    h: np.ndarray | None = None,
 ) -> InterfaceGeometry:
-    """Assemble the layer geometry for a depth field H >= 0."""
+    """Assemble the layer geometry for a depth field H >= 0.
+
+    `h` is layer_thicknesses(H, part) when the caller already has it.
+    """
     H = np.asarray(H, dtype=float)
     check_boundary(bc)
     if not np.all(np.isfinite(H)):
@@ -131,26 +165,20 @@ def build_geometry(
 
     n = H.size
     N = part.n_layers
-    h = layer_thicknesses(H, part)
+    if h is None:
+        h = layer_thicknesses(H, part)
 
     z_if = np.empty((N + 1, n))
     z_if[0] = bathy.zb
-    z_if[1:] = bathy.zb + np.cumsum(h, axis=0)
-    z_mid = 0.5 * (z_if[:-1] + z_if[1:])
+    cumsum_layers(h, out=z_if[1:])
+    z_if[1:] += bathy.zb
+    z_mid = z_if[:-1] + z_if[1:]
+    z_mid *= 0.5
 
     h_half = np.empty((N + 1, n))
     h_half[0] = 0.5 * h[0]
     h_half[-1] = 0.5 * h[-1]
     if N > 1:
-        h_half[1:-1] = 0.5 * (h[:-1] + h[1:])
-
-    dz_if_dx = ddx(z_if, dx, bc)
-    return InterfaceGeometry(
-        h=h,
-        z_if=z_if,
-        z_mid=z_mid,
-        h_half=h_half,
-        dz_if_dx=dz_if_dx,
-        cos_if=1.0 / np.sqrt(1.0 + dz_if_dx * dz_if_dx),
-        dz_mid_dx=ddx(z_mid, dx, bc),
-    )
+        np.add(h[:-1], h[1:], out=h_half[1:-1])
+        h_half[1:-1] *= 0.5
+    return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half, dx=dx, bc=bc)

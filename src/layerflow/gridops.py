@@ -54,10 +54,14 @@ def ddx(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
     Periodic domains wrap; otherwise the two boundary cells fall back to
     one-sided first-order differences.
     """
-    if bc == PERIODIC:
-        return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
-    check_boundary(bc)
     out = np.empty_like(f, dtype=float)
+    if bc == PERIODIC:
+        np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+        np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
+        np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
+        out /= 2.0 * dx
+        return out
+    check_boundary(bc)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
     out[..., 0] = (f[..., 1] - f[..., 0]) / dx
     out[..., -1] = (f[..., -1] - f[..., -2]) / dx
@@ -67,14 +71,41 @@ def ddx(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
 def d2dx2(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
     """Three-point second derivative along the last axis."""
     dx2 = dx * dx
-    if bc == PERIODIC:
-        return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / dx2
-    check_boundary(bc)
     out = np.empty_like(f, dtype=float)
+    if bc == PERIODIC:
+        # (right - 2 f) + left, the wrapped neighbors taken as slices
+        f2 = 2.0 * f
+        np.subtract(f[..., 2:], f2[..., 1:-1], out=out[..., 1:-1])
+        np.subtract(f[..., 0], f2[..., -1], out=out[..., -1])
+        np.subtract(f[..., 1], f2[..., 0], out=out[..., 0])
+        out[..., 1:-1] += f[..., :-2]
+        out[..., -1] += f[..., -2]
+        out[..., 0] += f[..., -1]
+        out /= dx2
+        return out
+    check_boundary(bc)
     out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / dx2
     # one-sided copies of the adjacent interior stencil
     out[..., 0] = (f[..., 2] - 2.0 * f[..., 1] + f[..., 0]) / dx2
     out[..., -1] = (f[..., -1] - 2.0 * f[..., -2] + f[..., -3]) / dx2
+    return out
+
+
+def cumsum_layers(f: np.ndarray, from_top: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Running sums over the first (layer) axis, one row at a time.
+
+    Row k holds f[0] + ... + f[k], or f[k] + ... + f[N-1] with
+    `from_top`: the additions np.cumsum(f, axis=0) (of the reversed rows)
+    makes, in its order, without striding down the columns.  `out` may
+    be f itself.
+    """
+    if out is None:
+        out = np.empty_like(f, dtype=float)
+    src, dst = (f[::-1], out[::-1]) if from_top else (f, out)
+    dst[0] = src[0]
+    for k in range(1, src.shape[0]):
+        np.add(dst[k - 1], src[k], out=dst[k])
     return out
 
 

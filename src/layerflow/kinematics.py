@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import ddx
+from .gridops import cumsum_layers, ddx
 
 
 def reconstruct_w(
@@ -25,7 +25,8 @@ def reconstruct_w(
     """
     dudx = ddx(u, dx, bc)
     dhu = ddx(geom.h * u, dx, bc)
-    below = np.cumsum(dhu, axis=0) - dhu
+    below = cumsum_layers(dhu)
+    below -= dhu
     w = -0.5 * dhu - below + (ddx(geom.z_mid * u, dx, bc) - geom.z_mid * dudx)
     return w, dudx
 

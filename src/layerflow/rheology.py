@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import d2dx2, ddx
+from .gridops import cumsum_layers, d2dx2, ddx
 from .kinematics import reconstruct_w
 
 INTERFACE = "interface"
@@ -204,7 +204,7 @@ def viscous_rhs(S: StressField, geom: InterfaceGeometry,
 
     hzx = h * S.zx_mid
     above = np.zeros((h.shape[0] + 1, h.shape[1]))
-    above[:-1] = np.cumsum(hzx[::-1], axis=0)[::-1]
+    cumsum_layers(hzx, from_top=True, out=above[:-1])
     d2 = d2dx2(above, dx, bc)
     term2 = z_if[1:] * d2[1:] - z_if[:-1] * d2[:-1]
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LayerPartition, layer_thicknesses
+from .gridops import cumsum_layers
 
 # Depth below which a column is treated as dry: velocities are zeroed
 # and momentum is dropped.
@@ -77,8 +78,10 @@ def hydrostatic_pressures(h: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarr
     """
     N, n = h.shape
     p_if = np.zeros((N + 1, n))
-    p_if[:-1] = g * np.cumsum(h[::-1], axis=0)[::-1]
-    p_mid = p_if[1:] + 0.5 * g * h
+    cumsum_layers(h, from_top=True, out=p_if[:-1])
+    p_if[:-1] *= g
+    p_mid = h * (0.5 * g)
+    p_mid += p_if[1:]
     return p_mid, p_if
 
 
@@ -93,8 +96,9 @@ def exchange_fluxes(div: np.ndarray, part: LayerPartition) -> np.ndarray:
         raise ValueError(f"{N} divergence rows for {part.n_layers} layers")
     G = np.zeros((N + 1, n))
     if N > 1:
-        dcum = np.cumsum(div, axis=0)
-        G[1:-1] = dcum[:-1] - part.cumulative[:-1, None] * dcum[-1]
+        dcum = cumsum_layers(div)
+        np.multiply(part.cumulative[:-1, None], dcum[-1], out=G[1:-1])
+        np.subtract(dcum[:-1], G[1:-1], out=G[1:-1])
     return G
 
 

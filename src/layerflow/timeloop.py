@@ -34,7 +34,7 @@ from . import energy as energy_mod
 from .errors import SolverAbort
 from .euler import EulerRhs, euler_rhs
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
-                       build_geometry, make_bathymetry)
+                       build_geometry, layer_thicknesses, make_bathymetry)
 from .gridops import PERIODIC, Grid
 from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
@@ -153,7 +153,9 @@ def _clip_dry(state: LayerState, h_dry: float, neg_tol: float,
                           step=step_no, time=t, cell=cell)
     if hmin < 0.0:
         np.maximum(H, 0.0, out=H)
-    q[:, H <= h_dry] = 0.0
+    dry = H <= h_dry
+    if dry.any():
+        q[:, dry] = 0.0
     return state
 
 
@@ -214,9 +216,10 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
         # inviscid tendencies need no geometry; it is built for the
         # diagnostics only, if they are read
         if not viscous:
-            u = velocities(H, q, part, h_dry)
+            h = layer_thicknesses(H, part)
+            u = velocities(H, q, part, h_dry, h=h)
             ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
-            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev))
+            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev, h=h))
         geom = build_geometry(H, bathy, part, dx, bc)
         u = velocities(H, q, part, h_dry, h=geom.h)
         ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
@@ -231,10 +234,15 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
                  geom: Optional[InterfaceGeometry] = None,
                  S: Optional[StressField] = None,
-                 w: Optional[np.ndarray] = None) -> Diagnostics:
-    """Audit and snapshot fields of one evaluation; geometry is built if absent."""
+                 w: Optional[np.ndarray] = None,
+                 h: Optional[np.ndarray] = None) -> Diagnostics:
+    """Audit and snapshot fields of one evaluation.
+
+    Without `geom`, the geometry is built from the evaluation's layer
+    thicknesses `h`.
+    """
     if geom is None:
-        geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc)
+        geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc, h)
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
             S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
@@ -245,7 +253,7 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
     influx = 0.0
     if ctx.bc != PERIODIC:
         flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S, ctx.dx, ctx.bc)
-        influx = energy_mod.boundary_influx(flux, ctx.bc)
+        influx = energy_mod.boundary_influx(flux)
     return Diagnostics(geom=geom, u=u, G=ev.G, w=w, E=E, p_mid=p_mid, influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx),
                        diss_stress=d_stress, diss_friction=d_fric)

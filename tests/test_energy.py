@@ -3,8 +3,7 @@ import numpy as np
 
 from layerflow.energy import (boundary_influx, budget_residuals,
                               exchange_dissipation, interface_energy_term,
-                              layer_energies, newtonian_dissipation,
-                              total_energy)
+                              layer_energies, newtonian_dissipation)
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
 from layerflow.rheology import FrictionLaw, RheologyModel, stress_closure
 from layerflow.scenario import (ControlsSpec, InitSpec, LayersSpec, MeshSpec,
@@ -28,7 +27,7 @@ def test_still_water_total_energy_closed_form():
     n, dx = 25, 0.04
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
     geom = build_geometry(np.ones(n), bathy, part, dx, "periodic")
-    E = total_energy(np.zeros((4, n)), geom, 9.81, dx)
+    E = float(layer_energies(np.zeros((4, n)), geom, 9.81).sum() * dx)
     # int over 0..1 of g z dz = g/2 per unit length, unit-length domain
     assert abs(E - 0.5 * 9.81) < 1e-12
 
@@ -92,8 +91,21 @@ def test_budget_residuals_close_a_manufactured_balance():
 
 def test_boundary_influx_conventions():
     flux = np.array([3.0, 9.9, -1.0])
-    assert boundary_influx(flux, "periodic") == 0.0
-    assert boundary_influx(flux, "transmissive") == 4.0
+    assert boundary_influx(flux) == 4.0
+    # a periodic domain has no ends, so its run reports no influx
+    scn = Scenario(
+        mesh=MeshSpec(0.0, 1.0, 20),
+        boundary="periodic",
+        layers=LayersSpec(n=2),
+        init=InitSpec(kind="table",
+                      H_values=tuple(np.linspace(1.0, 2.0, 20)),
+                      u_values=tuple(np.full(40, 0.5))),
+        physics=PhysicsSpec(g=9.81),
+        controls=ControlsSpec(t_end=0.02),
+    )
+    result = run(scn)
+    assert result.influx.size > 2
+    assert np.all(result.influx == 0.0)
 
 
 def test_friction_only_run_loses_energy():

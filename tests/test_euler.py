@@ -4,7 +4,7 @@ import pytest
 
 from layerflow.errors import SolverAbort
 from layerflow.euler import euler_rhs, hll_fluxes
-from layerflow.geometry import LayerPartition, make_bathymetry
+from layerflow.geometry import LayerPartition, layer_thicknesses, make_bathymetry
 from layerflow.state import H_DRY, max_wave_speed, velocities
 
 
@@ -94,6 +94,120 @@ def test_hll_rejects_nonfinite_traces():
     with pytest.raises(SolverAbort):
         hll_fluxes(np.array([np.nan]), np.zeros((1, 1)),
                    np.array([1.0]), np.zeros((1, 1)), part, 9.81, H_DRY)
+
+
+def _hll_where_chains(H_l, u_l, H_r, u_r, part, g, h_dry=H_DRY):
+    """The layered HLL flux written with whole-array temporaries and
+    nested np.where selections, operation for operation as the solver
+    first evaluated it; hll_fluxes must reproduce it bit for bit."""
+    h_l = layer_thicknesses(H_l, part)
+    h_r = layer_thicknesses(H_r, part)
+    q_l = h_l * u_l
+    q_r = h_r * u_r
+    f_mom_l = q_l * u_l + 0.5 * g * h_l * H_l
+    f_mom_r = q_r * u_r + 0.5 * g * h_r * H_r
+    c_l = np.sqrt(g * H_l)
+    c_r = np.sqrt(g * H_r)
+    umin_l, umax_l = u_l.min(axis=0), u_l.max(axis=0)
+    umin_r, umax_r = u_r.min(axis=0), u_r.max(axis=0)
+    s_l = np.minimum(umin_l - c_l, umin_r - c_r)
+    s_r = np.maximum(umax_l + c_l, umax_r + c_r)
+    dry_l = H_l <= h_dry
+    dry_r = H_r <= h_dry
+    wet_to_dry = dry_r & ~dry_l
+    s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
+    s_r = np.where(wet_to_dry, umax_l + 2.0 * c_l, s_r)
+    dry_to_wet = dry_l & ~dry_r
+    s_l = np.where(dry_to_wet, umin_r - 2.0 * c_r, s_l)
+    s_r = np.where(dry_to_wet, umax_r + c_r, s_r)
+    span = s_r - s_l
+    safe = np.where(span > 0.0, span, 1.0)
+    f_mass = (s_r * q_l - s_l * q_r + s_l * s_r * (h_r - h_l)) / safe
+    f_mom = (s_r * f_mom_l - s_l * f_mom_r + s_l * s_r * (q_r - q_l)) / safe
+    f_mass = np.where(s_l >= 0.0, q_l, np.where(s_r <= 0.0, q_r, f_mass))
+    f_mom = np.where(s_l >= 0.0, f_mom_l, np.where(s_r <= 0.0, f_mom_r, f_mom))
+    same = (h_l == h_r) & (q_l == q_r)
+    f_mass = np.where(same, q_l, f_mass)
+    f_mom = np.where(same, f_mom_l, f_mom)
+    both_dry = dry_l & dry_r
+    f_mass[:, both_dry] = 0.0
+    f_mom[:, both_dry] = 0.0
+    return f_mass, f_mom
+
+
+def _edge_kinds(rng, m, N):
+    """Random multilayer traces with every kind of edge in them."""
+    H_l = rng.uniform(0.0, 2.0, m)
+    H_r = rng.uniform(0.0, 2.0, m)
+    u_l = rng.standard_normal((N, m))
+    u_r = rng.standard_normal((N, m))
+    kind = rng.integers(0, 6, m)
+    H_r[kind == 0] = 0.0                        # wet -> dry
+    H_l[kind == 1] = 0.0                        # dry -> wet
+    H_l[kind == 2] = H_r[kind == 2] = 0.0       # both dry
+    H_r[kind == 3] = H_l[kind == 3]             # identical traces
+    u_r[:, kind == 3] = u_l[:, kind == 3]
+    u_l[:, kind == 4] += 20.0                   # both supersonic, rightward
+    u_r[:, kind == 4] += 20.0
+    u_l[:, kind == 5] -= 20.0                   # both supersonic, leftward
+    u_r[:, kind == 5] -= 20.0
+    H_l[rng.random(m) < 0.05] = 0.5 * H_DRY     # damp but below the dry depth
+    return H_l, u_l, H_r, u_r
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_hll_matches_where_chains_bitwise(N):
+    rng = np.random.default_rng(100 + N)
+    part = LayerPartition(rng.dirichlet(np.ones(N)) if N > 1 else np.ones(1))
+    H_l, u_l, H_r, u_r = _edge_kinds(rng, 600, N)
+    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81, H_DRY)
+    ref_mass, ref_mom = _hll_where_chains(H_l, u_l, H_r, u_r, part, 9.81)
+    assert fx.mass.tobytes() == ref_mass.tobytes()
+    assert fx.momentum.tobytes() == ref_mom.tobytes()
+    # every kind of edge is present
+    dry_l, dry_r = H_l <= H_DRY, H_r <= H_DRY
+    assert (dry_r & ~dry_l).any() and (dry_l & ~dry_r).any() and (dry_l & dry_r).any()
+    assert ((H_l == H_r) & (u_l == u_r).all(axis=0) & ~dry_l).any()
+    assert (u_l.min(axis=0) > 10.0).any() and (u_l.max(axis=0) < -10.0).any()
+
+
+@pytest.mark.parametrize("only", ["none", "upwind_left", "upwind_right", "subsonic"])
+def test_hll_matches_where_chains_when_a_mask_is_empty(only):
+    # the kernel skips a selection no edge needs; the result must not care
+    rng = np.random.default_rng(7)
+    N, m = 3, 50
+    part = LayerPartition.uniform(N)
+    H_l = rng.uniform(0.5, 1.0, m)
+    H_r = rng.uniform(0.5, 1.0, m)
+    shift = {"none": 0.0, "upwind_left": 30.0, "upwind_right": -30.0,
+             "subsonic": 0.0}[only]
+    u_l = 0.1 * rng.standard_normal((N, m)) + shift
+    u_r = 0.1 * rng.standard_normal((N, m)) + shift
+    if only == "none":
+        H_r, u_r = H_l.copy(), u_l.copy()
+    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81, H_DRY)
+    ref_mass, ref_mom = _hll_where_chains(H_l, u_l, H_r, u_r, part, 9.81)
+    assert fx.mass.tobytes() == ref_mass.tobytes()
+    assert fx.momentum.tobytes() == ref_mom.tobytes()
+
+
+@pytest.mark.parametrize("side,value", [("u_l", np.nan), ("u_r", np.inf),
+                                        ("u_l", -np.inf), ("H_r", np.inf)])
+def test_hll_rejects_a_nonfinite_value_in_any_trace(side, value):
+    rng = np.random.default_rng(3)
+    part = LayerPartition.uniform(3)
+    tr = {"H_l": rng.uniform(0.5, 1.0, 8), "u_l": rng.standard_normal((3, 8)),
+          "H_r": rng.uniform(0.5, 1.0, 8), "u_r": rng.standard_normal((3, 8))}
+    tr[side][..., 5] = value
+    with pytest.raises(SolverAbort):
+        hll_fluxes(tr["H_l"], tr["u_l"], tr["H_r"], tr["u_r"], part, 9.81, H_DRY)
+
+
+def test_euler_rhs_rejects_a_bed_made_for_other_boundaries():
+    part = LayerPartition.uniform(2)
+    bathy = make_bathymetry(np.zeros(6), 0.1, "periodic")
+    with pytest.raises(ValueError, match="periodic"):
+        euler_rhs(np.ones(6), np.zeros((2, 6)), bathy, part, 9.81, 0.1, "wall")
 
 
 def _lake_setup(bc, n=64, N=3, seed=2):

@@ -89,3 +89,29 @@ def test_geometry_rejects_negative_depth():
     bathy = make_bathymetry(np.zeros(4), 1.0, "periodic")
     with pytest.raises(ValueError):
         build_geometry(np.array([1.0, -0.1, 1.0, 1.0]), bathy, part, 1.0, "periodic")
+
+
+@pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
+def test_bathymetry_edges_take_the_ghost_cells_of_the_boundary(bc):
+    zb = np.array([0.4, 0.1, 0.3, 0.2])
+    b = make_bathymetry(zb, 0.25, bc)
+    lo, hi = (zb[-1], zb[0]) if bc == "periodic" else (zb[0], zb[-1])
+    assert list(b.zb_l) == [lo, 0.4, 0.1, 0.3, 0.2]
+    assert list(b.zb_r) == [0.4, 0.1, 0.3, 0.2, hi]
+    assert list(b.z_edge) == list(np.maximum(b.zb_l, b.zb_r))
+
+
+def test_geometry_from_given_thicknesses_is_the_same_geometry():
+    rng = np.random.default_rng(5)
+    part = LayerPartition(np.array([0.1, 0.2, 0.3, 0.4]))
+    H = rng.uniform(0.0, 2.0, 30)
+    bathy = make_bathymetry(rng.standard_normal(30), 0.1, "wall")
+    a = build_geometry(H, bathy, part, 0.1, "wall")
+    b = build_geometry(H, bathy, part, 0.1, "wall", h=layer_thicknesses(H, part))
+    for name in ("h", "z_if", "z_mid", "h_half", "dz_if_dx", "cos_if", "dz_mid_dx"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    # the interface stack closes on the free surface and the midpoints
+    # and gaps are the running sums the formulas state
+    z = np.vstack([bathy.zb, bathy.zb + np.cumsum(a.h, axis=0)])
+    assert a.z_if.tobytes() == z.tobytes()
+    assert a.z_mid.tobytes() == (0.5 * (z[:-1] + z[1:])).tobytes()

@@ -4,10 +4,15 @@ The first three digest sets were recorded before the tendency evaluation
 was reorganized to compute each quantity once per stage.  The viscous
 wall case, the one golden run whose energy audit reads the boundary work
 of the stress field (and so the w the stress closure used), was recorded
-before the accepted-state fields moved into `Diagnostics`.  The CSVs carry 17 significant
-digits, so any change to the arithmetic the stepper applies, to the
-audit or to the snapshot schedule shows up here.  A change that alters
-them on purpose has to explain every changed digit and re-record them.
+before the accepted-state fields moved into `Diagnostics`.  The periodic
+bump case, the one golden run whose bed differs across the periodic seam
+(so the bed edges wrap) and whose snapshots take w from periodic
+stencils, was recorded before the tendency kernels were rewritten to
+precompute the bed edges and to sum over layers row by row.  The CSVs
+carry 17 significant digits, so any change to the arithmetic the stepper
+applies, to the audit or to the snapshot schedule shows up here.  A
+change that alters them on purpose has to explain every changed digit
+and re-record them.
 """
 import hashlib
 
@@ -95,6 +100,27 @@ controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
 """
 
+INVISCID_PERIODIC_BUMP_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 100
+boundary.kind = periodic
+layers.n = 3
+layers.fractions = 0.2, 0.3, 0.5
+bathymetry.kind = bump
+bathymetry.a = 0.2
+bathymetry.x0 = 0.02
+bathymetry.width = 0.08
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.6
+init.x0 = 0.5
+init.u = 0.1, 0.2, 0.3
+physics.g = 9.81
+controls.t_end = 0.04
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.01
+"""
+
 GOLDEN = {
     "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
         "energy.csv": "37afad6bdcb910039ecee8dbb6734d3cb5af46ba7fc270afed80a527545d9450",
@@ -117,6 +143,14 @@ GOLDEN = {
         "snapshot_0001.csv": "a46e9ee2ce6158da82e27dfdac36d822910afe125c26afd56cbde03df1838ff7",
         "snapshot_0002.csv": "652c03c074c74a0db0833525dfc0709f8bfa5057e02c7131c3143138f6c50da1",
         "snapshot_0003.csv": "28f46720ee302ba993607fd62972524c36be34167be1500eb0f7ad04fb3fd34d",
+    }),
+    "inviscid_periodic_bump_rk2": (INVISCID_PERIODIC_BUMP_RK2, {
+        "energy.csv": "f5890d9d62b8a7826a375f4de511d7ed04bfd3512a8b400164f55d5c900d7cbb",
+        "snapshot_0000.csv": "4951228fdb5e26bb8fb8291c95eb9da9892d424ad2f650322b41b4b6402e6d04",
+        "snapshot_0001.csv": "89ff0ce53611a176c0ea9274e941a95e3e242669d8c3ff89ab909cb774d84c1d",
+        "snapshot_0002.csv": "c98afcad0c531ba1427c7b38dffe6d55780a3b62e56fb7a295b835a9ac71bec0",
+        "snapshot_0003.csv": "475db2fd278cc3efa083c4953e16ba5dee2227b7395afb40eb1d4fd9b2dc9dbe",
+        "snapshot_0004.csv": "577c42b93105114bcf01a26c7904ed4557b283e1841014933b7b97406e730bec",
     }),
     "dry_front_transmissive_euler": (DRY_FRONT_TRANSMISSIVE_EULER, {
         "energy.csv": "ff1e57332f4fdeadff4917c7eca3b364e7e60917bec547ac5e2367994aead411",

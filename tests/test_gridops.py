@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerflow.gridops import Grid, d2dx2, ddx, pad_cells
+from layerflow.gridops import Grid, cumsum_layers, d2dx2, ddx, pad_cells
 
 
 def test_grid_centers_and_spacing():
@@ -76,3 +76,30 @@ def test_unknown_boundary_rejected():
         ddx(f, 0.1, "open")
     with pytest.raises(ValueError):
         pad_cells(f, "open")
+
+
+@pytest.mark.parametrize("N", [1, 2, 12])
+def test_cumsum_layers_matches_numpy_cumsum_bitwise(N):
+    rng = np.random.default_rng(N)
+    f = rng.standard_normal((N, 257)) * 10.0 ** rng.integers(-8, 8, (N, 257))
+    fwd = cumsum_layers(f)
+    top = cumsum_layers(f, from_top=True)
+    assert fwd.tobytes() == np.cumsum(f, axis=0).tobytes()
+    assert top.tobytes() == np.cumsum(f[::-1], axis=0)[::-1].tobytes()
+    # into a given array, which may be the input itself
+    out = np.empty((N + 1, 257))
+    cumsum_layers(f, from_top=True, out=out[:-1])
+    assert out[:-1].tobytes() == top.tobytes()
+    g = f.copy()
+    assert cumsum_layers(g, out=g) is g and g.tobytes() == fwd.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (40,), (4, 40)])
+def test_periodic_stencils_match_roll_formulas_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    f = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    dx = 0.37
+    d1 = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+    d2 = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (dx * dx)
+    assert ddx(f, dx, "periodic").tobytes() == d1.tobytes()
+    assert d2dx2(f, dx, "periodic").tobytes() == d2.tobytes()

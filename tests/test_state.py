@@ -1,5 +1,6 @@
 """Column state helpers: velocities, pressures and interface exchange."""
 import numpy as np
+import pytest
 
 from layerflow.geometry import LayerPartition
 from layerflow.state import (exchange_fluxes, hydrostatic_pressures,
@@ -82,3 +83,22 @@ def test_interface_velocity_takes_donor_side():
     # bed and surface rows carry the adjacent layer velocity
     assert (u_if[0] == u[0]).all()
     assert (u_if[-1] == u[-1]).all()
+
+
+@pytest.mark.parametrize("N", [1, 2, 12])
+def test_layer_sums_match_the_cumsum_formulas_bitwise(N):
+    rng = np.random.default_rng(40 + N)
+    part = LayerPartition(rng.dirichlet(np.ones(N)) if N > 1 else np.ones(1))
+    h = rng.uniform(0.0, 2.0, (N, 33))
+    div = rng.standard_normal((N, 33))
+    p_mid, p_if = hydrostatic_pressures(h, 9.81)
+    ref_if = np.zeros((N + 1, 33))
+    ref_if[:-1] = 9.81 * np.cumsum(h[::-1], axis=0)[::-1]
+    assert p_if.tobytes() == ref_if.tobytes()
+    assert p_mid.tobytes() == (ref_if[1:] + 0.5 * 9.81 * h).tobytes()
+    G = exchange_fluxes(div, part)
+    ref_G = np.zeros((N + 1, 33))
+    if N > 1:
+        dcum = np.cumsum(div, axis=0)
+        ref_G[1:-1] = dcum[:-1] - part.cumulative[:-1, None] * dcum[-1]
+    assert G.tobytes() == ref_G.tobytes()

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from layerflow.errors import ConfigError, SolverAbort
-from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
-from layerflow.gridops import Grid
+from layerflow.geometry import (InterfaceGeometry, LayerPartition,
+                                build_geometry, make_bathymetry)
+from layerflow.gridops import Grid, ddx
 from layerflow.rheology import FrictionLaw, RheologyModel
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
@@ -231,6 +232,41 @@ def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
     assert (in_loop, in_closure, in_output) == ([1], [], [])
     assert snap.w is d.w
     assert np.isfinite(d.influx)
+
+
+def _record_slope_reads(monkeypatch):
+    reads = []
+    for name in ("dz_if_dx", "cos_if", "dz_mid_dx"):
+        real = InterfaceGeometry.__dict__[name]
+        monkeypatch.setattr(InterfaceGeometry, name, property(
+            lambda self, name=name, real=real:
+            reads.append(name) or real.__get__(self, InterfaceGeometry)))
+    return reads
+
+
+@pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
+def test_inviscid_run_and_snapshots_compute_no_slope_fields(monkeypatch, bc):
+    # only the stresses and the friction read interface or midpoint slopes
+    reads = _record_slope_reads(monkeypatch)
+    scn = _smooth_scenario(boundary=bc, bathymetry=BathymetrySpec(
+        kind="bump", a=0.1, x0=0.3, width=0.1))
+    result = run(scn)
+    ctx = make_context(scn)
+    for t, d, state in result.snapshots:
+        output.snapshot_frame(t, state.H, d, ctx)
+    assert len(result.snapshots) > 2 and reads == []
+
+
+def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
+    reads = _record_slope_reads(monkeypatch)
+    scn = _smooth_scenario(boundary="wall",
+                           physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
+    state, rhs, ctx = make_rhs(scn)
+    geom = rhs(state).diag.geom
+    assert set(reads) == {"dz_if_dx", "cos_if", "dz_mid_dx"}
+    slope = geom.dz_if_dx
+    assert geom.dz_if_dx is slope
+    assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bc))
 
 
 def test_run_is_deterministic():
