@@ -38,12 +38,16 @@ def interface_energy_term(u_lo: np.ndarray, u_hi: np.ndarray,
     return G * (u_int * (u_lo - u_hi) - 0.5 * u_lo * u_lo + 0.5 * u_hi * u_hi)
 
 
-def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float) -> float:
-    """Total D_G <= 0 from upwinded interlayer transfers."""
+def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float,
+                         cols: slice = slice(None)) -> float:
+    """Total D_G <= 0 from upwinded interlayer transfers in columns `cols`;
+    the other columns, which must carry none, are summed as zeros."""
     if u.shape[0] < 2:
         return 0.0
-    du = u[1:] - u[:-1]
-    return float(-0.5 * (du * du * np.abs(G[1:-1])).sum() * dx)
+    du = u[1:, cols] - u[:-1, cols]
+    rate = np.zeros(du.shape[:1] + u.shape[1:])
+    rate[:, cols] = du * du * np.abs(G[1:-1, cols])
+    return float(-0.5 * rate.sum() * dx)
 
 
 def newtonian_dissipation(

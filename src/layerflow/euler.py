@@ -9,6 +9,9 @@ edge depths are remeasured from the higher of the two bed elevations
 and the pressure imbalance is returned to each cell as a centered
 correction.  Interlayer mass exchange is rebuilt from the same flux
 divergences that update the depth and enters as a cell-centered source.
+The cells outside the wet window (`wet_window`) have both-dry edges,
+which carry no flux and no pressure correction: the kernels skip them
+and fill in the tendencies of a dry bed, bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import SolverAbort
 from .geometry import Bathymetry, LayerPartition, layer_thicknesses
-from .gridops import pad_cells
+from .gridops import PERIODIC, pad_cells
 from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
 
 
@@ -38,6 +41,7 @@ class EulerRhs:
     dq: np.ndarray       # (N, n)
     G: np.ndarray        # (N+1, n) interface mass-transfer rates
     div: np.ndarray      # (N, n) discrete mass-flux divergences
+    window: tuple[int, int]  # cells [a, b) the kernels ran on (see wet_window)
 
 
 def hll_fluxes(
@@ -134,6 +138,21 @@ def _hll(f_l, f_r, c_l, c_r, s_l, s_r, s_lr, safe, tmp):
     return out
 
 
+def wet_window(H: np.ndarray, q: np.ndarray, bc: str) -> tuple[int, int]:
+    """Cells [a, b) from the first cell with H or q nonzero (or H = -0.0) less
+    one to the last plus one, clamped; empty if there is none.  A periodic
+    window reaching past an end would cross the seam: it is the domain."""
+    if H[0] != 0.0 and H[-1] != 0.0:  # water at both ends: no scan needed
+        return 0, H.size
+    held = np.flatnonzero((H != 0.0) | np.signbit(H) | q.any(axis=0))
+    if held.size == 0:
+        return 0, 0
+    a, b = int(held[0]) - 1, int(held[-1]) + 2
+    if bc == PERIODIC and (a < 0 or b > H.size):
+        return 0, H.size
+    return max(a, 0), min(b, H.size)
+
+
 def euler_rhs(
     H: np.ndarray,
     q: np.ndarray,
@@ -148,23 +167,38 @@ def euler_rhs(
     """Tendencies of (H, q) from pressure, advection and mass exchange.
 
     `u` is velocities(H, q, part, h_dry) when the caller already has it.
+    Outside the wet window a dry bed has dH = -0.0 and zero dq, G, div.
     """
     if bathy.bc != bc:
         raise ValueError(f"bathymetry was made for {bathy.bc!r} boundaries, not {bc!r}")
     if u is None:
         u = velocities(H, q, part, h_dry)
+    n, N = H.size, part.n_layers
+    a, b = wet_window(H, q, bc)
+    e = slice(a, b + 1)  # the window's ghost cells are dry, or the domain's own
+    out = _tendencies(H[a:b], u[:, a:b], bathy.zb_l[e], bathy.zb_r[e], bathy.z_edge[e],
+                      part, g, dx, bc, h_dry) if a < b else ()
+    if b - a < n:
+        dry = (np.full(n, -0.0), np.zeros((N, n)), np.zeros((N + 1, n)), np.zeros((N, n)))
+        for full, f in zip(dry, out):
+            full[..., a:b] = f
+        out = dry
+    return EulerRhs(*out, window=(a, b))
 
+
+def _tendencies(H, u, zb_l, zb_r, z_edge, part, g, dx, bc, h_dry):
+    """(dH, dq, G, div) of cells H with edge beds zb_l, zb_r, z_edge."""
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
     H_l, H_r = Hp[:-1], Hp[1:]
     u_l, u_r = up[:, :-1], up[:, 1:]
 
     # hydrostatic reconstruction: remeasure depth from the higher bed
-    H_ls = np.add(H_l, bathy.zb_l)
-    H_ls -= bathy.z_edge
+    H_ls = np.add(H_l, zb_l)
+    H_ls -= z_edge
     np.maximum(H_ls, 0.0, out=H_ls)
-    H_rs = np.add(H_r, bathy.zb_r)
-    H_rs -= bathy.z_edge
+    H_rs = np.add(H_r, zb_r)
+    H_rs -= z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
 
     fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g, h_dry)
@@ -191,4 +225,4 @@ def euler_rhs(
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return EulerRhs(dH=dH, dq=dq, G=G, div=div)
+    return dH, dq, G, div

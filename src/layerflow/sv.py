@@ -138,14 +138,3 @@ def sv_rhs(
     max_speed = float((np.abs(u[wet]) + np.sqrt(g * H[wet])).max()) if np.any(wet) else 0.0
     return SvRhs(dH=dH, dq=dq, w=w, s_xx=s_xx, s_zx=s_zx, max_speed=max_speed)
 
-
-def sv_dissipation(rhs: SvRhs, H: np.ndarray, u: np.ndarray, zb: np.ndarray,
-                   mu: float, k_l: float, k_t: float, dx: float, bc: str) -> float:
-    """Depth-averaged viscous plus friction dissipation, <= 0."""
-    slope_b = ddx(zb, dx, bc)
-    cos_b = 1.0 / np.sqrt(1.0 + slope_b * slope_b)
-    kappa = k_l + k_t * H * np.abs(u)
-    fric = float(-(kappa / cos_b**3 * u * u).sum() * dx)
-    if mu <= 0.0:
-        return fric
-    return float(-(H * (rhs.s_xx**2 + rhs.s_zx**2)).sum() / mu * dx) + fric

@@ -19,13 +19,15 @@ therefore computes tendencies only.  Inviscid tendencies need no
 geometry; viscous ones build it, and reconstruct the vertical velocity w
 for the stresses, at every stage.  The diagnostics derive every field
 the audit and the snapshots read (layer energies, midpoint pressures,
-boundary influx), so those compute nothing again.
+boundary influx), so those compute nothing again.  Inviscid runs compute
+them, like the tendencies, on the wet window only; viscous runs do not.
 """
 from __future__ import annotations
 
+import functools
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,14 +75,11 @@ class RhsEval:
         self.dH = dH
         self.dq = dq
         self._diagnose = diagnose
-        self._diag: Optional[Diagnostics] = None
 
-    @property
+    @functools.cached_property
     def diag(self) -> Optional[Diagnostics]:
-        if self._diagnose is not None:
-            self._diag = self._diagnose()
-            self._diagnose = None
-        return self._diag
+        diagnose, self._diagnose = self._diagnose, None
+        return diagnose() if diagnose is not None else None
 
 
 @dataclass
@@ -125,7 +124,8 @@ def stable_dt(
         bounds.append(dx * dx / (4.0 * mu))
         zmax = float(np.abs(geom.z_if[:, wet]).max())
         if zmax > 0.0:
-            bounds.append(dx**4 / (mu * zmax * zmax))
+            with np.errstate(over="ignore"):  # a dx^4 beyond the float range bounds nothing
+                bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
     if ctx.friction.active:
         kappa = ctx.friction.kappa(u[0], H)[wet]
         cos3 = ctx.bathy.cos[wet] ** 3
@@ -219,7 +219,7 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
             h = layer_thicknesses(H, part)
             u = velocities(H, q, part, h_dry, h=h)
             ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
-            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev, h=h))
+            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev, h=h, dry=dry))
         geom = build_geometry(H, bathy, part, dx, bc)
         u = velocities(H, q, part, h_dry, h=geom.h)
         ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
@@ -228,6 +228,12 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
         dq = ev.dq + viscous_rhs(S, geom, dx, bc)
         return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S, w))
 
+    @functools.cache
+    def dry() -> Diagnostics:
+        """Diagnostics of a dry bed, which cells outside a wet window keep."""
+        Z = np.zeros_like(q0)
+        return _diagnostics(ctx, Z[0], Z, euler_rhs(Z[0], Z, bathy, part, g, dx, bc, h_dry), h=Z)
+
     return LayerState(H0, q0), rhs, ctx
 
 
@@ -235,27 +241,39 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
                  geom: Optional[InterfaceGeometry] = None,
                  S: Optional[StressField] = None,
                  w: Optional[np.ndarray] = None,
-                 h: Optional[np.ndarray] = None) -> Diagnostics:
+                 h: Optional[np.ndarray] = None,
+                 dry: Optional[Callable[[], Diagnostics]] = None) -> Diagnostics:
     """Audit and snapshot fields of one evaluation.
 
     Without `geom`, the geometry is built from the evaluation's layer
-    thicknesses `h`.
+    thicknesses `h`.  Given `dry`, the diagnostics of a dry bed, the fields
+    are computed on the wet window of `ev` and widened with the dry-bed
+    values before any sum: a sum over the window would round differently.
     """
+    a, b = ev.window if dry else (0, H.size)
+    def widen(f, full):  # f in place of the window's columns of `full`
+        return f if b - a == H.size else np.concatenate((full[..., :a], f, full[..., b:]), -1)
     if geom is None:
-        geom = build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc, h)
+        bathy = ctx.bathy if b - a == H.size else replace(ctx.bathy, zb=ctx.bathy.zb[a:b])
+        geom = build_geometry(H[a:b], bathy, ctx.part, ctx.dx, ctx.bc, h[:, a:b])
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
             S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
     else:
         d_stress, d_fric = 0.0, 0.0
-    E = energy_mod.layer_energies(u, geom, ctx.g)
+    E = energy_mod.layer_energies(u[:, a:b], geom, ctx.g)
     p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
     influx = 0.0
     if ctx.bc != PERIODIC:
-        flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S, ctx.dx, ctx.bc)
-        influx = energy_mod.boundary_influx(flux)
+        flux = energy_mod.energy_flux_density(u[:, a:b], w, geom, E, p_mid, S, ctx.dx, ctx.bc)
+        influx = energy_mod.boundary_influx(widen(flux, np.zeros(H.size)))  # u = 0 on dry cells
+    if b - a < H.size:
+        d = dry()
+        geom = replace(d.geom, h=h, **{k: widen(getattr(geom, k), getattr(d.geom, k))
+                                       for k in ("z_if", "z_mid", "h_half")})
+        E, p_mid = widen(E, d.E), widen(p_mid, d.p_mid)
     return Diagnostics(geom=geom, u=u, G=ev.G, w=w, E=E, p_mid=p_mid, influx=influx,
-                       diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx),
+                       diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx, slice(a, b)),
                        diss_stress=d_stress, diss_friction=d_fric)
 
 
@@ -354,12 +372,7 @@ def run(
         snapshots.append((t, r.diag, state.copy()))
 
     times = np.array(times)
-    E = np.array(cols["E"])
-    DG = np.array(cols["DG"])
-    RE = np.array(cols["RE"])
-    fric = np.array(cols["fric"])
-    influx = np.array(cols["influx"])
-    mass = np.array(cols["mass"])
+    E, DG, RE, fric, influx, mass = (np.array(v) for v in cols.values())
     residuals = (energy_mod.budget_residuals(times, E, influx, DG, RE, fric)
                  if len(times) > 1 else np.zeros(0))
 

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+from layerflow import timeloop
 from layerflow.errors import SolverAbort
-from layerflow.euler import euler_rhs, hll_fluxes
+from layerflow.euler import EulerRhs, euler_rhs, hll_fluxes
 from layerflow.geometry import LayerPartition, layer_thicknesses, make_bathymetry
-from layerflow.state import H_DRY, max_wave_speed, velocities
+from layerflow.gridops import pad_cells
+from layerflow.scenario import (BathymetrySpec, InitSpec, LayersSpec, MeshSpec,
+                                PhysicsSpec, Scenario)
+from layerflow.state import (H_DRY, LayerState, exchange_fluxes,
+                             interface_velocities, max_wave_speed, velocities)
 
 
 def _hll_reference(hl, ul, hr, ur, g, h_dry=H_DRY):
@@ -285,3 +290,136 @@ def test_one_step_positivity_near_dry_fronts():
         ev = euler_rhs(H, q, bathy, part, 9.81, dx, "transmissive")
         dt = 0.45 * dx / max_wave_speed(H, velocities(H, q, part), 9.81)
         assert (H + dt * ev.dH).min() > -1e-12
+
+
+def _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc, h_dry=H_DRY):
+    """The tendency evaluation over every cell, before the wet window.
+
+    Kept as the oracle that the windowed evaluation must match bit for
+    bit, signed zeros included.
+    """
+    u = velocities(H, q, part, h_dry)
+    Hp = pad_cells(H, bc)
+    up = pad_cells(u, bc, sign=-1.0)
+    H_l, H_r = Hp[:-1], Hp[1:]
+    u_l, u_r = up[:, :-1], up[:, 1:]
+    H_ls = np.add(H_l, bathy.zb_l)
+    H_ls -= bathy.z_edge
+    np.maximum(H_ls, 0.0, out=H_ls)
+    H_rs = np.add(H_r, bathy.zb_r)
+    H_rs -= bathy.z_edge
+    np.maximum(H_rs, 0.0, out=H_rs)
+    fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g, h_dry)
+    HH = H * H
+    g_frac = (0.5 * g) * part.fractions[:, None]
+    dq = np.multiply(g_frac, HH - H_ls[1:] * H_ls[1:])
+    dq += fx.momentum[:, 1:]
+    tmp = np.multiply(g_frac, HH - H_rs[:-1] * H_rs[:-1])
+    tmp += fx.momentum[:, :-1]
+    dq -= tmp
+    np.negative(dq, out=dq)
+    dq /= dx
+    div = np.subtract(fx.mass[:, 1:], fx.mass[:, :-1])
+    div /= dx
+    dH = -div.sum(axis=0)
+    G = exchange_fluxes(div, part)
+    u_if = interface_velocities(u, G)
+    np.multiply(u_if[1:], G[1:], out=tmp)
+    tmp -= u_if[:-1] * G[:-1]
+    dq += tmp
+    return EulerRhs(dH=dH, dq=dq, G=G, div=div, window=(0, H.size))
+
+
+WINDOW_N = 40
+# cells holding water: a stretch against the left or the right end, one
+# inside the domain, one across the periodic seam, a stretch ending in
+# films (0 < H <= H_DRY), one beside negative zeros, and none
+WATER = {
+    "left": lambda rng: np.arange(rng.integers(1, 25)),
+    "right": lambda rng: np.arange(rng.integers(15, 39), WINDOW_N),
+    "interior": lambda rng: np.arange(rng.integers(2, 15), rng.integers(16, 38)),
+    "seam": lambda rng: np.r_[0:rng.integers(1, 12), rng.integers(28, 39):WINDOW_N],
+    "film": lambda rng: np.arange(rng.integers(2, 15), rng.integers(16, 38)),
+    "negative_zero": lambda rng: np.arange(rng.integers(8, 15), rng.integers(16, 30)),
+    "dry": lambda rng: np.arange(0),
+}
+
+
+def _dry_stretch_state(rng, N, kind):
+    """A state that holds water on WATER[kind] and exact zeros elsewhere."""
+    n = WINDOW_N
+    cells = WATER[kind](rng)
+    H = np.zeros(n)
+    H[cells] = rng.uniform(0.1, 1.5, cells.size)
+    inner = cells[1:-1]
+    H[inner[rng.random(inner.size) < 0.15]] = 0.0  # dry gaps in the water
+    if kind == "film":
+        H[cells[[0, -1]]] = rng.uniform(0.1, 1.0, 2) * H_DRY
+        H[cells[rng.random(cells.size) < 0.2]] = 0.5 * H_DRY
+    part = LayerPartition.uniform(N)
+    q = layer_thicknesses(H, part) * rng.standard_normal((N, n))
+    if kind == "film":  # momentum on a film or a bare cell is never carried
+        q[:, cells[0]] = 1e-9
+        q[:, cells[-1] + 2] = -1e-9
+    if kind == "negative_zero":
+        H[[1, cells[0] - 2, cells[-1] + 3]] = -0.0
+    return H, q
+
+
+@pytest.mark.parametrize("kind", sorted(WATER))
+@pytest.mark.parametrize("N", [1, 3, 12])
+@pytest.mark.parametrize("bc", ["wall", "transmissive", "periodic"])
+def test_wet_window_tendencies_match_the_whole_domain_bitwise(bc, N, kind):
+    rng = np.random.default_rng([N, len(kind), len(bc)])
+    n, dx, g = WINDOW_N, 1.0 / WINDOW_N, 9.81
+    part = LayerPartition.uniform(N)
+    for trial in range(15):
+        bathy = make_bathymetry(0.2 * rng.standard_normal(n), dx, bc)
+        H, q = _dry_stretch_state(rng, N, kind)
+        ev = euler_rhs(H, q, bathy, part, g, dx, bc)
+        ref = _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc)
+        for name in ("dH", "dq", "G", "div"):
+            a, b = getattr(ev, name), getattr(ref, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)
+        held = np.flatnonzero((H != 0.0) | np.signbit(H) | (q != 0.0).any(axis=0))
+        a, b = ev.window
+        if kind == "dry":
+            assert (a, b) == (0, 0)
+        elif bc == "periodic" and kind in ("left", "right", "seam"):
+            assert (a, b) == (0, n)
+        else:
+            assert (a, b) == (max(held[0] - 1, 0), min(held[-1] + 2, n))
+        assert kind != "interior" or 0 < a < b < n
+        assert kind != "left" or a == 0
+        assert kind != "right" or b == n
+
+
+def _window_scenario(bc, N, zb):
+    return Scenario(mesh=MeshSpec(0.0, 1.0, zb.size), boundary=bc,
+                    layers=LayersSpec(n=N),
+                    bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
+                    init=InitSpec(kind="lake_at_rest"), physics=PhysicsSpec(g=9.81))
+
+
+@pytest.mark.parametrize("kind", sorted(WATER))
+@pytest.mark.parametrize("N", [1, 3, 12])
+@pytest.mark.parametrize("bc", ["wall", "transmissive", "periodic"])
+def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
+    # beds on both sides of the datum give dry cells layer energies of
+    # both signs of zero
+    rng = np.random.default_rng([N, len(kind), len(bc), 1])
+    _, rhs, ctx = timeloop.make_rhs(_window_scenario(bc, N, 0.2 * rng.standard_normal(WINDOW_N)))
+    for trial in range(15):
+        H, q = _dry_stretch_state(rng, N, kind)
+        d = rhs(LayerState(H, q)).diag
+        h = layer_thicknesses(H, ctx.part)
+        u = velocities(H, q, ctx.part, ctx.h_dry, h=h)
+        ev = _euler_rhs_whole_domain(H, q, ctx.bathy, ctx.part, ctx.g, ctx.dx, bc)
+        ref = timeloop._diagnostics(ctx, H, u, ev, h=h)
+        for name in ("h", "z_if", "z_mid", "h_half"):
+            a, b = getattr(d.geom, name), getattr(ref.geom, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)
+        for name in ("u", "G", "E", "p_mid", "influx", "diss_exchange"):
+            a, b = np.asarray(getattr(d, name)), np.asarray(getattr(ref, name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)
+        assert d.w is None and (d.geom.dx, d.geom.bc) == (ctx.dx, bc)

@@ -8,11 +8,15 @@ before the accepted-state fields moved into `Diagnostics`.  The periodic
 bump case, the one golden run whose bed differs across the periodic seam
 (so the bed edges wrap) and whose snapshots take w from periodic
 stencils, was recorded before the tendency kernels were rewritten to
-precompute the bed edges and to sum over layers row by row.  The CSVs
-carry 17 significant digits, so any change to the arithmetic the stepper
-applies, to the audit or to the snapshot schedule shows up here.  A
-change that alters them on purpose has to explain every changed digit
-and re-record them.
+precompute the bed edges and to sum over layers row by row.  The wall
+case with a dry stretch, whose wet region touches one wall and ends
+inside the domain, and whose dry cells lie partly below the datum (so
+their layer energies are negative zeros in the snapshots), was recorded
+before the tendencies and the diagnostics were restricted to the wet
+window.  The CSVs carry 17 significant digits, so any change to the
+arithmetic the stepper applies, to the audit or to the snapshot schedule
+shows up here.  A change that alters them on purpose has to explain
+every changed digit and re-record them.
 """
 import hashlib
 
@@ -121,6 +125,25 @@ controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
 """
 
+INVISCID_WALL_DRY_STRETCH_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 100
+boundary.kind = wall
+layers.n = 3
+layers.fractions = 0.5, 0.3, 0.2
+bathymetry.kind = slope
+bathymetry.z0 = -0.4
+bathymetry.s = 0.8
+init.kind = dam_break
+init.eta_l = 0.1
+init.eta_r = -0.5
+init.x0 = 0.35
+physics.g = 9.81
+controls.t_end = 0.06
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.02
+"""
+
 GOLDEN = {
     "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
         "energy.csv": "37afad6bdcb910039ecee8dbb6734d3cb5af46ba7fc270afed80a527545d9450",
@@ -151,6 +174,13 @@ GOLDEN = {
         "snapshot_0002.csv": "c98afcad0c531ba1427c7b38dffe6d55780a3b62e56fb7a295b835a9ac71bec0",
         "snapshot_0003.csv": "475db2fd278cc3efa083c4953e16ba5dee2227b7395afb40eb1d4fd9b2dc9dbe",
         "snapshot_0004.csv": "577c42b93105114bcf01a26c7904ed4557b283e1841014933b7b97406e730bec",
+    }),
+    "inviscid_wall_dry_stretch_rk2": (INVISCID_WALL_DRY_STRETCH_RK2, {
+        "energy.csv": "d4d2377b2da81d9fb6d294dc9317d7b756a1d15d98c61c56ce6dc7e354dad17c",
+        "snapshot_0000.csv": "2257b9dfd5e5eb024bb12f42de98c6a896aed16578533261d1bd150b2735b77b",
+        "snapshot_0001.csv": "b944dd2e6ede3d6a0167a5c104088d5b931744d620166620657b3e37e79dcffd",
+        "snapshot_0002.csv": "bac2c7afc52b152460d16c26e7c6c9881ec7e9aee372febde5add7ccfc779c51",
+        "snapshot_0003.csv": "fc3fd5be3725fbdb90e422a240a88a53286292630945d5205bc8971db23f7fdc",
     }),
     "dry_front_transmissive_euler": (DRY_FRONT_TRANSMISSIVE_EULER, {
         "energy.csv": "ff1e57332f4fdeadff4917c7eca3b364e7e60917bec547ac5e2367994aead411",

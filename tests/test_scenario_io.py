@@ -332,6 +332,27 @@ def test_cli_runtime_abort_exits_2(tmp_path, monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
 
 
+def test_run_survives_a_viscous_step_bound_beyond_the_float_range(tmp_path, capsys):
+    # dx = 5e298, so dx**4 in the dx^4 / (mu z^2) bound overflows
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("""mesh.x_min = 0
+mesh.x_max = 1e300
+mesh.n_cells = 20
+boundary.kind = wall
+layers.n = 3
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.5
+init.x0 = 5e299
+physics.g = 9.81
+physics.mu = 1e-3
+controls.t_end = 0.01
+""")
+    assert cli.main(["check", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_bad_criteria(capsys):
     assert cli.main(["verify", "--criteria", "0,11"]) == 1
     assert cli.main(["verify", "--criteria", "pi"]) == 1

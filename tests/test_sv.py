@@ -3,7 +3,7 @@ import numpy as np
 
 from layerflow.euler import euler_rhs
 from layerflow.geometry import LayerPartition, make_bathymetry
-from layerflow.sv import sv_dissipation, sv_rhs, sv_velocity
+from layerflow.sv import sv_rhs, sv_velocity
 
 
 def test_sv_velocity_masks_dry_cells():
@@ -44,21 +44,6 @@ def test_sv_friction_is_a_local_drag():
     kappa = 0.2 + 0.1 * 1.3 * 0.7
     assert np.allclose(ev.dq, -kappa * u0, atol=1e-14)
     assert np.allclose(ev.dH, 0.0, atol=1e-15)
-
-
-def test_sv_dissipation_sign_on_random_states():
-    rng = np.random.default_rng(67)
-    n, dx = 24, 1.0 / 24
-    x = (np.arange(n) + 0.5) * dx
-    for trial in range(30):
-        zb = 0.1 * np.sin(2 * np.pi * x + rng.uniform(0, 7))
-        H = 1.0 + 0.3 * rng.random(n)
-        q = H * rng.standard_normal(n) * 0.5
-        mu = 10.0 ** rng.uniform(-3, -1)
-        ev = sv_rhs(H, q, zb, 9.81, mu, 0.05, 0.02, dx, "periodic")
-        d = sv_dissipation(ev, H, sv_velocity(H, q), zb, mu, 0.05, 0.02,
-                           dx, "periodic")
-        assert d <= 0.0
 
 
 def test_sv_matches_multilayer_on_open_boundaries():
