@@ -10,8 +10,8 @@ reports them all at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -115,41 +115,27 @@ class Scenario:
 
 # --- config registry -------------------------------------------------------
 
-# key -> (value type, section attr, field attr)
-_REGISTRY = {
-    "mesh.x_min": ("float", "mesh", "x_min"),
-    "mesh.x_max": ("float", "mesh", "x_max"),
-    "mesh.n_cells": ("int", "mesh", "n_cells"),
-    "boundary.kind": ("str", None, "boundary"),
-    "layers.n": ("int", "layers", "n"),
-    "layers.fractions": ("floats", "layers", "fractions"),
-    "bathymetry.kind": ("str", "bathymetry", "kind"),
-    "bathymetry.z0": ("float", "bathymetry", "z0"),
-    "bathymetry.s": ("float", "bathymetry", "s"),
-    "bathymetry.a": ("float", "bathymetry", "a"),
-    "bathymetry.x0": ("float", "bathymetry", "x0"),
-    "bathymetry.width": ("float", "bathymetry", "width"),
-    "bathymetry.values": ("floats", "bathymetry", "values"),
-    "init.kind": ("str", "init", "kind"),
-    "init.eta0": ("float", "init", "eta0"),
-    "init.eta_l": ("float", "init", "eta_l"),
-    "init.eta_r": ("float", "init", "eta_r"),
-    "init.x0": ("float", "init", "x0"),
-    "init.u": ("floats", "init", "u"),
-    "init.H_values": ("floats", "init", "H_values"),
-    "init.u_values": ("floats", "init", "u_values"),
-    "physics.g": ("float", "physics", "g"),
-    "physics.mu": ("float", "physics", "mu"),
-    "physics.k_l": ("float", "physics", "k_l"),
-    "physics.k_t": ("float", "physics", "k_t"),
-    "physics.placement": ("str", "physics", "placement"),
-    "controls.cfl": ("float", "controls", "cfl"),
-    "controls.t_end": ("float", "controls", "t_end"),
-    "controls.integrator": ("str", "controls", "integrator"),
-    "controls.viscous_safety": ("float", "controls", "viscous_safety"),
-    "output.directory": ("str", "output", "directory"),
-    "output.snapshot_every": ("float", "output", "snapshot_every"),
-}
+# annotation of a spec field -> kind of its config value
+_KINDS = {float: "float", int: "int", str: "str", Optional[tuple]: "floats"}
+
+
+def _derive_registry() -> dict:
+    """key -> (value kind, section attr, field attr), in field order.
+
+    Each field of a section spec is the key `section.field`; a plain field
+    of Scenario (the boundary) is the key `field.kind` with no section.
+    """
+    registry = {}
+    for name, hint in get_type_hints(Scenario).items():
+        if not is_dataclass(hint):
+            registry[f"{name}.kind"] = (_KINDS[hint], None, name)
+            continue
+        for attr, kind in get_type_hints(hint).items():
+            registry[f"{name}.{attr}"] = (_KINDS[kind], name, attr)
+    return registry
+
+
+_REGISTRY = _derive_registry()
 
 _REQUIRED = ("mesh.x_min", "mesh.x_max", "mesh.n_cells", "init.kind", "physics.g")
 
@@ -204,26 +190,13 @@ def parse_scenario(text: str) -> Scenario:
     if problems:
         raise ConfigError(problems)
 
-    scn = Scenario()
-    sections = {name: {} for name in
-                ("mesh", "layers", "bathymetry", "init", "physics", "controls", "output")}
-    boundary = scn.boundary
+    groups: dict = {}
     for key, value in values.items():
         _, section, attr = _REGISTRY[key]
-        if section is None:
-            boundary = value
-        else:
-            sections[section][attr] = value
-    scn = Scenario(
-        mesh=replace(scn.mesh, **sections["mesh"]),
-        boundary=boundary,
-        layers=replace(scn.layers, **sections["layers"]),
-        bathymetry=replace(scn.bathymetry, **sections["bathymetry"]),
-        init=replace(scn.init, **sections["init"]),
-        physics=replace(scn.physics, **sections["physics"]),
-        controls=replace(scn.controls, **sections["controls"]),
-        output=replace(scn.output, **sections["output"]),
-    )
+        groups.setdefault(section, {})[attr] = value
+    scn = Scenario()
+    scn = replace(scn, **groups.pop(None, {}),
+                  **{name: replace(getattr(scn, name), **kw) for name, kw in groups.items()})
     problems = validate_scenario(scn, lines_seen)
     if problems:
         raise ConfigError(problems)
@@ -273,6 +246,11 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     m = scn.mesh
     if m.x_max <= m.x_min:
         bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty")
+    elif m.n_cells >= 3 and math.isfinite(m.x_min) and math.isfinite(m.x_max):
+        dx = (m.x_max - m.x_min) / m.n_cells
+        if not (0.0 < dx < math.inf):
+            bad("mesh.x_max", f"cell width (x_max - x_min) / n_cells = {dx:g} "
+                "must be finite and positive")
     if m.n_cells < 3:
         bad("mesh.n_cells", f"need at least 3 cells, got {m.n_cells}")
 
@@ -327,7 +305,7 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
 
     p = scn.physics
-    if not (p.g > 0.0):
+    if p.g <= 0.0:
         bad("physics.g", f"gravity must be positive, got {p.g:g}")
     if p.mu < 0:
         bad("physics.mu", "viscosity must be nonnegative")
@@ -339,14 +317,14 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             f"unknown placement {p.placement!r}, expected one of {(INTERFACE, LAYER)}")
 
     c = scn.controls
-    if not (0.0 < c.cfl <= 1.0):
+    if c.cfl <= 0.0 or c.cfl > 1.0:
         bad("controls.cfl", f"cfl must lie in (0, 1], got {c.cfl:g}")
-    if not (c.t_end > 0.0):
+    if c.t_end <= 0.0:
         bad("controls.t_end", f"t_end must be positive, got {c.t_end:g}")
     if c.integrator not in INTEGRATORS:
         bad("controls.integrator",
             f"unknown integrator {c.integrator!r}, expected one of {INTEGRATORS}")
-    if not (0.0 < c.viscous_safety <= 1.0):
+    if c.viscous_safety <= 0.0 or c.viscous_safety > 1.0:
         bad("controls.viscous_safety",
             f"viscous_safety must lie in (0, 1], got {c.viscous_safety:g}")
 

@@ -33,11 +33,6 @@ from .state import H_DRY
 class SvRhs:
     dH: np.ndarray
     dq: np.ndarray
-    # pieces kept for the energy audit
-    w: np.ndarray
-    s_xx: np.ndarray
-    s_zx: np.ndarray
-    max_speed: float
 
 
 def sv_velocity(H: np.ndarray, q: np.ndarray, h_dry: float = H_DRY) -> np.ndarray:
@@ -133,8 +128,5 @@ def sv_rhs(
         inner = ddx(H * z_mid * s_zx, dx, bc)
         dq = dq + ddx(2.0 * H * s_xx + inner, dx, bc) - zb * d2dx2(H * s_zx, dx, bc)
     dq = dq - kappa * u / cos_b**3
-
-    wet = H > h_dry
-    max_speed = float((np.abs(u[wet]) + np.sqrt(g * H[wet])).max()) if np.any(wet) else 0.0
-    return SvRhs(dH=dH, dq=dq, w=w, s_xx=s_xx, s_zx=s_zx, max_speed=max_speed)
+    return SvRhs(dH=dH, dq=dq)
 

@@ -1,4 +1,5 @@
 """Config parsing/validation, CSV round trips and the command line."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -146,6 +147,147 @@ def test_format_parse_round_trip():
         assert format_scenario(back) == text
 
 
+# The key table as it was written out by hand before it was derived from
+# the spec dataclasses: key -> (value kind, section attr, field attr).
+HAND_WRITTEN_REGISTRY = {
+    "mesh.x_min": ("float", "mesh", "x_min"),
+    "mesh.x_max": ("float", "mesh", "x_max"),
+    "mesh.n_cells": ("int", "mesh", "n_cells"),
+    "boundary.kind": ("str", None, "boundary"),
+    "layers.n": ("int", "layers", "n"),
+    "layers.fractions": ("floats", "layers", "fractions"),
+    "bathymetry.kind": ("str", "bathymetry", "kind"),
+    "bathymetry.z0": ("float", "bathymetry", "z0"),
+    "bathymetry.s": ("float", "bathymetry", "s"),
+    "bathymetry.a": ("float", "bathymetry", "a"),
+    "bathymetry.x0": ("float", "bathymetry", "x0"),
+    "bathymetry.width": ("float", "bathymetry", "width"),
+    "bathymetry.values": ("floats", "bathymetry", "values"),
+    "init.kind": ("str", "init", "kind"),
+    "init.eta0": ("float", "init", "eta0"),
+    "init.eta_l": ("float", "init", "eta_l"),
+    "init.eta_r": ("float", "init", "eta_r"),
+    "init.x0": ("float", "init", "x0"),
+    "init.u": ("floats", "init", "u"),
+    "init.H_values": ("floats", "init", "H_values"),
+    "init.u_values": ("floats", "init", "u_values"),
+    "physics.g": ("float", "physics", "g"),
+    "physics.mu": ("float", "physics", "mu"),
+    "physics.k_l": ("float", "physics", "k_l"),
+    "physics.k_t": ("float", "physics", "k_t"),
+    "physics.placement": ("str", "physics", "placement"),
+    "controls.cfl": ("float", "controls", "cfl"),
+    "controls.t_end": ("float", "controls", "t_end"),
+    "controls.integrator": ("str", "controls", "integrator"),
+    "controls.viscous_safety": ("float", "controls", "viscous_safety"),
+    "output.directory": ("str", "output", "directory"),
+    "output.snapshot_every": ("float", "output", "snapshot_every"),
+}
+
+
+def test_derived_registry_equals_the_hand_written_table():
+    # same keys, kinds and sections, in the same order (format_scenario
+    # writes keys in registry order)
+    assert list(_REGISTRY.items()) == list(HAND_WRITTEN_REGISTRY.items())
+
+
+GOLDEN_FORMATTED = """mesh.x_min = -1
+mesh.x_max = 3
+mesh.n_cells = 80
+boundary.kind = wall
+layers.n = 2
+layers.fractions = 0.29999999999999999, 0.69999999999999996
+bathymetry.kind = slope
+bathymetry.z0 = -0.59999999999999998
+bathymetry.s = 0.050000000000000003
+bathymetry.a = 0
+bathymetry.x0 = 0
+bathymetry.width = 1
+init.kind = dam_break
+init.eta0 = 0
+init.eta_l = 0.40000000000000002
+init.eta_r = 0.10000000000000001
+init.x0 = 0.5
+physics.g = 9.8100000000000005
+physics.mu = 0.0030000000000000001
+physics.k_l = 0.02
+physics.k_t = 0
+physics.placement = layer
+controls.cfl = 0.45000000000000001
+controls.t_end = 0.80000000000000004
+controls.integrator = forward-euler
+controls.viscous_safety = 0.5
+output.directory = results
+output.snapshot_every = 0.20000000000000001
+"""
+
+# Seed-0 configs of the three benchmark workloads, and the sha256 of the
+# text format_scenario wrote for each when the key table was hand-written.
+BENCHMARK_CONFIGS = {
+    "dam_bump_wall": ("""mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 800
+boundary.kind = wall
+layers.n = 3
+bathymetry.kind = bump
+bathymetry.a = 0.1
+bathymetry.x0 = 0.3
+bathymetry.width = 0.05
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.5
+init.x0 = 0.5
+physics.g = 9.81
+controls.t_end = 0.12
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.006
+""", "83d949f82948b703e40d6f788db996fe10fb77bd7fac77a38194898ef475fa9c"),
+    "viscous_shear": ("""mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 100
+boundary.kind = periodic
+layers.n = 8
+bathymetry.kind = flat
+bathymetry.z0 = -0.5
+init.kind = shear
+init.eta0 = 0.5
+init.u = 0.0, 0.05, 0.1, 0.15000000000000002, 0.2, 0.25, 0.30000000000000004, 0.35000000000000003
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+controls.t_end = 0.012
+controls.integrator = ssp-rk2
+output.snapshot_every = 0
+""", "e77c4df818d2e0564bd662a7e09050a91bacf93e10968588d05ccdab02b3e9a9"),
+    "dry_slope_deep": ("""mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 2000
+boundary.kind = transmissive
+layers.n = 12
+bathymetry.kind = slope
+bathymetry.z0 = 0
+bathymetry.s = 0.1
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.0
+init.x0 = 0.3
+physics.g = 9.81
+controls.t_end = 0.012
+controls.integrator = forward-euler
+output.snapshot_every = 0
+""", "4466639f13dd99cb11b70e65b7708097f2d424aabbadfbb3b47df6864491a715"),
+}
+
+
+def test_format_scenario_text_is_pinned():
+    assert format_scenario(parse_scenario(GOLDEN)) == GOLDEN_FORMATTED
+    for name, (text, digest) in BENCHMARK_CONFIGS.items():
+        formatted = format_scenario(parse_scenario(text))
+        assert hashlib.sha256(formatted.encode()).hexdigest() == digest, name
+        assert parse_scenario(formatted) == parse_scenario(text), name
+
+
 def test_initial_fields_clip_dry_columns():
     from layerflow.scenario import BathymetrySpec
 
@@ -284,6 +426,8 @@ def test_check_rejects_a_nan_in_every_float_key(key, tmp_path, capsys):
     assert cli.main(["check", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert f"{key}: must be finite" in err
+    # a range check must not report the same nan a second time
+    assert err.count("got nan") == 1
 
 
 @pytest.mark.parametrize("key", ["physics.k_l", "physics.k_t"])
@@ -351,6 +495,35 @@ controls.t_end = 0.01
     assert cli.main(["check", str(cfg)]) == 0
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_min, x_max, n_cells", [
+    (-1e308, 1e308, 20),    # x_max - x_min overflows to inf
+    (0.0, 5e-324, 3),       # (x_max - x_min) / n_cells underflows to 0
+], ids=["overflow", "underflow"])
+def test_check_rejects_a_cell_width_outside_the_float_range(x_min, x_max, n_cells,
+                                                             tmp_path, capsys):
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text(f"""mesh.x_min = {x_min!r}
+mesh.x_max = {x_max!r}
+mesh.n_cells = {n_cells}
+boundary.kind = wall
+layers.n = 3
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.5
+init.x0 = 0
+physics.g = 9.81
+physics.mu = 1e-3
+controls.t_end = 0.01
+""")
+    assert cli.main(["check", str(cfg)]) == 1
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 1
+    assert not (out / "energy.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("mesh.x_max: cell width (x_max - x_min) / n_cells = ") == 2
+    assert "must be finite and positive (line 2)" in err
 
 
 def test_cli_verify_rejects_bad_criteria(capsys):
