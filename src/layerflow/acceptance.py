@@ -48,8 +48,7 @@ def _drive(scn: Scenario, n_steps: int):
     r = rhs(state)
     for k in range(n_steps):
         dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
-        state = step(state, dt, rhs, ctx.controls.integrator, ctx.h_dry,
-                     first_stage=r, step_no=k)
+        state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         r = rhs(state)
     return state, r, ctx
 
@@ -194,17 +193,16 @@ def criterion_5() -> CriterionResult:
 
 # --- 6: compact Newtonian dissipation equals the expanded balance ----------
 
-def expanded_dissipation(S, geom, u, dx: float, bc: str,
-                         friction: FrictionLaw, H: np.ndarray) -> float:
+def expanded_dissipation(S, geom, u, friction: FrictionLaw, H: np.ndarray) -> float:
     """Term-by-term evaluation of the viscous energy drain.
 
     Written directly from the expanded work balance (deformation work
     inside layers plus traction work of the interface jumps), sharing
     no algebra with the compact quadratic form it cross-checks.
     """
-    dudx = ddx(u, dx, bc)
-    w, _ = reconstruct_w(u, geom, dx, bc)
-    phi = ddx(w, dx, bc) + geom.dz_mid_dx * dudx
+    dudx = ddx(u, geom.dx, geom.bc)
+    w, _ = reconstruct_w(u, geom)
+    phi = ddx(w, geom.dx, geom.bc) + geom.dz_mid_dx * dudx
     du = u[1:] - u[:-1]                     # interior interface jumps
     s = geom.dz_if_dx[1:-1]
     terms = (2.0 * dudx * geom.h * S.xx_mid).sum()
@@ -212,7 +210,7 @@ def expanded_dissipation(S, geom, u, dx: float, bc: str,
     terms += (-2.0 * S.xx_if[1:-1] * du * s).sum()
     terms += (S.zx_if[1:-1] * du * (1.0 - s * s)).sum()
     fric = (friction.kappa(u[0], H) / geom.cos_if[0] ** 3 * u[0] ** 2).sum()
-    return float(-(terms + fric) * dx)
+    return float(-(terms + fric) * geom.dx)
 
 
 def criterion_6() -> CriterionResult:
@@ -233,13 +231,12 @@ def criterion_6() -> CriterionResult:
                                k_t=float(rng.uniform(0, 1)))
         part = LayerPartition.uniform(N)
         bathy = make_bathymetry(zb, dx, bc)
-        geom = build_geometry(H, bathy, part, dx, bc)
+        geom = build_geometry(H, bathy, part)
         model = RheologyModel(mu=mu, placement=placement)
-        S = stress_closure(model, friction, H, u, geom, dx, bc)
-        stress, fric = energy_mod.newtonian_dissipation(
-            S, geom, model, friction, H, u, geom.cos_if[0], dx)
+        S = stress_closure(model, friction, H, u, geom)
+        stress, fric = energy_mod.newtonian_dissipation(S, geom, model, friction, H, u)
         compact = stress + fric
-        expanded = expanded_dissipation(S, geom, u, dx, bc, friction, H)
+        expanded = expanded_dissipation(S, geom, u, friction, H)
         rel = abs(compact - expanded) / max(1.0, abs(compact))
         worst = max(worst, rel)
         if stress > 0.0 or fric > 0.0:
@@ -266,9 +263,9 @@ def criterion_7() -> CriterionResult:
             u = np.array([np.cos(2 * np.pi * x + rng.uniform(0, 7))
                           * rng.uniform(0.3, 1.0) for _ in range(N)])
             part = LayerPartition.uniform(N)
-            geom = build_geometry(H, make_bathymetry(zb, dx, bc), part, dx, bc)
-            w, dudx = reconstruct_w(u, geom, dx, bc)
-            k = what_coefficients(u, geom, dx, bc)
+            geom = build_geometry(H, make_bathymetry(zb, dx, bc), part)
+            w, dudx = reconstruct_w(u, geom)
+            k = what_coefficients(u, geom)
             mean = k - geom.z_mid * dudx
             gap = float(np.abs(geom.h * mean - geom.h * w).max())
             worst = max(worst, gap)
@@ -303,8 +300,7 @@ def criterion_8() -> CriterionResult:
     k = 0
     while t < 6.0:
         dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
-        state = step(state, dt, rhs, ctx.controls.integrator, ctx.h_dry,
-                     first_stage=r, step_no=k)
+        state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         t += dt
         k += 1
         r = rhs(state)
@@ -366,13 +362,13 @@ def criterion_9() -> CriterionResult:
     # one right-hand side, both pipelines
     part = LayerPartition.uniform(1)
     bathy = make_bathymetry(zb, dx, bc)
-    geom = build_geometry(H, bathy, part, dx, bc)
+    geom = build_geometry(H, bathy, part)
     q = geom.h * u[None, :]
-    ev = euler_rhs(H, q, bathy, part, phys["g"], dx, bc)
+    ev = euler_rhs(H, q, bathy, part, phys["g"])
     model = RheologyModel(mu=phys["mu"])
     friction = FrictionLaw(k_l=phys["k_l"], k_t=phys["k_t"])
-    S = stress_closure(model, friction, H, u[None, :], geom, dx, bc)
-    dq_ml = ev.dq + viscous_rhs(S, geom, dx, bc)
+    S = stress_closure(model, friction, H, u[None, :], geom)
+    dq_ml = ev.dq + viscous_rhs(S, geom)
     ref = sv_rhs(H, H * u, zb, phys["g"], phys["mu"], phys["k_l"], phys["k_t"], dx, bc)
     scale_H = max(1.0, float(np.abs(ref.dH).max()))
     scale_q = max(1.0, float(np.abs(ref.dq).max()))

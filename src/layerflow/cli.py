@@ -17,7 +17,8 @@ from typing import Optional
 from .errors import ConfigError, SolverAbort
 from .output import snapshot_frame, write_energy_series, write_snapshot
 from .scenario import parse_scenario
-from .timeloop import make_context, run
+# make_context is unused here but stays exported: perfbench/child.py calls cli.make_context
+from .timeloop import make_context, run  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,9 +45,8 @@ def _cmd_run(args) -> int:
     out_dir = args.output or scn.output.directory
     os.makedirs(out_dir, exist_ok=True)
     result = run(scn, progress_every=args.progress)
-    ctx = make_context(scn)
     for i, (t, diag, state) in enumerate(result.snapshots):
-        snap = snapshot_frame(t, state.H, diag, ctx)
+        snap = snapshot_frame(t, state.H, diag, result.ctx)
         write_snapshot(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), snap)
     write_energy_series(os.path.join(out_dir, "energy.csv"), result)
     s = result.summary

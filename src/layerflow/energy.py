@@ -53,13 +53,13 @@ def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float,
 def newtonian_dissipation(
     S: StressField, geom: InterfaceGeometry, model: RheologyModel,
     friction: FrictionLaw, H: np.ndarray, u: np.ndarray,
-    cos_b: np.ndarray, dx: float,
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
     The stress part divides by mu, which is exact for the Newtonian
     closures.
     """
+    dx, cos_b = geom.dx, geom.cos_if[0]
     friction_part = float(-(friction.kappa(u[0], H) / cos_b**3 * u[0] * u[0]).sum() * dx)
     if model.mu <= 0.0:
         return 0.0, friction_part
@@ -73,7 +73,6 @@ def newtonian_dissipation(
 def energy_flux_density(
     u: np.ndarray, w: np.ndarray | None, geom: InterfaceGeometry,
     E: np.ndarray, p_mid: np.ndarray, S: StressField | None,
-    dx: float, bc: str,
 ) -> np.ndarray:
     """Horizontal energy flux per cell (n,), used for boundary budgets.
 
@@ -82,7 +81,7 @@ def energy_flux_density(
     """
     flux = (u * (E + geom.h * p_mid)).sum(axis=0)
     if S is not None:
-        inner = ddx(geom.h * geom.z_mid * S.zx_mid, dx, bc)
+        inner = ddx(geom.h * geom.z_mid * S.zx_mid, geom.dx, geom.bc)
         work = u * (geom.h * (S.xx_mid - S.zz_mid) + inner) + w * geom.h * S.zx_mid
         flux = flux - work.sum(axis=0)
     return flux

@@ -40,7 +40,6 @@ class EulerRhs:
     dH: np.ndarray       # (n,)
     dq: np.ndarray       # (N, n)
     G: np.ndarray        # (N+1, n) interface mass-transfer rates
-    div: np.ndarray      # (N, n) discrete mass-flux divergences
     window: tuple[int, int]  # cells [a, b) the kernels ran on (see wet_window)
 
 
@@ -51,7 +50,6 @@ def hll_fluxes(
     u_r: np.ndarray,
     part: LayerPartition,
     g: float,
-    h_dry: float = H_DRY,
 ) -> EdgeFluxes:
     """HLL mass/momentum fluxes for left/right edge traces.
 
@@ -80,8 +78,8 @@ def hll_fluxes(
     s_l = np.minimum(umin_l - c_l, umin_r - c_r)
     s_r = np.maximum(umax_l + c_l, umax_r + c_r)
 
-    dry_l = H_l <= h_dry
-    dry_r = H_r <= h_dry
+    dry_l = H_l <= H_DRY
+    dry_r = H_r <= H_DRY
     wet_to_dry = dry_r & ~dry_l
     if wet_to_dry.any():
         s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
@@ -159,35 +157,31 @@ def euler_rhs(
     bathy: Bathymetry,
     part: LayerPartition,
     g: float,
-    dx: float,
-    bc: str,
-    h_dry: float = H_DRY,
     u: np.ndarray | None = None,
 ) -> EulerRhs:
     """Tendencies of (H, q) from pressure, advection and mass exchange.
 
-    `u` is velocities(H, q, part, h_dry) when the caller already has it.
-    Outside the wet window a dry bed has dH = -0.0 and zero dq, G, div.
+    `u` is velocities(H, q, part) when the caller already has it.
+    Outside the wet window a dry bed has dH = -0.0 and zero dq and G.
     """
-    if bathy.bc != bc:
-        raise ValueError(f"bathymetry was made for {bathy.bc!r} boundaries, not {bc!r}")
     if u is None:
-        u = velocities(H, q, part, h_dry)
+        u = velocities(H, q, part)
     n, N = H.size, part.n_layers
-    a, b = wet_window(H, q, bc)
-    e = slice(a, b + 1)  # the window's ghost cells are dry, or the domain's own
-    out = _tendencies(H[a:b], u[:, a:b], bathy.zb_l[e], bathy.zb_r[e], bathy.z_edge[e],
-                      part, g, dx, bc, h_dry) if a < b else ()
+    a, b = wet_window(H, q, bathy.bc)
+    out = _tendencies(H[a:b], u[:, a:b], bathy, slice(a, b + 1), part, g) if a < b else ()
     if b - a < n:
-        dry = (np.full(n, -0.0), np.zeros((N, n)), np.zeros((N + 1, n)), np.zeros((N, n)))
+        dry = (np.full(n, -0.0), np.zeros((N, n)), np.zeros((N + 1, n)))
         for full, f in zip(dry, out):
             full[..., a:b] = f
         out = dry
     return EulerRhs(*out, window=(a, b))
 
 
-def _tendencies(H, u, zb_l, zb_r, z_edge, part, g, dx, bc, h_dry):
-    """(dH, dq, G, div) of cells H with edge beds zb_l, zb_r, z_edge."""
+def _tendencies(H, u, bathy, e, part, g):
+    """(dH, dq, G) of cells H, whose edges are the bed's edges `e`; the
+    ghost cells are dry, or the domain's own."""
+    dx, bc = bathy.dx, bathy.bc
+    zb_l, zb_r, z_edge = bathy.zb_l[e], bathy.zb_r[e], bathy.z_edge[e]
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
     H_l, H_r = Hp[:-1], Hp[1:]
@@ -201,7 +195,7 @@ def _tendencies(H, u, zb_l, zb_r, z_edge, part, g, dx, bc, h_dry):
     H_rs -= z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
 
-    fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g, h_dry)
+    fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)
 
     # pressure seen by each adjacent cell, restoring the still-water
     # balance: cell j is the left side of edge j+1 and the right side of
@@ -225,4 +219,4 @@ def _tendencies(H, u, zb_l, zb_r, z_edge, part, g, dx, bc, h_dry):
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return dH, dq, G, div
+    return dH, dq, G

@@ -62,15 +62,17 @@ class LayerPartition:
 class Bathymetry:
     """Bed elevation with its centered slope and slope cosine.
 
-    The bed on either side of every cell edge (the boundary kind `bc`
-    supplies the ghost cells) and the higher of the two, `z_edge`, are
-    fixed for a run; hydrostatic reconstruction reads them at each
-    evaluation.
+    The bed holds the run's cell width `dx` and boundary kind `bc`, which
+    kernels given a bed or a geometry built on it read.  The bed on either
+    side of every cell edge (`bc` supplies the ghost cells) and the higher
+    of the two, `z_edge`, are fixed for a run; hydrostatic reconstruction
+    reads them at each evaluation.
     """
 
     zb: np.ndarray
     slope: np.ndarray
     cos: np.ndarray
+    dx: float
     bc: str
     zb_l: np.ndarray     # (n+1,) bed of the cell left of each edge
     zb_r: np.ndarray     # (n+1,) bed of the cell right of each edge
@@ -86,7 +88,7 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     zbp = pad_cells(zb, bc)
     zb_l, zb_r = zbp[:-1], zbp[1:]
     return Bathymetry(zb=zb, slope=slope, cos=1.0 / np.sqrt(1.0 + slope * slope),
-                      bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
+                      dx=dx, bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ class InterfaceGeometry:
     """All per-column geometric fields for one (H, z_b, partition) triple.
 
     Shapes: layer fields (N, n), interface fields (N+1, n).  The slope
-    fields are computed on first access, with the `dx` and `bc` the
-    geometry was built for; only the stresses and the friction read them.
+    fields are computed on first access, with the bed's `dx` and `bc`;
+    only the stresses and the friction read them.
     """
 
     h: np.ndarray          # layer thicknesses
@@ -145,8 +147,6 @@ def build_geometry(
     H: np.ndarray,
     bathy: Bathymetry,
     part: LayerPartition,
-    dx: float,
-    bc: str,
     h: np.ndarray | None = None,
 ) -> InterfaceGeometry:
     """Assemble the layer geometry for a depth field H >= 0.
@@ -154,7 +154,6 @@ def build_geometry(
     `h` is layer_thicknesses(H, part) when the caller already has it.
     """
     H = np.asarray(H, dtype=float)
-    check_boundary(bc)
     if not np.all(np.isfinite(H)):
         raise ValueError("depth field must be finite")
     if np.any(H < 0.0):
@@ -181,4 +180,5 @@ def build_geometry(
     if N > 1:
         np.add(h[:-1], h[1:], out=h_half[1:-1])
         h_half[1:-1] *= 0.5
-    return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half, dx=dx, bc=bc)
+    return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half,
+                             dx=bathy.dx, bc=bathy.bc)

@@ -15,14 +15,13 @@ from .geometry import InterfaceGeometry
 from .gridops import cumsum_layers, ddx
 
 
-def reconstruct_w(
-    u: np.ndarray, geom: InterfaceGeometry, dx: float, bc: str
-) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_w(u: np.ndarray, geom: InterfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Layer-mean vertical velocities and du/dx, both (N, n).
 
     w_a = -1/2 d(h_a u_a)/dx - sum_{j<a} d(h_j u_j)/dx + u_a dz_mid/dx,
     the last term grouped as D(z_mid u) - z_mid D(u).
     """
+    dx, bc = geom.dx, geom.bc
     dudx = ddx(u, dx, bc)
     dhu = ddx(geom.h * u, dx, bc)
     below = cumsum_layers(dhu)
@@ -31,9 +30,7 @@ def reconstruct_w(
     return w, dudx
 
 
-def what_coefficients(
-    u: np.ndarray, geom: InterfaceGeometry, dx: float, bc: str
-) -> np.ndarray:
+def what_coefficients(u: np.ndarray, geom: InterfaceGeometry) -> np.ndarray:
     """Offsets k_a of the affine profiles, built upward from the bed.
 
     k_1 = d(z_b u_1)/dx and each interface adds the jump
@@ -41,6 +38,7 @@ def what_coefficients(
     sense of the divergence constraint.
     """
     N, n = u.shape
+    dx, bc = geom.dx, geom.bc
     k = np.empty((N, n))
     k[0] = ddx(geom.z_if[0] * u[0], dx, bc)
     for a in range(N - 1):

@@ -34,7 +34,7 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
     geom = diag.geom
     w = diag.w
     if w is None:  # inviscid runs derive w for the snapshots only
-        w, _ = reconstruct_w(diag.u, geom, ctx.dx, ctx.bc)
+        w, _ = reconstruct_w(diag.u, geom)
     return Snapshot(
         t=t,
         x=ctx.grid.x,

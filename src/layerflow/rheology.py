@@ -89,18 +89,16 @@ def _pad_layers_edge(f: np.ndarray) -> np.ndarray:
     return np.concatenate([f[:1], f, f[-1:]], axis=0)
 
 
-def shear_phi(w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry,
-              dx: float, bc: str) -> np.ndarray:
+def shear_phi(w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry) -> np.ndarray:
     """phi_a = dw/dx + dz_mid/dx du/dx, the off-diagonal strain rate."""
-    return ddx(w, dx, bc) + geom.dz_mid_dx * dudx
+    return ddx(w, geom.dx, geom.bc) + geom.dz_mid_dx * dudx
 
 
 def newtonian_interface_stresses(
-    u: np.ndarray, w: np.ndarray, dudx: np.ndarray,
-    geom: InterfaceGeometry, dx: float, bc: str, mu: float,
+    u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
 ) -> StressField:
     """Newtonian closure evaluated at interfaces, averaged to midpoints."""
-    phi = shear_phi(w, dudx, geom, dx, bc)
+    phi = shear_phi(w, dudx, geom)
     hd = _pad_layers_zero(geom.h * dudx)
     hphi = _pad_layers_zero(geom.h * phi)
     up = _pad_layers_edge(u)
@@ -120,11 +118,10 @@ def newtonian_interface_stresses(
 
 
 def newtonian_layer_stresses(
-    u: np.ndarray, w: np.ndarray, dudx: np.ndarray,
-    geom: InterfaceGeometry, dx: float, bc: str, mu: float,
+    u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
 ) -> StressField:
     """Newtonian closure evaluated per layer, averaged to interfaces."""
-    phi = shear_phi(w, dudx, geom, dx, bc)
+    phi = shear_phi(w, dudx, geom)
     up = _pad_layers_edge(u)
     du_above = up[2:] - up[1:-1]
     du_below = up[1:-1] - up[:-2]
@@ -161,12 +158,11 @@ def bottom_traction(friction: FrictionLaw, u_bottom: np.ndarray,
 
 
 def close_tractions(S: StressField, geom: InterfaceGeometry,
-                    friction: FrictionLaw, H: np.ndarray, u: np.ndarray,
-                    cos_b: np.ndarray) -> StressField:
+                    friction: FrictionLaw, H: np.ndarray, u: np.ndarray) -> StressField:
     """Fill StressField.sigma with interior, surface and bed tractions."""
     sigma = tangential_traction(S.xx_if, S.zx_if, S.zz_if, geom.dz_if_dx)
     sigma[-1] = 0.0
-    sigma[0] = bottom_traction(friction, u[0], H, cos_b)
+    sigma[0] = bottom_traction(friction, u[0], H, geom.cos_if[0])
     S.sigma = sigma
     return S
 
@@ -174,21 +170,19 @@ def close_tractions(S: StressField, geom: InterfaceGeometry,
 def stress_closure(
     model: RheologyModel, friction: FrictionLaw,
     H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry,
-    dx: float, bc: str,
     w: Optional[np.ndarray] = None, dudx: Optional[np.ndarray] = None,
 ) -> StressField:
     """Build the full stress field (with tractions) for one state."""
     if w is None or dudx is None:
-        w, dudx = reconstruct_w(u, geom, dx, bc)
+        w, dudx = reconstruct_w(u, geom)
     if model.placement == INTERFACE:
-        S = newtonian_interface_stresses(u, w, dudx, geom, dx, bc, model.mu)
+        S = newtonian_interface_stresses(u, w, dudx, geom, model.mu)
     else:
-        S = newtonian_layer_stresses(u, w, dudx, geom, dx, bc, model.mu)
-    return close_tractions(S, geom, friction, H, u, geom.cos_if[0])
+        S = newtonian_layer_stresses(u, w, dudx, geom, model.mu)
+    return close_tractions(S, geom, friction, H, u)
 
 
-def viscous_rhs(S: StressField, geom: InterfaceGeometry,
-                dx: float, bc: str) -> np.ndarray:
+def viscous_rhs(S: StressField, geom: InterfaceGeometry) -> np.ndarray:
     """Momentum tendencies V (N, n) from a closed stress field.
 
     Per layer: the divergence of the in-layer stress resultant, the
@@ -197,7 +191,7 @@ def viscous_rhs(S: StressField, geom: InterfaceGeometry,
     """
     if S.sigma is None:
         raise ValueError("stress field is missing tractions; run close_tractions")
-    h, z_mid, z_if = geom.h, geom.z_mid, geom.z_if
+    h, z_mid, z_if, dx, bc = geom.h, geom.z_mid, geom.z_if, geom.dx, geom.bc
 
     inner = ddx(h * z_mid * S.zx_mid, dx, bc)
     term1 = ddx(h * (S.xx_mid - S.zz_mid) + inner, dx, bc)

@@ -177,15 +177,14 @@ def parse_scenario(text: str) -> Scenario:
                             f"(first set on line {lines_seen[key]})")
             continue
         kind = _REGISTRY[key][0]
+        lines_seen[key] = lineno  # a malformed value is not also a missing one
         try:
             values[key] = _parse_value(kind, val)
         except ValueError:
             problems.append(f"line {lineno}: {key}: malformed {kind} value {val!r}")
-            continue
-        lines_seen[key] = lineno
 
     for key in _REQUIRED:
-        if key not in values:
+        if key not in lines_seen:
             problems.append(f"{key}: required key is missing")
     if problems:
         raise ConfigError(problems)
@@ -236,21 +235,28 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         where = f" (line {ln})" if ln else ""
         problems.append(f"{key}: {message}{where}")
 
+    nonfinite = set()
     for key, (kind, section, attr) in _REGISTRY.items():
         if kind in ("float", "floats"):
             value = getattr(getattr(scn, section), attr)
             values = (value,) if kind == "float" else value
             if values is not None and not all(map(math.isfinite, values)):
                 bad(key, f"must be finite, got {_fmt(value)}")
+                nonfinite.add(key)
+
+    def out_of_range(key: str, message: str):  # a value reported non-finite is not rechecked
+        if key not in nonfinite:
+            bad(key, message)
 
     m = scn.mesh
-    if m.x_max <= m.x_min:
-        bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty")
-    elif m.n_cells >= 3 and math.isfinite(m.x_min) and math.isfinite(m.x_max):
-        dx = (m.x_max - m.x_min) / m.n_cells
-        if not (0.0 < dx < math.inf):
-            bad("mesh.x_max", f"cell width (x_max - x_min) / n_cells = {dx:g} "
-                "must be finite and positive")
+    if nonfinite.isdisjoint(("mesh.x_min", "mesh.x_max")):
+        if m.x_max <= m.x_min:
+            bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty")
+        elif m.n_cells >= 3:
+            dx = (m.x_max - m.x_min) / m.n_cells
+            if not (0.0 < dx < math.inf):
+                bad("mesh.x_max", f"cell width (x_max - x_min) / n_cells = {dx:g} "
+                    "must be finite and positive")
     if m.n_cells < 3:
         bad("mesh.n_cells", f"need at least 3 cells, got {m.n_cells}")
 
@@ -264,10 +270,10 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         if len(lay.fractions) != lay.n:
             bad("layers.fractions", f"{len(lay.fractions)} fractions for layers.n = {lay.n}")
         elif any(f <= 0 for f in lay.fractions):
-            bad("layers.fractions", "fractions must be strictly positive")
+            out_of_range("layers.fractions", "fractions must be strictly positive")
         elif abs(np.sum(lay.fractions) - 1.0) > PARTITION_TOL:
-            bad("layers.fractions", f"fractions sum to {np.sum(lay.fractions):.17g}, "
-                f"expected 1 within {PARTITION_TOL}")
+            out_of_range("layers.fractions", f"fractions sum to {np.sum(lay.fractions):.17g}, "
+                         f"expected 1 within {PARTITION_TOL}")
 
     b = scn.bathymetry
     if b.kind not in BATHYMETRY_KINDS:
@@ -278,7 +284,7 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         elif m.n_cells >= 3 and len(b.values) != m.n_cells:
             bad("bathymetry.values", f"{len(b.values)} values for {m.n_cells} cells")
     if b.kind == "bump" and b.width <= 0:
-        bad("bathymetry.width", "bump width must be positive")
+        out_of_range("bathymetry.width", "bump width must be positive")
 
     ini = scn.init
     if ini.kind not in INIT_KINDS:
@@ -299,37 +305,37 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             bad("init.u_values",
                 f"{len(ini.u_values)} values, expected layers.n * n_cells = {lay.n * m.n_cells}")
     if ini.kind == "table" and ini.H_values is not None and any(v < 0 for v in ini.H_values):
-        bad("init.H_values", "depths must be nonnegative")
+        out_of_range("init.H_values", "depths must be nonnegative")
     if ini.u is not None and ini.kind != "shear" and ini.kind in INIT_KINDS:
         if len(ini.u) != lay.n:
             bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
 
     p = scn.physics
     if p.g <= 0.0:
-        bad("physics.g", f"gravity must be positive, got {p.g:g}")
+        out_of_range("physics.g", f"gravity must be positive, got {p.g:g}")
     if p.mu < 0:
-        bad("physics.mu", "viscosity must be nonnegative")
+        out_of_range("physics.mu", "viscosity must be nonnegative")
     for key, value in (("physics.k_l", p.k_l), ("physics.k_t", p.k_t)):
         if value < 0:
-            bad(key, f"friction coefficient must be nonnegative, got {value:g}")
+            out_of_range(key, f"friction coefficient must be nonnegative, got {value:g}")
     if p.placement not in (INTERFACE, LAYER):
         bad("physics.placement",
             f"unknown placement {p.placement!r}, expected one of {(INTERFACE, LAYER)}")
 
     c = scn.controls
     if c.cfl <= 0.0 or c.cfl > 1.0:
-        bad("controls.cfl", f"cfl must lie in (0, 1], got {c.cfl:g}")
+        out_of_range("controls.cfl", f"cfl must lie in (0, 1], got {c.cfl:g}")
     if c.t_end <= 0.0:
-        bad("controls.t_end", f"t_end must be positive, got {c.t_end:g}")
+        out_of_range("controls.t_end", f"t_end must be positive, got {c.t_end:g}")
     if c.integrator not in INTEGRATORS:
         bad("controls.integrator",
             f"unknown integrator {c.integrator!r}, expected one of {INTEGRATORS}")
     if c.viscous_safety <= 0.0 or c.viscous_safety > 1.0:
-        bad("controls.viscous_safety",
+        out_of_range("controls.viscous_safety",
             f"viscous_safety must lie in (0, 1], got {c.viscous_safety:g}")
 
     if scn.output.snapshot_every < 0:
-        bad("output.snapshot_every", "snapshot cadence must be nonnegative")
+        out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")
     return problems
 
 

@@ -44,8 +44,7 @@ class LayerState:
 
 
 def velocities(
-    H: np.ndarray, q: np.ndarray, part: LayerPartition, h_dry: float = H_DRY,
-    h: np.ndarray | None = None,
+    H: np.ndarray, q: np.ndarray, part: LayerPartition, h: np.ndarray | None = None,
 ) -> np.ndarray:
     """Layer velocities u_a = q_a / h_a, zeroed on dry columns.
 
@@ -56,13 +55,13 @@ def velocities(
     if h is None:
         h = layer_thicknesses(H, part)
     u = np.zeros_like(q)
-    np.divide(q, h, out=u, where=H > h_dry)
+    np.divide(q, h, out=u, where=H > H_DRY)
     return u
 
 
-def max_wave_speed(H: np.ndarray, u: np.ndarray, g: float, h_dry: float = H_DRY) -> float:
+def max_wave_speed(H: np.ndarray, u: np.ndarray, g: float) -> float:
     """Fastest |u_a| + sqrt(g H) over the wet columns, 0 when all are dry."""
-    wet = H > h_dry
+    wet = H > H_DRY
     if not np.any(wet):
         return 0.0
     speed = np.abs(u).max(axis=0) + np.sqrt(g * np.maximum(H, 0.0))

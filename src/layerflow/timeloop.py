@@ -84,17 +84,19 @@ class RhsEval:
 
 @dataclass
 class SimContext:
-    """Everything make_context derived from a validated scenario."""
+    """Everything make_context derived from a validated scenario.
+
+    The bed holds the boundary kind; `h_dry` is the constant H_DRY.
+    """
 
     grid: Grid
-    bc: str
     part: LayerPartition
     bathy: Bathymetry
     g: float
     model: RheologyModel
     friction: FrictionLaw
     controls: ControlsSpec
-    h_dry: float = H_DRY
+    h_dry = H_DRY
 
     @property
     def dx(self) -> float:
@@ -110,10 +112,10 @@ def stable_dt(
     """Largest step honoring the advective, viscous and friction bounds."""
     c = ctx.controls
     dx = ctx.dx
-    wet = H > ctx.h_dry
+    wet = H > H_DRY
     if not np.any(wet):
-        return c.cfl * dx / np.sqrt(ctx.g * ctx.h_dry)
-    speed = max_wave_speed(H, u, ctx.g, ctx.h_dry)
+        return c.cfl * dx / np.sqrt(ctx.g * H_DRY)
+    speed = max_wave_speed(H, u, ctx.g)
     dt = c.cfl * dx / speed if speed > 0.0 else np.inf
 
     bounds = []
@@ -140,8 +142,7 @@ def stable_dt(
     return float(dt)
 
 
-def _clip_dry(state: LayerState, h_dry: float, neg_tol: float,
-              step_no: int, t: float) -> LayerState:
+def _clip_dry(state: LayerState, neg_tol: float, step_no: int, t: float) -> LayerState:
     H, q = state.H, state.q
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(q))):
         cell = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
@@ -153,7 +154,7 @@ def _clip_dry(state: LayerState, h_dry: float, neg_tol: float,
                           step=step_no, time=t, cell=cell)
     if hmin < 0.0:
         np.maximum(H, 0.0, out=H)
-    dry = H <= h_dry
+    dry = H <= H_DRY
     if dry.any():
         q[:, dry] = 0.0
     return state
@@ -164,7 +165,6 @@ def step(
     dt: float,
     rhs: Callable[[LayerState], RhsEval],
     integrator: str = SSP_RK2,
-    h_dry: float = H_DRY,
     neg_tol: float = 1e-10,
     first_stage: Optional[RhsEval] = None,
     step_no: int = 0,
@@ -173,7 +173,7 @@ def step(
     """Advance one step with forward Euler or two-stage SSP Runge-Kutta."""
     r1 = first_stage if first_stage is not None else rhs(state)
     s1 = LayerState(state.H + dt * r1.dH, state.q + dt * r1.dq)
-    _clip_dry(s1, h_dry, neg_tol, step_no, t)
+    _clip_dry(s1, neg_tol, step_no, t)
     if integrator == FORWARD_EULER:
         return s1
     if integrator != SSP_RK2:
@@ -181,7 +181,7 @@ def step(
     r2 = rhs(s1)
     out = LayerState(0.5 * (state.H + s1.H + dt * r2.dH),
                      0.5 * (state.q + s1.q + dt * r2.dq))
-    return _clip_dry(out, h_dry, neg_tol, step_no, t)
+    return _clip_dry(out, neg_tol, step_no, t)
 
 
 def make_context(scn: Scenario) -> SimContext:
@@ -193,7 +193,6 @@ def make_context(scn: Scenario) -> SimContext:
     bathy = make_bathymetry(zb, grid.dx, scn.boundary)
     return SimContext(
         grid=grid,
-        bc=scn.boundary,
         part=part,
         bathy=bathy,
         g=scn.physics.g,
@@ -206,8 +205,7 @@ def make_context(scn: Scenario) -> SimContext:
 def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval], SimContext]:
     """Initial state plus the full right-hand-side closure for a scenario."""
     ctx = make_context(scn)
-    dx, bc, g = ctx.dx, ctx.bc, ctx.g
-    bathy, part, h_dry = ctx.bathy, ctx.part, ctx.h_dry
+    bathy, part, g = ctx.bathy, ctx.part, ctx.g
     viscous = ctx.model.active or ctx.friction.active
     H0, q0 = initial_fields(scn, ctx.grid, part, bathy.zb)
 
@@ -217,22 +215,22 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
         # diagnostics only, if they are read
         if not viscous:
             h = layer_thicknesses(H, part)
-            u = velocities(H, q, part, h_dry, h=h)
-            ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
+            u = velocities(H, q, part, h=h)
+            ev = euler_rhs(H, q, bathy, part, g, u=u)
             return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev, h=h, dry=dry))
-        geom = build_geometry(H, bathy, part, dx, bc)
-        u = velocities(H, q, part, h_dry, h=geom.h)
-        ev = euler_rhs(H, q, bathy, part, g, dx, bc, h_dry, u=u)
-        w, dudx = reconstruct_w(u, geom, dx, bc)
-        S = stress_closure(ctx.model, ctx.friction, H, u, geom, dx, bc, w=w, dudx=dudx)
-        dq = ev.dq + viscous_rhs(S, geom, dx, bc)
+        geom = build_geometry(H, bathy, part)
+        u = velocities(H, q, part, h=geom.h)
+        ev = euler_rhs(H, q, bathy, part, g, u=u)
+        w, dudx = reconstruct_w(u, geom)
+        S = stress_closure(ctx.model, ctx.friction, H, u, geom, w=w, dudx=dudx)
+        dq = ev.dq + viscous_rhs(S, geom)
         return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S, w))
 
     @functools.cache
     def dry() -> Diagnostics:
         """Diagnostics of a dry bed, which cells outside a wet window keep."""
         Z = np.zeros_like(q0)
-        return _diagnostics(ctx, Z[0], Z, euler_rhs(Z[0], Z, bathy, part, g, dx, bc, h_dry), h=Z)
+        return _diagnostics(ctx, Z[0], Z, euler_rhs(Z[0], Z, bathy, part, g), h=Z)
 
     return LayerState(H0, q0), rhs, ctx
 
@@ -255,17 +253,17 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
         return f if b - a == H.size else np.concatenate((full[..., :a], f, full[..., b:]), -1)
     if geom is None:
         bathy = ctx.bathy if b - a == H.size else replace(ctx.bathy, zb=ctx.bathy.zb[a:b])
-        geom = build_geometry(H[a:b], bathy, ctx.part, ctx.dx, ctx.bc, h[:, a:b])
+        geom = build_geometry(H[a:b], bathy, ctx.part, h[:, a:b])
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
-            S, geom, ctx.model, ctx.friction, H, u, geom.cos_if[0], ctx.dx)
+            S, geom, ctx.model, ctx.friction, H, u)
     else:
         d_stress, d_fric = 0.0, 0.0
     E = energy_mod.layer_energies(u[:, a:b], geom, ctx.g)
     p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
     influx = 0.0
-    if ctx.bc != PERIODIC:
-        flux = energy_mod.energy_flux_density(u[:, a:b], w, geom, E, p_mid, S, ctx.dx, ctx.bc)
+    if ctx.bathy.bc != PERIODIC:
+        flux = energy_mod.energy_flux_density(u[:, a:b], w, geom, E, p_mid, S)
         influx = energy_mod.boundary_influx(widen(flux, np.zeros(H.size)))  # u = 0 on dry cells
     if b - a < H.size:
         d = dry()
@@ -292,6 +290,7 @@ class RunResult:
     snapshots: list                 # [(t, Diagnostics, LayerState), ...]
     summary: dict
     final: LayerState
+    ctx: SimContext                 # what the run was made from
 
 
 def next_snapshot_time(t: float, every: float) -> float:
@@ -351,8 +350,8 @@ def run(
         dt = min(dt, t_end - t)
         if dt <= max(1e-13, 1e-13 * t_end):
             raise SolverAbort("time step collapsed", step=step_no, time=t)
-        state = step(state, dt, rhs, controls.integrator, ctx.h_dry,
-                     neg_tol, first_stage=r, step_no=step_no, t=t)
+        state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
+                     first_stage=r, step_no=step_no, t=t)
         t += dt
         step_no += 1
         if step_no > max_steps:
@@ -387,4 +386,4 @@ def run(
     }
     return RunResult(times=times, E_total=E, D_G=DG, R_E=RE, friction=fric,
                      influx=influx, mass=mass, residuals=residuals,
-                     snapshots=snapshots, summary=summary, final=state)
+                     snapshots=snapshots, summary=summary, final=state, ctx=ctx)

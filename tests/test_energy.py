@@ -15,7 +15,7 @@ def test_layer_energy_worked_example():
     # two half layers, H=2, u=(1,3), g=10 over a flat bed
     part = LayerPartition(np.array([0.5, 0.5]))
     bathy = make_bathymetry(np.zeros(3), 1.0, "periodic")
-    geom = build_geometry(np.full(3, 2.0), bathy, part, 1.0, "periodic")
+    geom = build_geometry(np.full(3, 2.0), bathy, part)
     u = np.array([[1.0], [3.0]]) * np.ones((2, 3))
     E = layer_energies(u, geom, 10.0)
     assert np.allclose(E[0], 5.5)
@@ -26,7 +26,7 @@ def test_still_water_total_energy_closed_form():
     part = LayerPartition.uniform(4)
     n, dx = 25, 0.04
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
-    geom = build_geometry(np.ones(n), bathy, part, dx, "periodic")
+    geom = build_geometry(np.ones(n), bathy, part)
     E = float(layer_energies(np.zeros((4, n)), geom, 9.81).sum() * dx)
     # int over 0..1 of g z dz = g/2 per unit length, unit-length domain
     assert abs(E - 0.5 * 9.81) < 1e-12
@@ -65,13 +65,12 @@ def test_newtonian_dissipation_inactive_without_viscosity():
     part = LayerPartition.uniform(2)
     bathy = make_bathymetry(np.zeros(n), 0.1, "periodic")
     H = np.ones(n)
-    geom = build_geometry(H, bathy, part, 0.1, "periodic")
+    geom = build_geometry(H, bathy, part)
     u = np.random.default_rng(1).standard_normal((2, n))
     friction = FrictionLaw(k_l=0.2)
     model = RheologyModel(mu=0.0)
-    S = stress_closure(model, friction, H, u, geom, 0.1, "periodic")
-    stress, fric = newtonian_dissipation(S, geom, model, friction, H, u,
-                                         geom.cos_if[0], 0.1)
+    S = stress_closure(model, friction, H, u, geom)
+    stress, fric = newtonian_dissipation(S, geom, model, friction, H, u)
     assert stress == 0.0
     assert fric < 0.0
 

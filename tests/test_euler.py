@@ -13,13 +13,13 @@ from layerflow.state import (H_DRY, LayerState, exchange_fluxes,
                              interface_velocities, max_wave_speed, velocities)
 
 
-def _hll_reference(hl, ul, hr, ur, g, h_dry=H_DRY):
+def _hll_reference(hl, ul, hr, ur, g):
     """Scalar textbook HLL flux with dry-front wave speeds.
 
     Independent reimplementation used as the oracle for the vectorized
     layered version at N=1.
     """
-    dry_l, dry_r = hl <= h_dry, hr <= h_dry
+    dry_l, dry_r = hl <= H_DRY, hr <= H_DRY
     if dry_l and dry_r:
         return 0.0, 0.0
     cl = np.sqrt(g * max(hl, 0.0))
@@ -55,7 +55,7 @@ def test_hll_matches_scalar_reference():
     H_r[rng.random(m) < 0.15] = 0.0
     u_l = rng.standard_normal((1, m)) * 4.0
     u_r = rng.standard_normal((1, m)) * 4.0
-    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, g, H_DRY)
+    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, g)
     for j in range(m):
         ref_mass, ref_mom = _hll_reference(H_l[j], u_l[0, j], H_r[j], u_r[0, j], g)
         scale = max(1.0, abs(ref_mass), abs(ref_mom))
@@ -67,7 +67,7 @@ def test_hll_identical_traces_give_physical_flux():
     part = LayerPartition.uniform(2)
     H = np.array([1.3])
     u = np.array([[0.7], [-0.2]])
-    fx = hll_fluxes(H, u, H.copy(), u.copy(), part, 9.81, H_DRY)
+    fx = hll_fluxes(H, u, H.copy(), u.copy(), part, 9.81)
     h = 0.5 * H[0]
     assert fx.mass[0, 0] == h * 0.7
     assert fx.mass[1, 0] == h * -0.2
@@ -85,10 +85,10 @@ def test_hll_proportional_layers_split_single_layer_flux():
     H_r = rng.uniform(0.05, 2.0, m)
     u = rng.standard_normal((1, m))
     v = rng.standard_normal((1, m))
-    one = hll_fluxes(H_l, u, H_r, v, LayerPartition.uniform(1), 9.81, H_DRY)
+    one = hll_fluxes(H_l, u, H_r, v, LayerPartition.uniform(1), 9.81)
     part3 = LayerPartition(np.array([0.2, 0.5, 0.3]))
     three = hll_fluxes(H_l, np.repeat(u, 3, axis=0), H_r,
-                       np.repeat(v, 3, axis=0), part3, 9.81, H_DRY)
+                       np.repeat(v, 3, axis=0), part3, 9.81)
     for a, frac in enumerate(part3.fractions):
         assert np.allclose(three.mass[a], frac * one.mass[0], atol=1e-13)
         assert np.allclose(three.momentum[a], frac * one.momentum[0], atol=1e-13)
@@ -98,10 +98,10 @@ def test_hll_rejects_nonfinite_traces():
     part = LayerPartition.uniform(1)
     with pytest.raises(SolverAbort):
         hll_fluxes(np.array([np.nan]), np.zeros((1, 1)),
-                   np.array([1.0]), np.zeros((1, 1)), part, 9.81, H_DRY)
+                   np.array([1.0]), np.zeros((1, 1)), part, 9.81)
 
 
-def _hll_where_chains(H_l, u_l, H_r, u_r, part, g, h_dry=H_DRY):
+def _hll_where_chains(H_l, u_l, H_r, u_r, part, g):
     """The layered HLL flux written with whole-array temporaries and
     nested np.where selections, operation for operation as the solver
     first evaluated it; hll_fluxes must reproduce it bit for bit."""
@@ -117,8 +117,8 @@ def _hll_where_chains(H_l, u_l, H_r, u_r, part, g, h_dry=H_DRY):
     umin_r, umax_r = u_r.min(axis=0), u_r.max(axis=0)
     s_l = np.minimum(umin_l - c_l, umin_r - c_r)
     s_r = np.maximum(umax_l + c_l, umax_r + c_r)
-    dry_l = H_l <= h_dry
-    dry_r = H_r <= h_dry
+    dry_l = H_l <= H_DRY
+    dry_r = H_r <= H_DRY
     wet_to_dry = dry_r & ~dry_l
     s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
     s_r = np.where(wet_to_dry, umax_l + 2.0 * c_l, s_r)
@@ -165,7 +165,7 @@ def test_hll_matches_where_chains_bitwise(N):
     rng = np.random.default_rng(100 + N)
     part = LayerPartition(rng.dirichlet(np.ones(N)) if N > 1 else np.ones(1))
     H_l, u_l, H_r, u_r = _edge_kinds(rng, 600, N)
-    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81, H_DRY)
+    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81)
     ref_mass, ref_mom = _hll_where_chains(H_l, u_l, H_r, u_r, part, 9.81)
     assert fx.mass.tobytes() == ref_mass.tobytes()
     assert fx.momentum.tobytes() == ref_mom.tobytes()
@@ -190,7 +190,7 @@ def test_hll_matches_where_chains_when_a_mask_is_empty(only):
     u_r = 0.1 * rng.standard_normal((N, m)) + shift
     if only == "none":
         H_r, u_r = H_l.copy(), u_l.copy()
-    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81, H_DRY)
+    fx = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81)
     ref_mass, ref_mom = _hll_where_chains(H_l, u_l, H_r, u_r, part, 9.81)
     assert fx.mass.tobytes() == ref_mass.tobytes()
     assert fx.momentum.tobytes() == ref_mom.tobytes()
@@ -205,14 +205,7 @@ def test_hll_rejects_a_nonfinite_value_in_any_trace(side, value):
           "H_r": rng.uniform(0.5, 1.0, 8), "u_r": rng.standard_normal((3, 8))}
     tr[side][..., 5] = value
     with pytest.raises(SolverAbort):
-        hll_fluxes(tr["H_l"], tr["u_l"], tr["H_r"], tr["u_r"], part, 9.81, H_DRY)
-
-
-def test_euler_rhs_rejects_a_bed_made_for_other_boundaries():
-    part = LayerPartition.uniform(2)
-    bathy = make_bathymetry(np.zeros(6), 0.1, "periodic")
-    with pytest.raises(ValueError, match="periodic"):
-        euler_rhs(np.ones(6), np.zeros((2, 6)), bathy, part, 9.81, 0.1, "wall")
+        hll_fluxes(tr["H_l"], tr["u_l"], tr["H_r"], tr["u_r"], part, 9.81)
 
 
 def _lake_setup(bc, n=64, N=3, seed=2):
@@ -230,7 +223,7 @@ def _lake_setup(bc, n=64, N=3, seed=2):
 def test_still_lake_is_balanced_for_all_boundaries():
     for bc in ("periodic", "wall", "transmissive"):
         H, q, bathy, part, dx = _lake_setup(bc)
-        ev = euler_rhs(H, q, bathy, part, 9.81, dx, bc)
+        ev = euler_rhs(H, q, bathy, part, 9.81)
         assert np.abs(ev.dH).max() < 1e-13
         assert np.abs(ev.dq).max() < 1e-12
         assert np.abs(ev.G).max() < 1e-13
@@ -244,7 +237,7 @@ def test_flat_periodic_conserves_mass_and_momentum():
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
     H = rng.uniform(0.2, 2.0, n)
     q = rng.standard_normal((N, n))
-    ev = euler_rhs(H, q, bathy, part, 9.81, dx, "periodic")
+    ev = euler_rhs(H, q, bathy, part, 9.81)
     assert abs(ev.dH.sum() * dx) < 1e-13
     assert abs(ev.dq.sum() * dx) < 1e-12
 
@@ -257,7 +250,7 @@ def test_wall_keeps_mass_in_the_box():
     bathy = make_bathymetry(np.zeros(n), dx, "wall")
     H = rng.uniform(0.2, 2.0, n)
     q = rng.standard_normal((N, n))
-    ev = euler_rhs(H, q, bathy, part, 9.81, dx, "wall")
+    ev = euler_rhs(H, q, bathy, part, 9.81)
     assert abs(ev.dH.sum() * dx) < 1e-13
 
 
@@ -269,8 +262,10 @@ def test_depth_update_is_total_layer_divergence():
     bathy = make_bathymetry(rng.standard_normal(n) * 0.1, dx, "periodic")
     H = rng.uniform(0.5, 1.5, n)
     q = rng.standard_normal((N, n)) * 0.3
-    ev = euler_rhs(H, q, bathy, part, 9.81, dx, "periodic")
-    assert np.allclose(ev.dH, -ev.div.sum(axis=0), rtol=0, atol=1e-14)
+    ev = euler_rhs(H, q, bathy, part, 9.81)
+    _, _, fx = _edge_fluxes(H, velocities(H, q, part), bathy, part, 9.81)
+    div = np.diff(fx.mass, axis=1) / dx
+    assert np.allclose(ev.dH, -div.sum(axis=0), rtol=0, atol=1e-14)
     assert (ev.G[0] == 0.0).all()
     assert (ev.G[-1] == 0.0).all()
 
@@ -287,20 +282,16 @@ def test_one_step_positivity_near_dry_fronts():
         u = rng.standard_normal((N, n))
         u[:, H <= H_DRY] = 0.0
         q = part.fractions[:, None] * H[None, :] * u
-        ev = euler_rhs(H, q, bathy, part, 9.81, dx, "transmissive")
+        ev = euler_rhs(H, q, bathy, part, 9.81)
         dt = 0.45 * dx / max_wave_speed(H, velocities(H, q, part), 9.81)
         assert (H + dt * ev.dH).min() > -1e-12
 
 
-def _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc, h_dry=H_DRY):
-    """The tendency evaluation over every cell, before the wet window.
-
-    Kept as the oracle that the windowed evaluation must match bit for
-    bit, signed zeros included.
-    """
-    u = velocities(H, q, part, h_dry)
-    Hp = pad_cells(H, bc)
-    up = pad_cells(u, bc, sign=-1.0)
+def _edge_fluxes(H, u, bathy, part, g):
+    """Hydrostatically reconstructed depths on both sides of every edge,
+    and the HLL fluxes between them."""
+    Hp = pad_cells(H, bathy.bc)
+    up = pad_cells(u, bathy.bc, sign=-1.0)
     H_l, H_r = Hp[:-1], Hp[1:]
     u_l, u_r = up[:, :-1], up[:, 1:]
     H_ls = np.add(H_l, bathy.zb_l)
@@ -309,7 +300,18 @@ def _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc, h_dry=H_DRY):
     H_rs = np.add(H_r, bathy.zb_r)
     H_rs -= bathy.z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
-    fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g, h_dry)
+    return H_ls, H_rs, hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)
+
+
+def _euler_rhs_whole_domain(H, q, bathy, part, g):
+    """The tendency evaluation over every cell, before the wet window.
+
+    Kept as the oracle that the windowed evaluation must match bit for
+    bit, signed zeros included.
+    """
+    dx = bathy.dx
+    u = velocities(H, q, part)
+    H_ls, H_rs, fx = _edge_fluxes(H, u, bathy, part, g)
     HH = H * H
     g_frac = (0.5 * g) * part.fractions[:, None]
     dq = np.multiply(g_frac, HH - H_ls[1:] * H_ls[1:])
@@ -327,7 +329,7 @@ def _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc, h_dry=H_DRY):
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return EulerRhs(dH=dH, dq=dq, G=G, div=div, window=(0, H.size))
+    return EulerRhs(dH=dH, dq=dq, G=G, window=(0, H.size))
 
 
 WINDOW_N = 40
@@ -376,9 +378,9 @@ def test_wet_window_tendencies_match_the_whole_domain_bitwise(bc, N, kind):
     for trial in range(15):
         bathy = make_bathymetry(0.2 * rng.standard_normal(n), dx, bc)
         H, q = _dry_stretch_state(rng, N, kind)
-        ev = euler_rhs(H, q, bathy, part, g, dx, bc)
-        ref = _euler_rhs_whole_domain(H, q, bathy, part, g, dx, bc)
-        for name in ("dH", "dq", "G", "div"):
+        ev = euler_rhs(H, q, bathy, part, g)
+        ref = _euler_rhs_whole_domain(H, q, bathy, part, g)
+        for name in ("dH", "dq", "G"):
             a, b = getattr(ev, name), getattr(ref, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)
         held = np.flatnonzero((H != 0.0) | np.signbit(H) | (q != 0.0).any(axis=0))
@@ -413,8 +415,8 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
         H, q = _dry_stretch_state(rng, N, kind)
         d = rhs(LayerState(H, q)).diag
         h = layer_thicknesses(H, ctx.part)
-        u = velocities(H, q, ctx.part, ctx.h_dry, h=h)
-        ev = _euler_rhs_whole_domain(H, q, ctx.bathy, ctx.part, ctx.g, ctx.dx, bc)
+        u = velocities(H, q, ctx.part, h=h)
+        ev = _euler_rhs_whole_domain(H, q, ctx.bathy, ctx.part, ctx.g)
         ref = timeloop._diagnostics(ctx, H, u, ev, h=h)
         for name in ("h", "z_if", "z_mid", "h_half"):
             a, b = getattr(d.geom, name), getattr(ref.geom, name)

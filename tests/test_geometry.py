@@ -1,7 +1,10 @@
 """Layer partitions, interface levels and the derived column geometry."""
+import inspect
+
 import numpy as np
 import pytest
 
+from layerflow import energy, euler, geometry, kinematics, rheology, state, timeloop
 from layerflow.geometry import (LayerPartition, build_geometry,
                                 layer_thicknesses, make_bathymetry)
 
@@ -49,7 +52,7 @@ def test_interface_levels_half_half_column():
     part = LayerPartition(np.array([0.5, 0.5]))
     H = np.array([1.0, 1.0, 1.0])
     bathy = make_bathymetry(np.zeros(3), 1.0, "transmissive")
-    geom = build_geometry(H, bathy, part, 1.0, "transmissive")
+    geom = build_geometry(H, bathy, part)
     assert np.allclose(geom.z_if[:, 0], [0.0, 0.5, 1.0])
     assert np.allclose(geom.z_mid[:, 0], [0.25, 0.75])
     # boundary gaps span half the adjacent layer
@@ -63,7 +66,7 @@ def test_geometry_on_random_columns():
     zb = rng.standard_normal(n) * 0.2
     H = rng.uniform(0.1, 3.0, n)
     bathy = make_bathymetry(zb, 0.1, "periodic")
-    geom = build_geometry(H, bathy, part, 0.1, "periodic")
+    geom = build_geometry(H, bathy, part)
     assert np.allclose(geom.z_if[0], zb)
     assert np.allclose(geom.z_if[-1], zb + H)
     assert (np.diff(geom.z_if, axis=0) >= 0.0).all()
@@ -88,7 +91,7 @@ def test_geometry_rejects_negative_depth():
     part = LayerPartition.uniform(2)
     bathy = make_bathymetry(np.zeros(4), 1.0, "periodic")
     with pytest.raises(ValueError):
-        build_geometry(np.array([1.0, -0.1, 1.0, 1.0]), bathy, part, 1.0, "periodic")
+        build_geometry(np.array([1.0, -0.1, 1.0, 1.0]), bathy, part)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
@@ -106,8 +109,8 @@ def test_geometry_from_given_thicknesses_is_the_same_geometry():
     part = LayerPartition(np.array([0.1, 0.2, 0.3, 0.4]))
     H = rng.uniform(0.0, 2.0, 30)
     bathy = make_bathymetry(rng.standard_normal(30), 0.1, "wall")
-    a = build_geometry(H, bathy, part, 0.1, "wall")
-    b = build_geometry(H, bathy, part, 0.1, "wall", h=layer_thicknesses(H, part))
+    a = build_geometry(H, bathy, part)
+    b = build_geometry(H, bathy, part, h=layer_thicknesses(H, part))
     for name in ("h", "z_if", "z_mid", "h_half", "dz_if_dx", "cos_if", "dz_mid_dx"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # the interface stack closes on the free surface and the midpoints
@@ -115,3 +118,20 @@ def test_geometry_from_given_thicknesses_is_the_same_geometry():
     z = np.vstack([bathy.zb, bathy.zb + np.cumsum(a.h, axis=0)])
     assert a.z_if.tobytes() == z.tobytes()
     assert a.z_mid.tobytes() == (0.5 * (z[:-1] + z[1:])).tobytes()
+
+
+@pytest.mark.parametrize("module", [euler, geometry, state, kinematics, rheology,
+                                    energy, timeloop], ids=lambda m: m.__name__)
+def test_mesh_spacing_boundary_and_dry_threshold_have_one_owner(module):
+    # the bed holds dx and the boundary kind, a geometry carries the bed's,
+    # and the dry threshold is the constant H_DRY: no kernel restates them
+    public = [f for name, f in vars(module).items() if inspect.isfunction(f)
+              and f.__module__ == module.__name__ and not name.startswith("_")]
+    assert public
+    for f in public:
+        params = inspect.signature(f).parameters
+        assert "h_dry" not in params, f.__name__
+        if "bathy" in params or "geom" in params:
+            assert not {"dx", "bc"} & set(params), f.__name__
+    for dx in (0.25, 1e-3):
+        assert make_bathymetry(np.zeros(4), dx, "wall").dx == dx

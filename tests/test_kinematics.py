@@ -8,7 +8,7 @@ from layerflow.kinematics import reconstruct_w, what_coefficients
 def _geom(zb, H, N, dx, bc):
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(zb, dx, bc)
-    return build_geometry(H, bathy, part, dx, bc), part
+    return build_geometry(H, bathy, part), part
 
 
 def _profile(k, dudx, a, z):
@@ -24,7 +24,7 @@ def test_single_layer_mean_w_over_flat_bottom():
     H = np.full(n, 1.7)
     u = np.sin(2 * np.pi * x)[None, :]
     geom, _ = _geom(np.zeros(n), H, 1, dx, "periodic")
-    w, dudx = reconstruct_w(u, geom, dx, "periodic")
+    w, dudx = reconstruct_w(u, geom)
     assert np.allclose(w, -0.5 * 1.7 * dudx, atol=1e-13)
 
 
@@ -36,7 +36,7 @@ def test_uniform_flow_follows_the_bottom():
     H = np.full(n, 2.0)
     u = np.full((3, n), 1.3)
     geom, _ = _geom(zb, H, 3, dx, "transmissive")
-    w, _ = reconstruct_w(u, geom, dx, "transmissive")
+    w, _ = reconstruct_w(u, geom)
     assert np.allclose(w, 1.3 * 0.4, atol=1e-12)
 
 
@@ -46,8 +46,8 @@ def test_no_flow_through_a_flat_bed():
     H = rng.uniform(0.5, 1.5, n)
     u = rng.standard_normal((2, n))
     geom, _ = _geom(np.zeros(n), H, 2, dx, "periodic")
-    _, dudx = reconstruct_w(u, geom, dx, "periodic")
-    k = what_coefficients(u, geom, dx, "periodic")
+    _, dudx = reconstruct_w(u, geom)
+    k = what_coefficients(u, geom)
     assert np.abs(_profile(k, dudx, 0, np.zeros(n))).max() < 1e-14
 
 
@@ -57,8 +57,8 @@ def test_profile_is_affine_in_z():
     H = rng.uniform(0.5, 1.5, n)
     u = rng.standard_normal((2, n))
     geom, _ = _geom(0.1 * rng.standard_normal(n), H, 2, dx, "periodic")
-    _, dudx = reconstruct_w(u, geom, dx, "periodic")
-    k = what_coefficients(u, geom, dx, "periodic")
+    _, dudx = reconstruct_w(u, geom)
+    k = what_coefficients(u, geom)
     z0 = geom.z_if[0]
     z1 = geom.z_if[1]
     mid = _profile(k, dudx, 0, 0.5 * (z0 + z1))
@@ -75,6 +75,6 @@ def test_layer_mean_identity_quick():
     H = 1.0 + 0.3 * np.cos(2 * np.pi * x)
     u = np.array([np.sin(2 * np.pi * x + p) for p in (0.0, 1.0, 2.0)])
     geom, _ = _geom(zb, H, 3, dx, "periodic")
-    w, dudx = reconstruct_w(u, geom, dx, "periodic")
-    k = what_coefficients(u, geom, dx, "periodic")
+    w, dudx = reconstruct_w(u, geom)
+    k = what_coefficients(u, geom)
     assert np.abs(geom.h * (k - geom.z_mid * dudx) - geom.h * w).max() < 1e-13

@@ -13,7 +13,7 @@ def _flat_geom(H0, N, n, dx, bc):
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(np.zeros(n), dx, bc)
     H = np.full(n, H0)
-    return build_geometry(H, bathy, part, dx, bc), H
+    return build_geometry(H, bathy, part), H
 
 
 def test_pure_vertical_shear_interface_placement():
@@ -24,7 +24,7 @@ def test_pure_vertical_shear_interface_placement():
     u_col = np.array([0.0, 1.0, 3.0, 2.0])
     u = np.repeat(u_col[:, None], n, axis=1)
     model = RheologyModel(mu=mu)
-    S = stress_closure(model, FrictionLaw(), H, u, geom, 0.25, "periodic")
+    S = stress_closure(model, FrictionLaw(), H, u, geom)
     gap = 0.5  # interior interface gap for H=2, N=4
     expect = mu * np.diff(u_col) / gap
     for k in range(1, N):
@@ -44,8 +44,8 @@ def test_pure_shear_viscous_rhs_is_tridiagonal_diffusion():
     u_col = np.array([0.4, -0.3, 0.9, 0.0, 0.2])
     u = np.repeat(u_col[:, None], n, axis=1)
     model = RheologyModel(mu=mu)
-    S = stress_closure(model, FrictionLaw(), H, u, geom, dx, "periodic")
-    V = viscous_rhs(S, geom, dx, "periodic")
+    S = stress_closure(model, FrictionLaw(), H, u, geom)
+    V = viscous_rhs(S, geom)
     gap = 1.0 / N
     flux = np.zeros(N + 1)
     flux[1:-1] = mu * np.diff(u_col) / gap
@@ -62,7 +62,7 @@ def test_uniform_extension_both_placements():
         geom, H = _flat_geom(1.5, 3, n, dx, "transmissive")
         u = np.repeat((c * x)[None, :], 3, axis=0)
         model = RheologyModel(mu=mu, placement=placement)
-        S = stress_closure(model, FrictionLaw(), H, u, geom, dx, "transmissive")
+        S = stress_closure(model, FrictionLaw(), H, u, geom)
         assert np.allclose(S.xx_if, 2 * mu * c, atol=1e-12)
         assert np.allclose(S.xx_mid, 2 * mu * c, atol=1e-12)
         assert np.allclose(S.zz_if, -2 * mu * c, atol=1e-12)
@@ -75,7 +75,7 @@ def test_traction_closures():
     u = np.vstack([np.full(n, 0.8), np.full(n, 1.4)])
     friction = FrictionLaw(k_l=0.3, k_t=0.2)
     model = RheologyModel(mu=0.05)
-    S = stress_closure(model, friction, H, u, geom, dx, "periodic")
+    S = stress_closure(model, friction, H, u, geom)
     assert (S.sigma[-1] == 0.0).all()
     kappa = 0.3 + 0.2 * H * np.abs(u[0])
     assert np.allclose(S.sigma[0], kappa * u[0], atol=1e-14)  # cos=1 on flat
@@ -98,12 +98,12 @@ def test_internal_stresses_do_not_create_momentum():
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
     H = rng.uniform(0.5, 1.5, n)
-    geom = build_geometry(H, bathy, part, dx, "periodic")
+    geom = build_geometry(H, bathy, part)
     u = rng.standard_normal((N, n))
     for placement in ("interface", "layer"):
         model = RheologyModel(mu=0.15, placement=placement)
-        S = stress_closure(model, FrictionLaw(), H, u, geom, dx, "periodic")
-        V = viscous_rhs(S, geom, dx, "periodic")
+        S = stress_closure(model, FrictionLaw(), H, u, geom)
+        V = viscous_rhs(S, geom)
         scale = np.abs(V).max()
         assert abs(V.sum() * dx) < 1e-12 * max(1.0, scale)
 
@@ -112,10 +112,10 @@ def test_viscous_rhs_requires_closed_tractions():
     n, dx = 8, 0.1
     geom, H = _flat_geom(1.0, 2, n, dx, "periodic")
     u = np.zeros((2, n))
-    w, dudx = reconstruct_w(u, geom, dx, "periodic")
-    S = newtonian_interface_stresses(u, w, dudx, geom, dx, "periodic", 0.1)
+    w, dudx = reconstruct_w(u, geom)
+    S = newtonian_interface_stresses(u, w, dudx, geom, 0.1)
     with pytest.raises(ValueError):
-        viscous_rhs(S, geom, dx, "periodic")
+        viscous_rhs(S, geom)
 
 
 def test_model_validation():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from layerflow import cli
+from layerflow import cli, timeloop
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition
 from layerflow.gridops import Grid
@@ -403,6 +403,22 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "finished" in text and "mass drift" in text
 
 
+def test_cli_run_makes_the_context_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = timeloop.make_context
+
+    def counted(scn):
+        calls.append(scn)
+        return real(scn)
+
+    monkeypatch.setattr(timeloop, "make_context", counted)
+    monkeypatch.setattr(cli, "make_context", counted)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(CLI_CFG)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_check_accepts_and_rejects(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(CLI_CFG)
@@ -422,12 +438,25 @@ FLOAT_KEYS = [key for key, (kind, _, _) in _REGISTRY.items()
 def test_check_rejects_a_nan_in_every_float_key(key, tmp_path, capsys):
     lines = [ln for ln in CLI_CFG.splitlines() if not ln.startswith(key + " ")]
     cfg = tmp_path / "nan.cfg"
-    cfg.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+    for bad in ("nan", "inf", "-inf"):
+        # a list gets one value per layer (layers.n = 2), so only the bad value is wrong
+        value = bad if _REGISTRY[key][0] == "float" else f"{bad}, 0.5"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert cli.main(["check", str(cfg)]) == 1
+        # a range or domain rule must not report the same value a second time
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: must be finite, got {value} (line {len(lines) + 1})"]
+
+
+@pytest.mark.parametrize("key, value", [("mesh.n_cells", "1e3"), ("physics.g", "abc")])
+def test_check_reports_a_malformed_required_key_once(key, value, tmp_path, capsys):
+    lines = [ln for ln in CLI_CFG.splitlines() if not ln.startswith(key + " ")]
+    cfg = tmp_path / "malformed.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
     assert cli.main(["check", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert f"{key}: must be finite" in err
-    # a range check must not report the same nan a second time
-    assert err.count("got nan") == 1
+    # present but malformed is not also missing
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line {len(lines) + 1}: {key}: malformed {_REGISTRY[key][0]} value {value!r}"]
 
 
 @pytest.mark.parametrize("key", ["physics.k_l", "physics.k_t"])

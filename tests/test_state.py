@@ -11,7 +11,7 @@ def test_velocities_mask_dry_columns():
     part = LayerPartition.uniform(2)
     H = np.array([2.0, 0.0, 1e-12])
     q = np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
-    u = velocities(H, q, part, h_dry=1e-8)
+    u = velocities(H, q, part)  # the dry threshold is H_DRY = 1e-8
     assert np.allclose(u[:, 0], [1.0, 2.0])
     assert (u[:, 1:] == 0.0).all()
 

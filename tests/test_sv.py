@@ -58,6 +58,6 @@ def test_sv_matches_multilayer_on_open_boundaries():
     ref = sv_rhs(H, H * u, zb, 9.81, 0.0, 0.0, 0.0, dx, bc)
     part = LayerPartition.uniform(1)
     bathy = make_bathymetry(zb, dx, bc)
-    ev = euler_rhs(H, (H * u)[None, :], bathy, part, 9.81, dx, bc)
+    ev = euler_rhs(H, (H * u)[None, :], bathy, part, 9.81)
     assert np.abs(ev.dH - ref.dH).max() < 1e-14
     assert np.abs(ev.dq[0] - ref.dq).max() < 1e-13

@@ -21,7 +21,7 @@ def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
     grid = Grid(0.0, n * dx, n)
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
-    return SimContext(grid=grid, bc="periodic", part=part, bathy=bathy, g=g,
+    return SimContext(grid=grid, part=part, bathy=bathy, g=g,
                       model=RheologyModel(mu=mu),
                       friction=FrictionLaw(k_l=k_l, k_t=k_t),
                       controls=ControlsSpec(t_end=1.0, cfl=cfl,
@@ -29,7 +29,7 @@ def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
 
 
 def _geom(ctx, H):
-    return build_geometry(H, ctx.bathy, ctx.part, ctx.dx, ctx.bc)
+    return build_geometry(H, ctx.bathy, ctx.part)
 
 
 def test_stable_dt_advective_bound():
@@ -266,7 +266,7 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     assert set(reads) == {"dz_if_dx", "cos_if", "dz_mid_dx"}
     slope = geom.dz_if_dx
     assert geom.dz_if_dx is slope
-    assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bc))
+    assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bathy.bc))
 
 
 def test_run_is_deterministic():
@@ -294,7 +294,7 @@ def test_rk2_is_second_order_in_time():
     def advance(dt, steps):
         s = state0
         for k in range(steps):
-            s = step(s, dt, rhs, "ssp-rk2", ctx.h_dry)
+            s = step(s, dt, rhs, "ssp-rk2")
         return s
 
     T = 0.04
