@@ -47,7 +47,7 @@ def _drive(scn: Scenario, n_steps: int):
     state, rhs, ctx = make_rhs(scn)
     r = rhs(state)
     for k in range(n_steps):
-        dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
         state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         r = rhs(state)
     return state, r, ctx
@@ -299,7 +299,7 @@ def criterion_8() -> CriterionResult:
     monotone = True
     k = 0
     while t < 6.0:
-        dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
         state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         t += dt
         k += 1
@@ -395,7 +395,7 @@ def criterion_9() -> CriterionResult:
 
     rA = rhsA(sA)
     for k in range(100):
-        dt = stable_dt(sA.H, rA.diag.u, rA.diag.geom, ctx)
+        dt = stable_dt(sA.H[slice(*rA.window)], rA.diag.u, rA.diag.geom, ctx)
         sA = step(sA, dt, rhsA, first_stage=rA, step_no=k)
         sB = step(sB, dt, rhsB, step_no=k)
         rA = rhsA(sA)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import ddx
+from .gridops import ddx, widen
 from .rheology import INTERFACE, FrictionLaw, RheologyModel, StressField
 
 
@@ -39,14 +39,13 @@ def interface_energy_term(u_lo: np.ndarray, u_hi: np.ndarray,
 
 
 def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float,
-                         cols: slice = slice(None)) -> float:
-    """Total D_G <= 0 from upwinded interlayer transfers in columns `cols`;
-    the other columns, which must carry none, are summed as zeros."""
+                         a: int = 0, n: int | None = None) -> float:
+    """Total D_G <= 0 from upwinded interlayer transfers in the columns of
+    u and G, from `a` on in `n`; the others carry none and sum as zeros."""
     if u.shape[0] < 2:
         return 0.0
-    du = u[1:, cols] - u[:-1, cols]
-    rate = np.zeros(du.shape[:1] + u.shape[1:])
-    rate[:, cols] = du * du * np.abs(G[1:-1, cols])
+    du = u[1:] - u[:-1]
+    rate = widen(du * du * np.abs(G[1:-1]), a, n or du.shape[1])
     return float(-0.5 * rate.sum() * dx)
 
 

@@ -9,9 +9,10 @@ edge depths are remeasured from the higher of the two bed elevations
 and the pressure imbalance is returned to each cell as a centered
 correction.  Interlayer mass exchange is rebuilt from the same flux
 divergences that update the depth and enters as a cell-centered source.
-The cells outside the wet window (`wet_window`) have both-dry edges,
-which carry no flux and no pressure correction: the kernels skip them
-and fill in the tendencies of a dry bed, bit for bit.
+The cells outside the wet window (`wet_window`) hold a dry bed at rest
+and have both-dry edges, which carry no flux and no pressure correction:
+their tendencies are those of a dry bed (dH = -0.0, dq = G = 0), so
+callers evaluate the window's cells only.
 """
 from __future__ import annotations
 
@@ -37,10 +38,9 @@ class EdgeFluxes:
 class EulerRhs:
     """Inviscid tendencies plus the exchange diagnostics they imply."""
 
-    dH: np.ndarray       # (n,)
-    dq: np.ndarray       # (N, n)
-    G: np.ndarray        # (N+1, n) interface mass-transfer rates
-    window: tuple[int, int]  # cells [a, b) the kernels ran on (see wet_window)
+    dH: np.ndarray       # (m,) on the m cells evaluated
+    dq: np.ndarray       # (N, m)
+    G: np.ndarray        # (N+1, m) interface mass-transfer rates
 
 
 def hll_fluxes(
@@ -137,14 +137,16 @@ def _hll(f_l, f_r, c_l, c_r, s_l, s_r, s_lr, safe, tmp):
 
 
 def wet_window(H: np.ndarray, q: np.ndarray, bc: str) -> tuple[int, int]:
-    """Cells [a, b) from the first cell with H or q nonzero (or H = -0.0) less
-    one to the last plus one, clamped; empty if there is none.  A periodic
-    window reaching past an end would cross the seam: it is the domain."""
+    """Cells [a, b) from the first cell with H or q other than +0.0 less one
+    to the last plus one, clamped; the first cell if there is none.  Outside
+    it the state is +0.0 throughout: a dry bed at rest.  A periodic window
+    reaching past an end would cross the seam: it is the domain."""
     if H[0] != 0.0 and H[-1] != 0.0:  # water at both ends: no scan needed
         return 0, H.size
-    held = np.flatnonzero((H != 0.0) | np.signbit(H) | q.any(axis=0))
+    # a float is +0.0 exactly when all its bits are clear
+    held = np.flatnonzero((H.view(np.int64) != 0) | q.view(np.int64).any(axis=0))
     if held.size == 0:
-        return 0, 0
+        return 0, 1
     a, b = int(held[0]) - 1, int(held[-1]) + 2
     if bc == PERIODIC and (a < 0 or b > H.size):
         return 0, H.size
@@ -158,28 +160,19 @@ def euler_rhs(
     part: LayerPartition,
     g: float,
     u: np.ndarray | None = None,
+    window: tuple[int, int] | None = None,
 ) -> EulerRhs:
     """Tendencies of (H, q) from pressure, advection and mass exchange.
 
-    `u` is velocities(H, q, part) when the caller already has it.
-    Outside the wet window a dry bed has dH = -0.0 and zero dq and G.
+    H, q (and `u`, velocities(H, q, part) when the caller already has it)
+    hold the cells [a, b) = `window` of the domain, by default all of it;
+    a window narrower than the domain must contain wet_window's, since
+    the ghost cells it pads are dry there.  The tendencies are those cells'.
     """
     if u is None:
         u = velocities(H, q, part)
-    n, N = H.size, part.n_layers
-    a, b = wet_window(H, q, bathy.bc)
-    out = _tendencies(H[a:b], u[:, a:b], bathy, slice(a, b + 1), part, g) if a < b else ()
-    if b - a < n:
-        dry = (np.full(n, -0.0), np.zeros((N, n)), np.zeros((N + 1, n)))
-        for full, f in zip(dry, out):
-            full[..., a:b] = f
-        out = dry
-    return EulerRhs(*out, window=(a, b))
-
-
-def _tendencies(H, u, bathy, e, part, g):
-    """(dH, dq, G) of cells H, whose edges are the bed's edges `e`; the
-    ghost cells are dry, or the domain's own."""
+    a, b = window if window is not None else (0, H.size)
+    e = slice(a, b + 1)  # the cells' edges
     dx, bc = bathy.dx, bathy.bc
     zb_l, zb_r, z_edge = bathy.zb_l[e], bathy.zb_r[e], bathy.z_edge[e]
     Hp = pad_cells(H, bc)
@@ -219,4 +212,4 @@ def _tendencies(H, u, bathy, e, part, g):
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return dH, dq, G
+    return EulerRhs(dH, dq, G)

@@ -9,7 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import build_geometry
+from .gridops import widen
 from .kinematics import reconstruct_w
+from .state import hydrostatic_pressures
 from .timeloop import Diagnostics, RunResult, SimContext
 
 
@@ -31,20 +34,25 @@ class Snapshot:
 
 def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
                    ctx: SimContext) -> Snapshot:
-    geom = diag.geom
+    """The frame of depth H: the diagnostics' window fields are widened with
+    a dry bed at rest, and the geometry and pressures built over the domain."""
+    a, n = diag.window[0], H.size
+    geom = build_geometry(H, ctx.bathy, ctx.part)
+    u = widen(diag.u, a, n)
     w = diag.w
     if w is None:  # inviscid runs derive w for the snapshots only
-        w, _ = reconstruct_w(diag.u, geom)
+        w, _ = reconstruct_w(u, geom)
+    p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
     return Snapshot(
         t=t,
         x=ctx.grid.x,
         zb=ctx.bathy.zb,
         H=H.copy(),
-        eta=geom.z_if[-1].copy(),
-        u=diag.u.copy(),
+        eta=geom.z_if[-1],
+        u=u,
         w=w,
-        G=diag.G[1:-1].copy(),
-        p=diag.p_mid,
+        G=widen(diag.G[1:-1], a, n),
+        p=p_mid,
         E=diag.E,
     )
 

@@ -17,10 +17,13 @@ audits energy, takes snapshots and sizes the next step.  An evaluation
 the stepper only advances through, such as the second SSP-RK2 stage,
 therefore computes tendencies only.  Inviscid tendencies need no
 geometry; viscous ones build it, and reconstruct the vertical velocity w
-for the stresses, at every stage.  The diagnostics derive every field
-the audit and the snapshots read (layer energies, midpoint pressures,
-boundary influx), so those compute nothing again.  Inviscid runs compute
-them, like the tendencies, on the wet window only; viscous runs do not.
+for the stresses, at every stage.
+
+An inviscid evaluation works on its wet window (`wet_window`), outside
+which the state is a dry bed at rest: the tendencies, each stage's
+update and clip, the stable step and the audit's fields cover the
+window's cells only, and snapshot_frame widens the fields it writes.
+Viscous evaluations take the whole domain as their window.
 """
 from __future__ import annotations
 
@@ -34,10 +37,10 @@ import numpy as np
 
 from . import energy as energy_mod
 from .errors import SolverAbort
-from .euler import EulerRhs, euler_rhs
+from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
-from .gridops import PERIODIC, Grid
+from .gridops import PERIODIC, Grid, widen
 from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
                        viscous_rhs)
@@ -49,14 +52,18 @@ from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
 
 @dataclass
 class Diagnostics:
-    """Fields of one evaluated state, shared by the audit and the output layer."""
+    """Fields of one evaluated state, shared by the audit and the output layer.
+
+    The fields other than E cover the evaluation's window [a, b);
+    snapshot_frame widens them to the domain.
+    """
 
     geom: InterfaceGeometry
-    u: np.ndarray
-    G: np.ndarray
+    u: np.ndarray                   # (N, b - a)
+    G: np.ndarray                   # (N+1, b - a)
     w: Optional[np.ndarray]         # the stress closure's w; None if inviscid
     E: np.ndarray                   # (N, n) layer energies
-    p_mid: np.ndarray               # (N, n) midpoint pressures
+    window: tuple[int, int]
     influx: float                   # net boundary energy inflow
     diss_exchange: float
     diss_stress: float
@@ -64,16 +71,21 @@ class Diagnostics:
 
 
 class RhsEval:
-    """Tendencies of one state; its diagnostics are built on first access.
+    """Tendencies of one state on its cells [a, b) = `window`, by default
+    all of them; its diagnostics are built on first access.
 
-    `diagnose` builds them from what the evaluation already computed, so
-    an evaluation whose diagnostics nobody reads never pays for them.
+    Outside the window the state is a dry bed at rest, which keeps it.
+    `diagnose` builds the diagnostics from what the evaluation already
+    computed, so an evaluation whose diagnostics nobody reads never pays
+    for them.
     """
 
     def __init__(self, dH: np.ndarray, dq: np.ndarray,
+                 window: Optional[tuple[int, int]] = None,
                  diagnose: Optional[Callable[[], Diagnostics]] = None):
         self.dH = dH
         self.dq = dq
+        self.window = window if window is not None else (0, dH.size)
         self._diagnose = diagnose
 
     @functools.cached_property
@@ -109,7 +121,10 @@ def stable_dt(
     geom: InterfaceGeometry,
     ctx: SimContext,
 ) -> float:
-    """Largest step honoring the advective, viscous and friction bounds."""
+    """Largest step honoring the advective, viscous and friction bounds.
+
+    Inviscid runs pass the wet window's H and u: the bounds are over wet cells.
+    """
     c = ctx.controls
     dx = ctx.dx
     wet = H > H_DRY
@@ -142,14 +157,16 @@ def stable_dt(
     return float(dt)
 
 
-def _clip_dry(state: LayerState, neg_tol: float, step_no: int, t: float) -> LayerState:
-    H, q = state.H, state.q
+def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
+              step_no: int, t: float) -> LayerState:
+    """Clip the updated cells [a, b); a failing cell is named by its index."""
+    H, q = state.H[a:b], state.q[:, a:b]
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(q))):
-        cell = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
+        cell = a + int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
         raise SolverAbort("non-finite state after update", step=step_no, time=t, cell=cell)
     hmin = H.min()
     if hmin < -neg_tol:
-        cell = int(np.argmin(H))
+        cell = a + int(np.argmin(H))
         raise SolverAbort(f"depth fell to {hmin:.3e}, beyond the clipping tolerance",
                           step=step_no, time=t, cell=cell)
     if hmin < 0.0:
@@ -170,18 +187,28 @@ def step(
     step_no: int = 0,
     t: float = 0.0,
 ) -> LayerState:
-    """Advance one step with forward Euler or two-stage SSP Runge-Kutta."""
+    """Advance one step with forward Euler or two-stage SSP Runge-Kutta;
+    each stage updates and clips the cells of its evaluation's window."""
     r1 = first_stage if first_stage is not None else rhs(state)
-    s1 = LayerState(state.H + dt * r1.dH, state.q + dt * r1.dq)
-    _clip_dry(s1, neg_tol, step_no, t)
+    a, b = r1.window
+    s1 = state.copy()
+    s1.H[a:b] += dt * r1.dH
+    s1.q[:, a:b] += dt * r1.dq
+    _clip_dry(s1, a, b, neg_tol, step_no, t)
     if integrator == FORWARD_EULER:
         return s1
     if integrator != SSP_RK2:
         raise ValueError(f"unknown integrator {integrator!r}")
     r2 = rhs(s1)
-    out = LayerState(0.5 * (state.H + s1.H + dt * r2.dH),
-                     0.5 * (state.q + s1.q + dt * r2.dq))
-    return _clip_dry(out, neg_tol, step_no, t)
+    # a clip that dried a cell shrinks the second window, an advancing
+    # front grows it: the combination covers both, with dry-bed
+    # tendencies where the second stage did not evaluate
+    c, d = r2.window
+    a, b = min(a, c), max(b, d)
+    dH, dq = widen(r2.dH, c - a, b - a, -0.0), widen(r2.dq, c - a, b - a)
+    s1.H[a:b] = 0.5 * (state.H[a:b] + s1.H[a:b] + dt * dH)
+    s1.q[:, a:b] = 0.5 * (state.q[:, a:b] + s1.q[:, a:b] + dt * dq)
+    return _clip_dry(s1, a, b, neg_tol, step_no, t)
 
 
 def make_context(scn: Scenario) -> SimContext:
@@ -209,69 +236,69 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
     viscous = ctx.model.active or ctx.friction.active
     H0, q0 = initial_fields(scn, ctx.grid, part, bathy.zb)
 
+    n = H0.size
+    # the layer energies of a dry bed, which cells outside a wet window keep
+    Z = np.zeros_like(q0)
+    E_dry = energy_mod.layer_energies(Z, build_geometry(Z[0], bathy, part, Z), g)
+
     def rhs(state: LayerState) -> RhsEval:
         H, q = state.H, state.q
-        # inviscid tendencies need no geometry; it is built for the
-        # diagnostics only, if they are read
+        # inviscid tendencies need no geometry, and only the wet window's
+        # cells change; the geometry is built for the diagnostics only, if
+        # they are read
         if not viscous:
+            a, b = wet_window(H, q, bathy.bc)
+            H, q = H[a:b], q[:, a:b]
             h = layer_thicknesses(H, part)
             u = velocities(H, q, part, h=h)
-            ev = euler_rhs(H, q, bathy, part, g, u=u)
-            return RhsEval(ev.dH, ev.dq, lambda: _diagnostics(ctx, H, u, ev, h=h, dry=dry))
+            ev = euler_rhs(H, q, bathy, part, g, u=u, window=(a, b))
+            return RhsEval(ev.dH, ev.dq, (a, b),
+                           lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, h=h))
         geom = build_geometry(H, bathy, part)
         u = velocities(H, q, part, h=geom.h)
         ev = euler_rhs(H, q, bathy, part, g, u=u)
         w, dudx = reconstruct_w(u, geom)
         S = stress_closure(ctx.model, ctx.friction, H, u, geom, w=w, dudx=dudx)
         dq = ev.dq + viscous_rhs(S, geom)
-        return RhsEval(ev.dH, dq, lambda: _diagnostics(ctx, H, u, ev, geom, S, w))
-
-    @functools.cache
-    def dry() -> Diagnostics:
-        """Diagnostics of a dry bed, which cells outside a wet window keep."""
-        Z = np.zeros_like(q0)
-        return _diagnostics(ctx, Z[0], Z, euler_rhs(Z[0], Z, bathy, part, g), h=Z)
+        return RhsEval(ev.dH, dq, (0, n),
+                       lambda: _diagnostics(ctx, H, u, ev.G, (0, n), E_dry, geom, S, w))
 
     return LayerState(H0, q0), rhs, ctx
 
 
-def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, ev: EulerRhs,
+def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
+                 window: tuple[int, int], E_dry: np.ndarray,
                  geom: Optional[InterfaceGeometry] = None,
                  S: Optional[StressField] = None,
                  w: Optional[np.ndarray] = None,
-                 h: Optional[np.ndarray] = None,
-                 dry: Optional[Callable[[], Diagnostics]] = None) -> Diagnostics:
-    """Audit and snapshot fields of one evaluation.
+                 h: Optional[np.ndarray] = None) -> Diagnostics:
+    """Audit fields of one evaluation on its window [a, b).
 
-    Without `geom`, the geometry is built from the evaluation's layer
-    thicknesses `h`.  Given `dry`, the diagnostics of a dry bed, the fields
-    are computed on the wet window of `ev` and widened with the dry-bed
-    values before any sum: a sum over the window would round differently.
+    Without `geom`, the geometry is built from the layer thicknesses `h`.
+    The layer energies and the exchange dissipation are widened with the
+    dry bed's (`E_dry`, zero) before their sums: a sum over the window
+    would round differently.
     """
-    a, b = ev.window if dry else (0, H.size)
-    def widen(f, full):  # f in place of the window's columns of `full`
-        return f if b - a == H.size else np.concatenate((full[..., :a], f, full[..., b:]), -1)
+    a, b = window
+    n = ctx.grid.n_cells
     if geom is None:
-        bathy = ctx.bathy if b - a == H.size else replace(ctx.bathy, zb=ctx.bathy.zb[a:b])
-        geom = build_geometry(H[a:b], bathy, ctx.part, h[:, a:b])
+        bathy = ctx.bathy if b - a == n else replace(ctx.bathy, zb=ctx.bathy.zb[a:b])
+        geom = build_geometry(H, bathy, ctx.part, h)
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
             S, geom, ctx.model, ctx.friction, H, u)
     else:
         d_stress, d_fric = 0.0, 0.0
-    E = energy_mod.layer_energies(u[:, a:b], geom, ctx.g)
-    p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
+    E = energy_mod.layer_energies(u, geom, ctx.g)
     influx = 0.0
-    if ctx.bathy.bc != PERIODIC:
-        flux = energy_mod.energy_flux_density(u[:, a:b], w, geom, E, p_mid, S)
-        influx = energy_mod.boundary_influx(widen(flux, np.zeros(H.size)))  # u = 0 on dry cells
-    if b - a < H.size:
-        d = dry()
-        geom = replace(d.geom, h=h, **{k: widen(getattr(geom, k), getattr(d.geom, k))
-                                       for k in ("z_if", "z_mid", "h_half")})
-        E, p_mid = widen(E, d.E), widen(p_mid, d.p_mid)
-    return Diagnostics(geom=geom, u=u, G=ev.G, w=w, E=E, p_mid=p_mid, influx=influx,
-                       diss_exchange=energy_mod.exchange_dissipation(u, ev.G, ctx.dx, slice(a, b)),
+    if ctx.bathy.bc != PERIODIC and (a == 0 or b == n):  # the window's ends
+        p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
+        flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S)
+        influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
+                                             flux[-1] if b == n else 0.0))
+    return Diagnostics(geom=geom, u=u, G=G, w=w,
+                       E=widen(E, a, n, E_dry), window=window, influx=influx,
+                       diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n),
                        diss_stress=d_stress, diss_friction=d_fric)
 
 
@@ -346,10 +373,13 @@ def run(
     next_snap = next_snapshot_time(t, every)
 
     while t < t_end * (1.0 - 1e-13):
-        dt = stable_dt(state.H, r.diag.u, r.diag.geom, ctx)
-        dt = min(dt, t_end - t)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
         if dt <= max(1e-13, 1e-13 * t_end):
-            raise SolverAbort("time step collapsed", step=step_no, time=t)
+            raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
+        if step_no == 0 and (t_end - t) / dt > max_steps:
+            raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
+                              f"steps, over the budget of {max_steps}", step=step_no, time=t)
+        dt = min(dt, t_end - t)
         state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
                      first_stage=r, step_no=step_no, t=t)
         t += dt

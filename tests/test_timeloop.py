@@ -3,15 +3,16 @@ import numpy as np
 import pytest
 
 from layerflow.errors import ConfigError, SolverAbort
+from layerflow.euler import euler_rhs, wet_window
 from layerflow.geometry import (InterfaceGeometry, LayerPartition,
                                 build_geometry, make_bathymetry)
 from layerflow.gridops import Grid, ddx
 from layerflow.rheology import FrictionLaw, RheologyModel
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
-                                Scenario)
-from layerflow.state import LayerState
-from layerflow import output, rheology, timeloop
+                                Scenario, parse_scenario)
+from layerflow.state import H_DRY, LayerState, max_wave_speed, velocities
+from layerflow import cli, output, rheology, timeloop
 from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
                                 next_snapshot_time, run, stable_dt, step)
 
@@ -182,11 +183,12 @@ def test_snapshot_time_advances_for_a_cadence_below_resolution():
 
 
 def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
+    # make_rhs builds the dry bed's geometry once; count from there
+    state, rhs, ctx = make_rhs(_smooth_scenario())
     built = []
     real = timeloop.build_geometry
     monkeypatch.setattr(timeloop, "build_geometry",
                         lambda *a: built.append(1) or real(*a))
-    state, rhs, ctx = make_rhs(_smooth_scenario())
     r = rhs(state)
     assert built == []
     geom = r.diag.geom
@@ -303,3 +305,224 @@ def test_rk2_is_second_order_in_time():
     e2 = np.abs(sols[1].H - sols[2].H).max()
     order = np.log2(e1 / e2)
     assert order > 1.6
+
+
+def _clip_whole_domain(state, neg_tol):
+    """The stage clip over every cell, for states that pass it."""
+    H, q = state.H, state.q
+    assert np.isfinite(H).all() and np.isfinite(q).all() and H.min() >= -neg_tol
+    if H.min() < 0.0:
+        np.maximum(H, 0.0, out=H)
+    dry = H <= H_DRY
+    if dry.any():
+        q[:, dry] = 0.0
+    return state
+
+
+def _step_whole_domain(state, dt, rhs, integrator, neg_tol):
+    """The step over every cell, before the wet window.
+
+    Kept as the oracle that the windowed step must match bit for bit,
+    signed zeros included; `rhs` returns tendencies of every cell.
+    """
+    r1 = rhs(state)
+    s1 = _clip_whole_domain(LayerState(state.H + dt * r1.dH, state.q + dt * r1.dq), neg_tol)
+    if integrator == "forward-euler":
+        return s1
+    r2 = rhs(s1)
+    return _clip_whole_domain(LayerState(0.5 * (state.H + s1.H + dt * r2.dH),
+                                         0.5 * (state.q + s1.q + dt * r2.dq)), neg_tol)
+
+
+def _assert_same_state(a, b):
+    assert a.H.tobytes() == b.H.tobytes()
+    assert a.q.tobytes() == b.q.tobytes()
+
+
+def _recording(rhs, windows):
+    def recorded(state):
+        r = rhs(state)
+        windows.append(r.window)
+        return r
+    return recorded
+
+
+STEP_N = 40
+
+
+def _stretch_state(rng, N, bc):
+    """Water on a random stretch (across the seam if periodic) with dry
+    gaps and films, moving either way; +0.0 on bare cells."""
+    start, length = rng.integers(0, STEP_N), rng.integers(3, STEP_N // 2)
+    cells = np.arange(start, start + length)
+    cells = cells % STEP_N if bc == "periodic" else cells[cells < STEP_N]
+    H = np.zeros(STEP_N)
+    H[cells] = rng.uniform(0.05, 1.0, cells.size)
+    H[cells[rng.random(cells.size) < 0.15]] = 0.0
+    H[cells[rng.random(cells.size) < 0.1]] = 0.5 * H_DRY
+    part = LayerPartition.uniform(N)
+    q = part.fractions[:, None] * H * rng.uniform(-1.0, 1.0, (N, STEP_N))
+    q[:, H <= H_DRY] = 0.0
+    return H, q
+
+
+@pytest.mark.parametrize("integrator", ["forward-euler", "ssp-rk2"])
+@pytest.mark.parametrize("N", [1, 3, 12])
+@pytest.mark.parametrize("bc", ["wall", "transmissive", "periodic"])
+def test_windowed_step_matches_the_whole_domain_bitwise(bc, N, integrator):
+    rng = np.random.default_rng([N, len(bc), len(integrator)])
+    zb = 0.1 * rng.standard_normal(STEP_N)
+    scn = Scenario(mesh=MeshSpec(0.0, 1.0, STEP_N), boundary=bc, layers=LayersSpec(n=N),
+                   bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
+                   init=InitSpec(kind="lake_at_rest"), physics=PhysicsSpec(g=9.81))
+    _, rhs, ctx = make_rhs(scn)
+
+    def whole_rhs(state):
+        ev = euler_rhs(state.H, state.q, ctx.bathy, ctx.part, ctx.g)
+        return RhsEval(ev.dH, ev.dq)
+
+    grew = 0
+    for trial in range(20):
+        H, q = _stretch_state(rng, N, bc)
+        state = LayerState(H, q)
+        speed = max_wave_speed(H, velocities(H, q, ctx.part), ctx.g)
+        dt = 0.45 * ctx.dx / speed if speed > 0.0 else 1e-3
+        windows = []
+        got = step(state, dt, _recording(rhs, windows), integrator)
+        _assert_same_state(state, LayerState(H, q))  # the input is left as it was
+        assert windows[0] != (0, STEP_N) or bc == "periodic"
+        want = _step_whole_domain(state.copy(), dt, whole_rhs, integrator, 1e-10)
+        _assert_same_state(got, want)
+        if len(windows) == 2:
+            (a, b), (c, d) = windows
+            grew += c < a or d > b
+    assert integrator == "forward-euler" or grew > 0
+
+
+def _fixed_rhs(dH, dq, windowed):
+    """The tendencies dH, dq on a state's wet window and a dry bed's
+    elsewhere: on the window's cells, or on every cell."""
+    n = dH.size
+
+    def rhs(state):
+        a, b = wet_window(state.H, state.q, "wall")
+        if windowed:
+            return RhsEval(dH[a:b].copy(), dq[:, a:b].copy(), (a, b))
+        full_H, full_q = np.full(n, -0.0), np.zeros_like(dq)
+        full_H[a:b], full_q[:, a:b] = dH[a:b], dq[:, a:b]
+        return RhsEval(full_H, full_q)
+    return rhs
+
+
+@pytest.mark.parametrize("change", ["shrink", "grow"])
+def test_rk2_combination_covers_both_stage_windows(change):
+    rng = np.random.default_rng(11)
+    n, N, dt = 30, 3, 0.01
+    H = np.zeros(n)
+    H[10:20] = rng.uniform(0.5, 1.0, 10)
+    q = np.zeros((N, n))
+    q[:, 10:20] = 0.1 * rng.standard_normal((N, 10))
+    dH = 0.1 * rng.standard_normal(n)
+    dq = 0.1 * rng.standard_normal((N, n))
+    dH[[9, 20, 21]] = 0.0
+    dq[:, [9, 20, 21]] = 0.0
+    if change == "shrink":
+        # stage 1 takes the last two wet cells a round-off below zero,
+        # and the clip dries them
+        dH[18:20] = -(H[18:20] + 1e-12) / dt
+        changed, windows_want, cell = "shrink", [(9, 21), (9, 19)], 19
+    else:
+        # stage 1 wets the cell past the water, stage 2 the one beyond
+        dH[20:22], dq[:, 20:22] = 0.5, 0.2
+        changed, windows_want, cell = "grow", [(9, 21), (9, 22)], 21
+    windows = []
+    got = step(LayerState(H, q), dt, _recording(_fixed_rhs(dH, dq, True), windows), "ssp-rk2")
+    want = _step_whole_domain(LayerState(H, q), dt, _fixed_rhs(dH, dq, False), "ssp-rk2", 1e-10)
+    assert windows == windows_want, changed
+    _assert_same_state(got, want)
+    assert got.H[cell] > 0.0  # a cell outside one of the two windows
+
+
+@pytest.mark.parametrize("integrator", ["forward-euler", "ssp-rk2"])
+@pytest.mark.parametrize("bad", [np.nan, -20.0])
+def test_step_names_the_domain_cell_of_a_failed_update_in_a_window(bad, integrator):
+    H = np.zeros(30)
+    H[10:20] = 1.0
+    q = np.zeros((2, 30))
+
+    def rhs(state):
+        a, b = wet_window(state.H, state.q, "wall")
+        dH = np.zeros(b - a)
+        dH[13 - a] = bad
+        return RhsEval(dH, np.zeros((2, b - a)), (a, b))
+
+    with pytest.raises(SolverAbort) as err:
+        step(LayerState(H, q), 0.1, rhs, integrator, step_no=7, t=0.25)
+    assert err.value.cell == 13 and err.value.step == 7
+    assert "cell 13" in str(err.value)
+
+
+# the seed-0 configs of the dam_bump_wall and viscous_shear benchmark workloads
+DAM_BUMP_WALL = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 800
+boundary.kind = wall
+layers.n = 3
+bathymetry.kind = bump
+bathymetry.a = 0.1
+bathymetry.x0 = 0.3
+bathymetry.width = 0.05
+init.kind = dam_break
+init.eta_l = 1.0
+init.eta_r = 0.5
+init.x0 = 0.5
+physics.g = 9.81
+controls.t_end = 0.12
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.006
+"""
+
+VISCOUS_SHEAR = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 100
+boundary.kind = periodic
+layers.n = 8
+bathymetry.kind = flat
+bathymetry.z0 = -0.5
+init.kind = shear
+init.eta0 = 0.5
+init.u = 0.0, 0.05, 0.1, 0.15000000000000002, 0.2, 0.25, 0.30000000000000004, 0.35000000000000003
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+controls.t_end = 0.012
+controls.integrator = ssp-rk2
+output.snapshot_every = 0
+"""
+
+
+def test_a_run_over_the_step_budget_aborts_before_its_first_step(tmp_path, capsys, monkeypatch):
+    # dt0 is about 2e-13 here: 6e10 steps, hours of work before the
+    # 10M-step budget would run out
+    def no_step(*args, **kwargs):
+        raise AssertionError("the run took a step")
+    monkeypatch.setattr(timeloop, "step", no_step)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(VISCOUS_SHEAR.replace("physics.mu = 1e-3", "physics.mu = 1e5"))
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dt0=" in err and "budget of 10000000" in err and "(step 0, t=0)" in err
+
+
+def test_a_step_clamped_to_t_end_is_not_a_collapse():
+    # the stable step is about 2e-4, far above the collapse floor
+    result = run(parse_scenario(DAM_BUMP_WALL.replace("t_end = 0.12", "t_end = 5e-14")))
+    assert result.summary["steps"] == 1 and result.times[-1] == 5e-14
+
+
+def test_a_stable_step_below_the_floor_collapses():
+    # g = 1e20 gives a stable step of 6.25e-14
+    with pytest.raises(SolverAbort, match="time step collapsed") as err:
+        run(parse_scenario(DAM_BUMP_WALL.replace("physics.g = 9.81", "physics.g = 1e20")))
+    assert err.value.step == 0
