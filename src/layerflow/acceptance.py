@@ -47,7 +47,7 @@ def _drive(scn: Scenario, n_steps: int):
     state, rhs, ctx = make_rhs(scn)
     r = rhs(state)
     for k in range(n_steps):
-        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.geom, ctx)
         state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         r = rhs(state)
     return state, r, ctx
@@ -209,7 +209,7 @@ def expanded_dissipation(S, geom, u, friction: FrictionLaw, H: np.ndarray) -> fl
     terms += (phi * geom.h * S.zx_mid).sum()
     terms += (-2.0 * S.xx_if[1:-1] * du * s).sum()
     terms += (S.zx_if[1:-1] * du * (1.0 - s * s)).sum()
-    fric = (friction.kappa(u[0], H) / geom.cos_if[0] ** 3 * u[0] ** 2).sum()
+    fric = (friction.kappa(u[0], H) / geom.cos_b ** 3 * u[0] ** 2).sum()
     return float(-(terms + fric) * geom.dx)
 
 
@@ -299,7 +299,7 @@ def criterion_8() -> CriterionResult:
     monotone = True
     k = 0
     while t < 6.0:
-        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.geom, ctx)
         state = step(state, dt, rhs, ctx.controls.integrator, first_stage=r, step_no=k)
         t += dt
         k += 1
@@ -395,7 +395,7 @@ def criterion_9() -> CriterionResult:
 
     rA = rhsA(sA)
     for k in range(100):
-        dt = stable_dt(sA.H[slice(*rA.window)], rA.diag.u, rA.diag.geom, ctx)
+        dt = stable_dt(sA.H[slice(*rA.window)], rA.diag.u, rA.geom, ctx)
         sA = step(sA, dt, rhsA, first_stage=rA, step_no=k)
         sB = step(sB, dt, rhsB, step_no=k)
         rA = rhsA(sA)

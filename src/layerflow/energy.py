@@ -58,7 +58,7 @@ def newtonian_dissipation(
     The stress part divides by mu, which is exact for the Newtonian
     closures.
     """
-    dx, cos_b = geom.dx, geom.cos_if[0]
+    dx, cos_b = geom.dx, geom.cos_b
     friction_part = float(-(friction.kappa(u[0], H) / cos_b**3 * u[0] * u[0]).sum() * dx)
     if model.mu <= 0.0:
         return 0.0, friction_part

@@ -97,13 +97,14 @@ class InterfaceGeometry:
 
     Shapes: layer fields (N, n), interface fields (N+1, n).  The slope
     fields are computed on first access, with the bed's `dx` and `bc`;
-    only the stresses and the friction read them.
+    only the stresses read them.  The friction reads the bed's cosine.
     """
 
     h: np.ndarray          # layer thicknesses
     z_if: np.ndarray       # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
     z_mid: np.ndarray      # layer midpoints
     h_half: np.ndarray     # midpoint gaps across each interface
+    cos_b: np.ndarray      # bed slope cosine (n,), the bed's `cos`
     dx: float
     bc: str
 
@@ -111,11 +112,6 @@ class InterfaceGeometry:
     def dz_if_dx(self) -> np.ndarray:
         """Interface slopes."""
         return ddx(self.z_if, self.dx, self.bc)
-
-    @cached_property
-    def cos_if(self) -> np.ndarray:
-        """Interface slope cosines."""
-        return 1.0 / np.sqrt(1.0 + self.dz_if_dx * self.dz_if_dx)
 
     @cached_property
     def dz_mid_dx(self) -> np.ndarray:
@@ -181,4 +177,4 @@ def build_geometry(
         np.add(h[:-1], h[1:], out=h_half[1:-1])
         h_half[1:-1] *= 0.5
     return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half,
-                             dx=bathy.dx, bc=bathy.bc)
+                             cos_b=bathy.cos, dx=bathy.dx, bc=bathy.bc)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import layer_energies
 from .geometry import build_geometry
 from .gridops import widen
 from .kinematics import reconstruct_w
@@ -34,14 +35,12 @@ class Snapshot:
 
 def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
                    ctx: SimContext) -> Snapshot:
-    """The frame of depth H: the diagnostics' window fields are widened with
-    a dry bed at rest, and the geometry and pressures built over the domain."""
+    """The frame of depth H: the window's u and G widened with a dry bed at
+    rest, and the geometry, w, pressures and energies derived over the domain."""
     a, n = diag.window[0], H.size
     geom = build_geometry(H, ctx.bathy, ctx.part)
     u = widen(diag.u, a, n)
-    w = diag.w
-    if w is None:  # inviscid runs derive w for the snapshots only
-        w, _ = reconstruct_w(u, geom)
+    w, _ = reconstruct_w(u, geom)
     p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
     return Snapshot(
         t=t,
@@ -53,7 +52,7 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
         w=w,
         G=widen(diag.G[1:-1], a, n),
         p=p_mid,
-        E=diag.E,
+        E=layer_energies(u, geom, ctx.g),
     )
 
 

@@ -162,7 +162,7 @@ def close_tractions(S: StressField, geom: InterfaceGeometry,
     """Fill StressField.sigma with interior, surface and bed tractions."""
     sigma = tangential_traction(S.xx_if, S.zx_if, S.zz_if, geom.dz_if_dx)
     sigma[-1] = 0.0
-    sigma[0] = bottom_traction(friction, u[0], H, geom.cos_if[0])
+    sigma[0] = bottom_traction(friction, u[0], H, geom.cos_b)
     S.sigma = sigma
     return S
 

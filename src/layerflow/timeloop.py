@@ -11,7 +11,7 @@ aborts with the offending cell.
 
 Each right-hand-side evaluation computes velocities, layer thicknesses
 and fluxes once and returns the tendencies at once.  The diagnostics the
-run loop reads (interface geometry, dissipation rates) are built only
+run loop reads (energy and dissipation sums, velocities) are built only
 when first asked for, which happens at accepted states: there the loop
 audits energy, takes snapshots and sizes the next step.  An evaluation
 the stepper only advances through, such as the second SSP-RK2 stage,
@@ -52,18 +52,13 @@ from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
 
 @dataclass
 class Diagnostics:
-    """Fields of one evaluated state, shared by the audit and the output layer.
+    """What a run keeps of one evaluated state: the audit's sums, and u and
+    G on the evaluation's window [a, b), which snapshot_frame widens."""
 
-    The fields other than E cover the evaluation's window [a, b);
-    snapshot_frame widens them to the domain.
-    """
-
-    geom: InterfaceGeometry
     u: np.ndarray                   # (N, b - a)
     G: np.ndarray                   # (N+1, b - a)
-    w: Optional[np.ndarray]         # the stress closure's w; None if inviscid
-    E: np.ndarray                   # (N, n) layer energies
     window: tuple[int, int]
+    energy: float                   # total mechanical energy
     influx: float                   # net boundary energy inflow
     diss_exchange: float
     diss_stress: float
@@ -77,16 +72,19 @@ class RhsEval:
     Outside the window the state is a dry bed at rest, which keeps it.
     `diagnose` builds the diagnostics from what the evaluation already
     computed, so an evaluation whose diagnostics nobody reads never pays
-    for them.
+    for them.  `geom` is the geometry a viscous evaluation built, which
+    the stable step reads; inviscid evaluations build none.
     """
 
     def __init__(self, dH: np.ndarray, dq: np.ndarray,
                  window: Optional[tuple[int, int]] = None,
-                 diagnose: Optional[Callable[[], Diagnostics]] = None):
+                 diagnose: Optional[Callable[[], Diagnostics]] = None,
+                 geom: Optional[InterfaceGeometry] = None):
         self.dH = dH
         self.dq = dq
         self.window = window if window is not None else (0, dH.size)
         self._diagnose = diagnose
+        self.geom = geom
 
     @functools.cached_property
     def diag(self) -> Optional[Diagnostics]:
@@ -98,7 +96,7 @@ class RhsEval:
 class SimContext:
     """Everything make_context derived from a validated scenario.
 
-    The bed holds the boundary kind; `h_dry` is the constant H_DRY.
+    The bed holds the boundary kind; `h_dry` is H_DRY, for perfbench's tracer.
     """
 
     grid: Grid
@@ -118,12 +116,13 @@ class SimContext:
 def stable_dt(
     H: np.ndarray,
     u: np.ndarray,
-    geom: InterfaceGeometry,
+    geom: Optional[InterfaceGeometry],
     ctx: SimContext,
 ) -> float:
     """Largest step honoring the advective, viscous and friction bounds.
 
-    Inviscid runs pass the wet window's H and u: the bounds are over wet cells.
+    Inviscid runs pass the wet window's H and u, and no geometry: the bounds
+    are over wet cells, and only the viscous and friction ones read `geom`.
     """
     c = ctx.controls
     dx = ctx.dx
@@ -261,7 +260,7 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
         S = stress_closure(ctx.model, ctx.friction, H, u, geom, w=w, dudx=dudx)
         dq = ev.dq + viscous_rhs(S, geom)
         return RhsEval(ev.dH, dq, (0, n),
-                       lambda: _diagnostics(ctx, H, u, ev.G, (0, n), E_dry, geom, S, w))
+                       lambda: _diagnostics(ctx, H, u, ev.G, (0, n), E_dry, geom, S, w), geom)
 
     return LayerState(H0, q0), rhs, ctx
 
@@ -272,17 +271,19 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
                  S: Optional[StressField] = None,
                  w: Optional[np.ndarray] = None,
                  h: Optional[np.ndarray] = None) -> Diagnostics:
-    """Audit fields of one evaluation on its window [a, b).
+    """Audit sums of one evaluation on its window [a, b).
 
     Without `geom`, the geometry is built from the layer thicknesses `h`.
     The layer energies and the exchange dissipation are widened with the
     dry bed's (`E_dry`, zero) before their sums: a sum over the window
-    would round differently.
+    would round differently.  Only u and G outlive the call.
     """
     a, b = window
     n = ctx.grid.n_cells
     if geom is None:
-        bathy = ctx.bathy if b - a == n else replace(ctx.bathy, zb=ctx.bathy.zb[a:b])
+        bathy = ctx.bathy
+        if b - a < n:  # the window's stretch of the bed
+            bathy = replace(bathy, zb=bathy.zb[a:b], cos=bathy.cos[a:b])
         geom = build_geometry(H, bathy, ctx.part, h)
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
@@ -296,8 +297,8 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
         flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S)
         influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
                                              flux[-1] if b == n else 0.0))
-    return Diagnostics(geom=geom, u=u, G=G, w=w,
-                       E=widen(E, a, n, E_dry), window=window, influx=influx,
+    return Diagnostics(u=u, G=G, window=window,
+                       energy=float(widen(E, a, n, E_dry).sum() * ctx.dx), influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n),
                        diss_stress=d_stress, diss_friction=d_fric)
 
@@ -358,7 +359,7 @@ def run(
 
     def audit(r: RhsEval):
         d = r.diag
-        cols["E"].append(float(d.E.sum() * dx))
+        cols["E"].append(d.energy)
         cols["DG"].append(d.diss_exchange)
         cols["RE"].append(d.diss_stress)
         cols["fric"].append(d.diss_friction)
@@ -369,11 +370,11 @@ def run(
     step_no = 0
     r = rhs(state)
     audit(r)
-    snapshots.append((t, r.diag, state.copy()))
+    snapshots.append((t, r.diag, state))
     next_snap = next_snapshot_time(t, every)
 
     while t < t_end * (1.0 - 1e-13):
-        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.diag.geom, ctx)
+        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.geom, ctx)
         if dt <= max(1e-13, 1e-13 * t_end):
             raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
         if step_no == 0 and (t_end - t) / dt > max_steps:
@@ -390,7 +391,7 @@ def run(
         times.append(t)
         audit(r)
         if t >= next_snap * (1.0 - 1e-12):
-            snapshots.append((t, r.diag, state.copy()))
+            snapshots.append((t, r.diag, state))
             next_snap = next_snapshot_time(t, every)
         if progress_every and step_no % progress_every == 0:
             print(f"step={step_no} t={t:.6g} dt={dt:.3e} "
@@ -398,7 +399,7 @@ def run(
                   file=sys.stderr)
 
     if snapshots[-1][0] != t:
-        snapshots.append((t, r.diag, state.copy()))
+        snapshots.append((t, r.diag, state))
 
     times = np.array(times)
     E, DG, RE, fric, influx, mass = (np.array(v) for v in cols.values())

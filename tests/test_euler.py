@@ -441,12 +441,13 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
         influx = 0.0
         if bc != "periodic":
             influx = boundary_influx(energy_flux_density(u, None, geom, E, p_mid, None))
-        want = {"E": E, "influx": influx, "diss_exchange": exchange_dissipation(u, G, ctx.dx),
+        want = {"energy": float(E.sum() * ctx.dx), "influx": influx,
+                "diss_exchange": exchange_dissipation(u, G, ctx.dx),
                 "eta": geom.z_if[-1], "u": u, "w": reconstruct_w(u, geom)[0],
-                "G": G[1:-1], "p": p_mid}
-        got = {"E": d.E, "influx": d.influx, "diss_exchange": d.diss_exchange,
-               "eta": snap.eta, "u": snap.u, "w": snap.w, "G": snap.G, "p": snap.p}
+                "G": G[1:-1], "p": p_mid, "E": E}
+        got = {"energy": d.energy, "influx": d.influx, "diss_exchange": d.diss_exchange,
+               "eta": snap.eta, "u": snap.u, "w": snap.w, "G": snap.G, "p": snap.p,
+               "E": snap.E}
         for name, ref in want.items():
             a, b = np.asarray(got[name]), np.asarray(ref)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)
-        assert d.w is None and (d.geom.dx, d.geom.bc) == (ctx.dx, bc)

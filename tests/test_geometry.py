@@ -7,6 +7,7 @@ import pytest
 from layerflow import energy, euler, geometry, kinematics, rheology, state, timeloop
 from layerflow.geometry import (LayerPartition, build_geometry,
                                 layer_thicknesses, make_bathymetry)
+from layerflow.gridops import ddx
 
 
 def test_uniform_partition():
@@ -111,13 +112,28 @@ def test_geometry_from_given_thicknesses_is_the_same_geometry():
     bathy = make_bathymetry(rng.standard_normal(30), 0.1, "wall")
     a = build_geometry(H, bathy, part)
     b = build_geometry(H, bathy, part, h=layer_thicknesses(H, part))
-    for name in ("h", "z_if", "z_mid", "h_half", "dz_if_dx", "cos_if", "dz_mid_dx"):
+    for name in ("h", "z_if", "z_mid", "h_half", "cos_b", "dz_if_dx", "dz_mid_dx"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # the interface stack closes on the free surface and the midpoints
     # and gaps are the running sums the formulas state
     z = np.vstack([bathy.zb, bathy.zb + np.cumsum(a.h, axis=0)])
     assert a.z_if.tobytes() == z.tobytes()
     assert a.z_mid.tobytes() == (0.5 * (z[:-1] + z[1:])).tobytes()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
+def test_the_bed_cosine_is_the_cosine_of_the_bed_interface_bitwise(bc):
+    # the friction reads the bed's cosine; the interface-0 slope the
+    # stresses see is the bed's own slope, so its cosine is the same
+    rng = np.random.default_rng([len(bc), 7])
+    for trial in range(100):
+        n, N = int(rng.integers(3, 40)), int(rng.integers(1, 9))
+        zb = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(n)
+        bathy = make_bathymetry(zb, 10.0 ** rng.uniform(-3, 0), bc)
+        geom = build_geometry(rng.uniform(0.0, 2.0, n), bathy, LayerPartition.uniform(N))
+        s = ddx(geom.z_if, bathy.dx, bc)[0]
+        assert geom.cos_b is bathy.cos
+        assert (1.0 / np.sqrt(1.0 + s * s)).tobytes() == bathy.cos.tobytes(), trial
 
 
 @pytest.mark.parametrize("module", [euler, geometry, state, kinematics, rheology,

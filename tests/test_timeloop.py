@@ -1,4 +1,7 @@
 """Adaptive stepping, stage clipping and the audited run loop."""
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -188,20 +191,20 @@ def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
     built = []
     real = timeloop.build_geometry
     monkeypatch.setattr(timeloop, "build_geometry",
-                        lambda *a: built.append(1) or real(*a))
+                        lambda *a: built.append(real(*a)) or built[-1])
     r = rhs(state)
-    assert built == []
-    geom = r.diag.geom
-    assert built == [1]
-    assert r.diag.geom is geom and built == [1]
-    assert (geom.h.sum(axis=0) == state.H).all()
+    assert built == [] and r.geom is None
+    d = r.diag
+    assert len(built) == 1
+    assert r.diag is d and len(built) == 1
+    assert (built[0].h.sum(axis=0) == state.H).all()
 
 
 def _count_reconstruct_w(monkeypatch, module):
     calls = []
     real = module.reconstruct_w
     monkeypatch.setattr(module, "reconstruct_w",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+                        lambda *a, **k: calls.append(real(*a, **k)) or calls[-1])
     return calls
 
 
@@ -213,16 +216,17 @@ def test_inviscid_audit_reconstructs_no_w(monkeypatch):
     scn = _smooth_scenario(boundary="wall")
     state, rhs, ctx = make_rhs(scn)
     d = rhs(state).diag
-    assert d.w is None and np.isfinite(d.influx)
+    assert np.isfinite(d.influx)
     assert in_loop == []
     output.snapshot_frame(0.0, state.H, d, ctx)
-    assert in_output == [1]
+    assert len(in_output) == 1
     run(scn)
     assert in_loop == []
 
 
 def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
-    # the stress closure, the audit and the snapshot share one w
+    # the stress closure and the audit share one w; the snapshot, which
+    # keeps none, rebuilds the same w bit for bit
     in_loop = _count_reconstruct_w(monkeypatch, timeloop)
     in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
@@ -230,15 +234,17 @@ def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
                            physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
     state, rhs, ctx = make_rhs(scn)
     d = rhs(state).diag
+    assert (len(in_loop), in_closure, in_output) == (1, [], [])
     snap = output.snapshot_frame(0.0, state.H, d, ctx)
-    assert (in_loop, in_closure, in_output) == ([1], [], [])
-    assert snap.w is d.w
+    assert (len(in_loop), in_closure, len(in_output)) == (1, [], 1)
+    w = in_loop[0][0]
+    assert snap.w is not w and snap.w.tobytes() == w.tobytes()
     assert np.isfinite(d.influx)
 
 
 def _record_slope_reads(monkeypatch):
     reads = []
-    for name in ("dz_if_dx", "cos_if", "dz_mid_dx"):
+    for name in ("dz_if_dx", "dz_mid_dx"):
         real = InterfaceGeometry.__dict__[name]
         monkeypatch.setattr(InterfaceGeometry, name, property(
             lambda self, name=name, real=real:
@@ -264,8 +270,8 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     scn = _smooth_scenario(boundary="wall",
                            physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
     state, rhs, ctx = make_rhs(scn)
-    geom = rhs(state).diag.geom
-    assert set(reads) == {"dz_if_dx", "cos_if", "dz_mid_dx"}
+    geom = rhs(state).geom
+    assert set(reads) == {"dz_if_dx", "dz_mid_dx"}
     slope = geom.dz_if_dx
     assert geom.dz_if_dx is slope
     assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bathy.bc))
@@ -282,6 +288,76 @@ def test_run_is_deterministic():
 def test_run_honors_step_budget():
     with pytest.raises(SolverAbort):
         run(_smooth_scenario(), max_steps=3)
+
+
+@pytest.mark.parametrize("integrator", ["forward-euler", "ssp-rk2"])
+def test_run_keeps_the_states_it_took_unchanged(integrator):
+    # the frames hold the loop's own states, which no later step mutates
+    scn = _smooth_scenario(controls=ControlsSpec(t_end=0.1, integrator=integrator))
+    state0, _, _ = make_rhs(scn)
+    result = run(scn)
+    first = result.snapshots[0][2]
+    assert first.H.tobytes() == state0.H.tobytes()
+    assert first.q.tobytes() == state0.q.tobytes()
+    assert result.snapshots[-1][2] is result.final
+    states = [s for _, _, s in result.snapshots]
+    assert len({id(s.H) for s in states}) == len(states) > 2
+
+
+def _arrays_reached(obj):
+    """Every numpy array reachable from obj through attributes, containers
+    and array bases."""
+    found, todo, seen = [], [obj], set()
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+            todo.append(o.base)
+        else:
+            todo.extend(gc.get_referents(o))
+    return found
+
+
+@pytest.mark.parametrize("physics,eta_r", [(PhysicsSpec(g=9.81), 0.0),
+                                           (PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01), 0.8)],
+                         ids=["inviscid", "viscous"])
+def test_a_retained_frame_keeps_only_its_window_u_and_G(physics, eta_r):
+    # geometry, layer energies and w follow from the depth and u, so a
+    # frame keeps none of them; the inviscid run starts on a dry stretch
+    scn = _smooth_scenario(boundary="wall", physics=physics,
+                           init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=eta_r, x0=0.5))
+    result = run(scn)
+    N, n = scn.layers.n, scn.mesh.n_cells
+    windows = set()
+    for _, d, _ in result.snapshots:
+        a, b = d.window
+        windows.add(b - a)
+        assert d.u.shape == (N, b - a) and d.G.shape == (N + 1, b - a)
+        reached = _arrays_reached(d)
+        assert {id(x) for x in reached} == {id(d.u), id(d.G)}
+        assert sum(x.nbytes for x in reached) == d.u.nbytes + d.G.nbytes
+    assert (min(windows) < n) == (not physics.mu)
+
+
+def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
+    built = []
+    real = timeloop.build_geometry
+    monkeypatch.setattr(timeloop, "build_geometry",
+                        lambda *a: built.append(real(*a)) or built[-1])
+    scn = _smooth_scenario(boundary="wall", bathymetry=BathymetrySpec(
+        kind="bump", a=0.1, x0=0.3, width=0.1),
+        init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.5))
+    state, rhs, ctx = make_rhs(scn)
+    built.clear()
+    r = rhs(state)
+    r.diag
+    (a, b), (geom,) = r.window, built
+    assert b < ctx.grid.n_cells
+    assert geom.cos_b.tobytes() == ctx.bathy.cos[a:b].tobytes()
+    assert (geom.z_if[0] == ctx.bathy.zb[a:b]).all()
 
 
 def test_rk2_is_second_order_in_time():
