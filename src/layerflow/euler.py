@@ -12,7 +12,7 @@ divergences that update the depth and enters as a cell-centered source.
 The cells outside the wet window (`wet_window`) hold a dry bed at rest
 and have both-dry edges, which carry no flux and no pressure correction:
 their tendencies are those of a dry bed (dH = -0.0, dq = G = 0), so
-callers evaluate the window's cells only.
+callers evaluate the window's cells only, on its bed `bathy.cells(a, b)`.
 """
 from __future__ import annotations
 
@@ -160,21 +160,18 @@ def euler_rhs(
     part: LayerPartition,
     g: float,
     u: np.ndarray | None = None,
-    window: tuple[int, int] | None = None,
 ) -> EulerRhs:
     """Tendencies of (H, q) from pressure, advection and mass exchange.
 
     H, q (and `u`, velocities(H, q, part) when the caller already has it)
-    hold the cells [a, b) = `window` of the domain, by default all of it;
-    a window narrower than the domain must contain wet_window's, since
-    the ghost cells it pads are dry there.  The tendencies are those cells'.
+    hold the cells of `bathy`: the domain's, or the bed `cells(a, b)` of a
+    window that contains wet_window's, since the ghost cells it pads are
+    dry there.  The tendencies are those cells'.
     """
     if u is None:
         u = velocities(H, q, part)
-    a, b = window if window is not None else (0, H.size)
-    e = slice(a, b + 1)  # the cells' edges
     dx, bc = bathy.dx, bathy.bc
-    zb_l, zb_r, z_edge = bathy.zb_l[e], bathy.zb_r[e], bathy.z_edge[e]
+    zb_l, zb_r, z_edge = bathy.zb_l, bathy.zb_r, bathy.z_edge
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
     H_l, H_r = Hp[:-1], Hp[1:]

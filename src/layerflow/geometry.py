@@ -78,6 +78,16 @@ class Bathymetry:
     zb_r: np.ndarray     # (n+1,) bed of the cell right of each edge
     z_edge: np.ndarray   # (n+1,) max(zb_l, zb_r)
 
+    def cells(self, a: int, b: int) -> "Bathymetry":
+        """The bed of the cells [a, b) and of their edges [a, b + 1); the
+        bed itself when that is the whole domain."""
+        if a == 0 and b == self.zb.size:
+            return self
+        e = slice(a, b + 1)
+        return Bathymetry(zb=self.zb[a:b], slope=self.slope[a:b], cos=self.cos[a:b],
+                          dx=self.dx, bc=self.bc, zb_l=self.zb_l[e], zb_r=self.zb_r[e],
+                          z_edge=self.z_edge[e])
+
 
 def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     zb = np.asarray(zb, dtype=float)

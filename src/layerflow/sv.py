@@ -35,14 +35,14 @@ class SvRhs:
     dq: np.ndarray
 
 
-def sv_velocity(H: np.ndarray, q: np.ndarray, h_dry: float = H_DRY) -> np.ndarray:
+def sv_velocity(H: np.ndarray, q: np.ndarray) -> np.ndarray:
     u = np.zeros_like(q)
-    wet = H > h_dry
+    wet = H > H_DRY
     u[wet] = q[wet] / H[wet]
     return u
 
 
-def _hll_edge_fluxes(H_l, u_l, H_r, u_r, g, h_dry):
+def _hll_edge_fluxes(H_l, u_l, H_r, u_r, g):
     q_l = H_l * u_l
     q_r = H_r * u_r
     f_mass_l = q_l
@@ -55,8 +55,8 @@ def _hll_edge_fluxes(H_l, u_l, H_r, u_r, g, h_dry):
     s_l = np.minimum(u_l - c_l, u_r - c_r)
     s_r = np.maximum(u_l + c_l, u_r + c_r)
 
-    dry_l = H_l <= h_dry
-    dry_r = H_r <= h_dry
+    dry_l = H_l <= H_DRY
+    dry_r = H_r <= H_DRY
     s_l = np.where(dry_r & ~dry_l, u_l - c_l, s_l)
     s_r = np.where(dry_r & ~dry_l, u_l + 2.0 * c_l, s_r)
     s_l = np.where(dry_l & ~dry_r, u_r - 2.0 * c_r, s_l)
@@ -89,12 +89,11 @@ def sv_rhs(
     k_t: float,
     dx: float,
     bc: str,
-    h_dry: float = H_DRY,
 ) -> SvRhs:
     """Full tendency of (H, q) for the depth-averaged system."""
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(q))):
         raise SolverAbort("non-finite state in reference solver")
-    u = sv_velocity(H, q, h_dry)
+    u = sv_velocity(H, q)
 
     Hp = pad_cells(H, bc)
     up = pad_cells(u, bc, sign=-1.0)
@@ -106,7 +105,7 @@ def sv_rhs(
     z_edge = np.maximum(zb_l, zb_r)
     H_ls = np.maximum((H_l + zb_l) - z_edge, 0.0)
     H_rs = np.maximum((H_r + zb_r) - z_edge, 0.0)
-    f_mass, f_mom = _hll_edge_fluxes(H_ls, u_l, H_rs, u_r, g, h_dry)
+    f_mass, f_mom = _hll_edge_fluxes(H_ls, u_l, H_rs, u_r, g)
     corr_l = 0.5 * g * (H_l * H_l - H_ls * H_ls)
     corr_r = 0.5 * g * (H_r * H_r - H_rs * H_rs)
 

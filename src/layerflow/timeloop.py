@@ -10,19 +10,21 @@ snap to zero and the momentum of dry columns is dropped; anything worse
 aborts with the offending cell.
 
 Each right-hand-side evaluation computes velocities, layer thicknesses
-and fluxes once and returns the tendencies at once.  The diagnostics the
-run loop reads (energy and dissipation sums, velocities) are built only
-when first asked for, which happens at accepted states: there the loop
-audits energy, takes snapshots and sizes the next step.  An evaluation
-the stepper only advances through, such as the second SSP-RK2 stage,
+and fluxes once and returns the tendencies at once.  The diagnostics of
+a state (energy and dissipation sums, velocities and the stable step
+from it) are built only when first asked for, which happens at accepted
+states: there `run`, the one stepping loop, audits energy, takes
+snapshots and takes the step the diagnostics sized.  An evaluation the
+stepper only advances through, such as the second SSP-RK2 stage,
 therefore computes tendencies only.  Inviscid tendencies need no
 geometry; viscous ones build it, and reconstruct the vertical velocity w
 for the stresses, at every stage.
 
-An inviscid evaluation works on its wet window (`wet_window`), outside
-which the state is a dry bed at rest: the tendencies, each stage's
-update and clip, the stable step and the audit's fields cover the
-window's cells only, and snapshot_frame widens the fields it writes.
+Every evaluation works on its window of cells and on the window's bed
+(`Bathymetry.cells`).  An inviscid window is the wet one (`wet_window`),
+outside which the state is a dry bed at rest: the tendencies, each
+stage's update and clip, the stable step and the audit's fields cover
+the window's cells only, and snapshot_frame widens the fields it writes.
 Viscous evaluations take the whole domain as their window.
 """
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,12 +54,14 @@ from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
 
 @dataclass
 class Diagnostics:
-    """What a run keeps of one evaluated state: the audit's sums, and u and
-    G on the evaluation's window [a, b), which snapshot_frame widens."""
+    """What a run keeps of one evaluated state: the stable step from it,
+    the audit's sums, and u and G on the evaluation's window [a, b),
+    which snapshot_frame widens."""
 
     u: np.ndarray                   # (N, b - a)
     G: np.ndarray                   # (N+1, b - a)
     window: tuple[int, int]
+    dt: float                       # stable step from this state
     energy: float                   # total mechanical energy
     influx: float                   # net boundary energy inflow
     diss_exchange: float
@@ -72,19 +76,16 @@ class RhsEval:
     Outside the window the state is a dry bed at rest, which keeps it.
     `diagnose` builds the diagnostics from what the evaluation already
     computed, so an evaluation whose diagnostics nobody reads never pays
-    for them.  `geom` is the geometry a viscous evaluation built, which
-    the stable step reads; inviscid evaluations build none.
+    for them.
     """
 
     def __init__(self, dH: np.ndarray, dq: np.ndarray,
                  window: Optional[tuple[int, int]] = None,
-                 diagnose: Optional[Callable[[], Diagnostics]] = None,
-                 geom: Optional[InterfaceGeometry] = None):
+                 diagnose: Optional[Callable[[], Diagnostics]] = None):
         self.dH = dH
         self.dq = dq
         self.window = window if window is not None else (0, dH.size)
         self._diagnose = diagnose
-        self.geom = geom
 
     @functools.cached_property
     def diag(self) -> Optional[Diagnostics]:
@@ -116,12 +117,12 @@ class SimContext:
 def stable_dt(
     H: np.ndarray,
     u: np.ndarray,
-    geom: Optional[InterfaceGeometry],
+    geom: InterfaceGeometry,
     ctx: SimContext,
 ) -> float:
     """Largest step honoring the advective, viscous and friction bounds.
 
-    Inviscid runs pass the wet window's H and u, and no geometry: the bounds
+    H, u and `geom` hold the cells of an evaluation's window: the bounds
     are over wet cells, and only the viscous and friction ones read `geom`.
     """
     c = ctx.controls
@@ -144,7 +145,7 @@ def stable_dt(
                 bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
     if ctx.friction.active:
         kappa = ctx.friction.kappa(u[0], H)[wet]
-        cos3 = ctx.bathy.cos[wet] ** 3
+        cos3 = geom.cos_b[wet] ** 3
         h1 = geom.h[0, wet]
         pos = kappa > 0.0
         if np.any(pos):
@@ -241,50 +242,39 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
     E_dry = energy_mod.layer_energies(Z, build_geometry(Z[0], bathy, part, Z), g)
 
     def rhs(state: LayerState) -> RhsEval:
-        H, q = state.H, state.q
-        # inviscid tendencies need no geometry, and only the wet window's
-        # cells change; the geometry is built for the diagnostics only, if
-        # they are read
-        if not viscous:
-            a, b = wet_window(H, q, bathy.bc)
-            H, q = H[a:b], q[:, a:b]
-            h = layer_thicknesses(H, part)
-            u = velocities(H, q, part, h=h)
-            ev = euler_rhs(H, q, bathy, part, g, u=u, window=(a, b))
-            return RhsEval(ev.dH, ev.dq, (a, b),
-                           lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, h=h))
-        geom = build_geometry(H, bathy, part)
-        u = velocities(H, q, part, h=geom.h)
-        ev = euler_rhs(H, q, bathy, part, g, u=u)
+        # only the wet window's cells change on an inviscid run; the
+        # stresses' derivatives need the whole domain
+        a, b = (0, n) if viscous else wet_window(state.H, state.q, bathy.bc)
+        bed = bathy.cells(a, b)
+        H, q = state.H[a:b], state.q[:, a:b]
+        h = layer_thicknesses(H, part)
+        u = velocities(H, q, part, h=h)
+        ev = euler_rhs(H, q, bed, part, g, u=u)
+        if not viscous:  # the geometry is built for the diagnostics, if read
+            return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
+                ctx, H, u, ev.G, (a, b), E_dry, build_geometry(H, bed, part, h)))
+        geom = build_geometry(H, bed, part, h)
         w, dudx = reconstruct_w(u, geom)
         S = stress_closure(ctx.model, ctx.friction, H, u, geom, w=w, dudx=dudx)
         dq = ev.dq + viscous_rhs(S, geom)
-        return RhsEval(ev.dH, dq, (0, n),
-                       lambda: _diagnostics(ctx, H, u, ev.G, (0, n), E_dry, geom, S, w), geom)
+        return RhsEval(ev.dH, dq, (a, b),
+                       lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, geom, S, w))
 
     return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
-                 window: tuple[int, int], E_dry: np.ndarray,
-                 geom: Optional[InterfaceGeometry] = None,
+                 window: tuple[int, int], E_dry: np.ndarray, geom: InterfaceGeometry,
                  S: Optional[StressField] = None,
-                 w: Optional[np.ndarray] = None,
-                 h: Optional[np.ndarray] = None) -> Diagnostics:
-    """Audit sums of one evaluation on its window [a, b).
+                 w: Optional[np.ndarray] = None) -> Diagnostics:
+    """Stable step and audit sums of one evaluation on its window [a, b).
 
-    Without `geom`, the geometry is built from the layer thicknesses `h`.
     The layer energies and the exchange dissipation are widened with the
     dry bed's (`E_dry`, zero) before their sums: a sum over the window
     would round differently.  Only u and G outlive the call.
     """
     a, b = window
     n = ctx.grid.n_cells
-    if geom is None:
-        bathy = ctx.bathy
-        if b - a < n:  # the window's stretch of the bed
-            bathy = replace(bathy, zb=bathy.zb[a:b], cos=bathy.cos[a:b])
-        geom = build_geometry(H, bathy, ctx.part, h)
     if S is not None:
         d_stress, d_fric = energy_mod.newtonian_dissipation(
             S, geom, ctx.model, ctx.friction, H, u)
@@ -297,7 +287,7 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
         flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S)
         influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
                                              flux[-1] if b == n else 0.0))
-    return Diagnostics(u=u, G=G, window=window,
+    return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),
                        energy=float(widen(E, a, n, E_dry).sum() * ctx.dx), influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n),
                        diss_stress=d_stress, diss_friction=d_fric)
@@ -374,7 +364,7 @@ def run(
     next_snap = next_snapshot_time(t, every)
 
     while t < t_end * (1.0 - 1e-13):
-        dt = stable_dt(state.H[slice(*r.window)], r.diag.u, r.geom, ctx)
+        dt = r.diag.dt
         if dt <= max(1e-13, 1e-13 * t_end):
             raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
         if step_no == 0 and (t_end - t) / dt > max_steps:

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from layerflow import energy, euler, geometry, kinematics, rheology, state, timeloop
+from layerflow import energy, euler, geometry, kinematics, rheology, state, sv, timeloop
 from layerflow.geometry import (LayerPartition, build_geometry,
                                 layer_thicknesses, make_bathymetry)
 from layerflow.gridops import ddx
@@ -137,7 +137,7 @@ def test_the_bed_cosine_is_the_cosine_of_the_bed_interface_bitwise(bc):
 
 
 @pytest.mark.parametrize("module", [euler, geometry, state, kinematics, rheology,
-                                    energy, timeloop], ids=lambda m: m.__name__)
+                                    energy, timeloop, sv], ids=lambda m: m.__name__)
 def test_mesh_spacing_boundary_and_dry_threshold_have_one_owner(module):
     # the bed holds dx and the boundary kind, a geometry carries the bed's,
     # and the dry threshold is the constant H_DRY: no kernel restates them

@@ -185,19 +185,25 @@ def test_snapshot_time_advances_for_a_cadence_below_resolution():
     assert np.nextafter(t * (1.0 + 1e-12), np.inf) >= nxt * (1.0 - 1e-12)
 
 
-def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
-    # make_rhs builds the dry bed's geometry once; count from there
-    state, rhs, ctx = make_rhs(_smooth_scenario())
+def _record_geometry(monkeypatch):
+    """(bed, geometry) of every timeloop.build_geometry call from now on."""
     built = []
     real = timeloop.build_geometry
     monkeypatch.setattr(timeloop, "build_geometry",
-                        lambda *a: built.append(real(*a)) or built[-1])
+                        lambda *a: built.append((a[1], real(*a))) or built[-1][1])
+    return built
+
+
+def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
+    # make_rhs builds the dry bed's geometry once; count from there
+    state, rhs, ctx = make_rhs(_smooth_scenario())
+    built = _record_geometry(monkeypatch)
     r = rhs(state)
-    assert built == [] and r.geom is None
+    assert built == []
     d = r.diag
     assert len(built) == 1
     assert r.diag is d and len(built) == 1
-    assert (built[0].h.sum(axis=0) == state.H).all()
+    assert (built[0][1].h.sum(axis=0) == state.H).all()
 
 
 def _count_reconstruct_w(monkeypatch, module):
@@ -270,7 +276,9 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     scn = _smooth_scenario(boundary="wall",
                            physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
     state, rhs, ctx = make_rhs(scn)
-    geom = rhs(state).geom
+    built = _record_geometry(monkeypatch)
+    rhs(state)
+    ((_, geom),) = built
     assert set(reads) == {"dz_if_dx", "dz_mid_dx"}
     slope = geom.dz_if_dx
     assert geom.dz_if_dx is slope
@@ -343,10 +351,7 @@ def test_a_retained_frame_keeps_only_its_window_u_and_G(physics, eta_r):
 
 
 def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
-    built = []
-    real = timeloop.build_geometry
-    monkeypatch.setattr(timeloop, "build_geometry",
-                        lambda *a: built.append(real(*a)) or built[-1])
+    built = _record_geometry(monkeypatch)
     scn = _smooth_scenario(boundary="wall", bathymetry=BathymetrySpec(
         kind="bump", a=0.1, x0=0.3, width=0.1),
         init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.5))
@@ -354,10 +359,45 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
     built.clear()
     r = rhs(state)
     r.diag
-    (a, b), (geom,) = r.window, built
+    (a, b), ((bed, geom),) = r.window, built
     assert b < ctx.grid.n_cells
+    for name, stop in (("zb", b), ("slope", b), ("cos", b),
+                       ("zb_l", b + 1), ("zb_r", b + 1), ("z_edge", b + 1)):
+        field = getattr(bed, name)
+        assert field.shape == (stop - a,), name
+        assert field.tobytes() == getattr(ctx.bathy, name)[a:stop].tobytes(), name
     assert geom.cos_b.tobytes() == ctx.bathy.cos[a:b].tobytes()
     assert (geom.z_if[0] == ctx.bathy.zb[a:b]).all()
+
+
+@pytest.mark.parametrize("physics,eta_r", [(PhysicsSpec(g=9.81), 0.0),
+                                           (PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01), 0.8)],
+                         ids=["inviscid", "viscous"])
+def test_each_step_is_the_stable_step_of_the_state_it_starts_from(monkeypatch, physics, eta_r):
+    # a frame per step: frame k holds the state step k starts from; the
+    # inviscid run starts on a dry stretch
+    taken = []
+    real = timeloop.step
+    monkeypatch.setattr(timeloop, "step", lambda state, dt, *a, **k:
+                        taken.append((state, dt)) or real(state, dt, *a, **k))
+    scn = _smooth_scenario(boundary="wall", physics=physics,
+                           init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=eta_r, x0=0.5),
+                           output=OutputSpec(snapshot_every=1e-12))
+    result = run(scn)
+    ctx = result.ctx
+    assert len(result.snapshots) == len(taken) + 1 == result.summary["steps"] + 1 > 2
+    for k, ((t, d, state), (start, dt)) in enumerate(zip(result.snapshots, taken)):
+        assert start is state
+        a, b = d.window
+        H = state.H[a:b]
+        geom = build_geometry(H, ctx.bathy.cells(a, b), ctx.part)
+        assert stable_dt(H, d.u, geom, ctx) == d.dt
+        if k + 1 < len(taken):
+            assert dt == d.dt, k
+        else:  # clamped to t_end
+            assert dt == scn.controls.t_end - t and dt <= d.dt
+    widths = [d.window[1] - d.window[0] for _, d, _ in result.snapshots]
+    assert (min(widths) < scn.mesh.n_cells) == (not physics.mu)
 
 
 def test_rk2_is_second_order_in_time():
