@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import ddx, widen
-from .rheology import INTERFACE, FrictionLaw, RheologyModel, StressField
+from .gridops import widen
+from .rheology import FrictionLaw, RheologyModel, StressField
 
 
 def layer_energies(u: np.ndarray, geom: InterfaceGeometry, g: float) -> np.ndarray:
@@ -55,33 +55,29 @@ def newtonian_dissipation(
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
-    The stress part divides by mu, which is exact for the Newtonian
-    closures.
+    The stress part sums weight (Sxx^2 + Szx^2) over the closure's
+    carrier and divides by mu, which is exact for the Newtonian closures.
     """
     dx, cos_b = geom.dx, geom.cos_b
     friction_part = float(-(friction.kappa(u[0], H) / cos_b**3 * u[0] * u[0]).sum() * dx)
     if model.mu <= 0.0:
         return 0.0, friction_part
-    if model.placement == INTERFACE:
-        quad = geom.h_half * (S.xx_if * S.xx_if + S.zx_if * S.zx_if)
-    else:
-        quad = geom.h * (S.xx_mid * S.xx_mid + S.zx_mid * S.zx_mid)
+    quad = S.weight * (S.xx * S.xx + S.zx * S.zx)
     return float(-(quad.sum() / model.mu) * dx), friction_part
 
 
 def energy_flux_density(
-    u: np.ndarray, w: np.ndarray | None, geom: InterfaceGeometry,
+    u: np.ndarray, geom: InterfaceGeometry,
     E: np.ndarray, p_mid: np.ndarray, S: StressField | None,
 ) -> np.ndarray:
     """Horizontal energy flux per cell (n,), used for boundary budgets.
 
     Advective/pressure part u (E + h p) per layer, plus the in-layer
-    viscous working when a stress field is supplied (only it reads w).
+    viscous working when a stress field is supplied.
     """
     flux = (u * (E + geom.h * p_mid)).sum(axis=0)
     if S is not None:
-        inner = ddx(geom.h * geom.z_mid * S.zx_mid, geom.dx, geom.bc)
-        work = u * (geom.h * (S.xx_mid - S.zz_mid) + inner) + w * geom.h * S.zx_mid
+        work = u * S.resultant + S.w * geom.h * S.zx_mid
         flux = flux - work.sum(axis=0)
     return flux
 

@@ -60,7 +60,7 @@ class LayerPartition:
 
 @dataclass(frozen=True)
 class Bathymetry:
-    """Bed elevation with its centered slope and slope cosine.
+    """Bed elevation with the cosine of its centered slope.
 
     The bed holds the run's cell width `dx` and boundary kind `bc`, which
     kernels given a bed or a geometry built on it read.  The bed on either
@@ -70,7 +70,6 @@ class Bathymetry:
     """
 
     zb: np.ndarray
-    slope: np.ndarray
     cos: np.ndarray
     dx: float
     bc: str
@@ -84,9 +83,8 @@ class Bathymetry:
         if a == 0 and b == self.zb.size:
             return self
         e = slice(a, b + 1)
-        return Bathymetry(zb=self.zb[a:b], slope=self.slope[a:b], cos=self.cos[a:b],
-                          dx=self.dx, bc=self.bc, zb_l=self.zb_l[e], zb_r=self.zb_r[e],
-                          z_edge=self.z_edge[e])
+        return Bathymetry(zb=self.zb[a:b], cos=self.cos[a:b], dx=self.dx, bc=self.bc,
+                          zb_l=self.zb_l[e], zb_r=self.zb_r[e], z_edge=self.z_edge[e])
 
 
 def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
@@ -97,7 +95,7 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     slope = ddx(zb, dx, bc)
     zbp = pad_cells(zb, bc)
     zb_l, zb_r = zbp[:-1], zbp[1:]
-    return Bathymetry(zb=zb, slope=slope, cos=1.0 / np.sqrt(1.0 + slope * slope),
+    return Bathymetry(zb=zb, cos=1.0 / np.sqrt(1.0 + slope * slope),
                       dx=dx, bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
 
 

@@ -18,7 +18,6 @@ sigma = kappa u_1 / cos^3 with kappa = k_l + k_t H |u_1|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,19 +46,19 @@ class FrictionLaw:
 
 @dataclass
 class StressField:
-    """Deviatoric stresses at interfaces (N+1, n) and midpoints (N, n).
+    """The closed stress field of one state.  The Newtonian closures are
+    traceless, Szz = -Sxx, so Sxx - Szz is evaluated as Sxx + Sxx."""
 
-    `sigma` holds the tangential tractions including the free-surface
-    and bottom-friction closures once `close_tractions` has run.
-    """
-
-    xx_if: np.ndarray
-    zx_if: np.ndarray
-    zz_if: np.ndarray
-    xx_mid: np.ndarray
-    zx_mid: np.ndarray
-    zz_mid: np.ndarray
-    sigma: Optional[np.ndarray] = None
+    xx_if: np.ndarray       # Sxx at interfaces (N+1, n)
+    zx_if: np.ndarray       # Szx at interfaces
+    xx_mid: np.ndarray      # Sxx at midpoints (N, n)
+    zx_mid: np.ndarray      # Szx at midpoints
+    weight: np.ndarray      # the closure's carrier: h_half at interfaces, h at midpoints
+    xx: np.ndarray          # Sxx on the carrier
+    zx: np.ndarray          # Szx on the carrier
+    sigma: np.ndarray       # tangential tractions (N+1, n), surface and bed closed
+    w: np.ndarray           # the layer-mean w the stresses were built from
+    resultant: np.ndarray   # in-layer h (Sxx - Szz) + d(h z_mid Szx)/dx (N, n)
 
 
 @dataclass
@@ -96,7 +95,7 @@ def shear_phi(w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry) -> np.nd
 
 def newtonian_interface_stresses(
     u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
-) -> StressField:
+) -> tuple[np.ndarray, ...]:
     """Newtonian closure evaluated at interfaces, averaged to midpoints."""
     phi = shear_phi(w, dudx, geom)
     hd = _pad_layers_zero(geom.h * dudx)
@@ -113,13 +112,12 @@ def newtonian_interface_stresses(
 
     xx_mid = 0.5 * (xx_if[:-1] + xx_if[1:])
     zx_mid = 0.5 * (zx_if[:-1] + zx_if[1:])
-    return StressField(xx_if=xx_if, zx_if=zx_if, zz_if=-xx_if,
-                       xx_mid=xx_mid, zx_mid=zx_mid, zz_mid=-xx_mid)
+    return xx_if, zx_if, xx_mid, zx_mid
 
 
 def newtonian_layer_stresses(
     u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
-) -> StressField:
+) -> tuple[np.ndarray, ...]:
     """Newtonian closure evaluated per layer, averaged to interfaces."""
     phi = shear_phi(w, dudx, geom)
     up = _pad_layers_edge(u)
@@ -141,45 +139,29 @@ def newtonian_layer_stresses(
     # keep the single-sided value (their traction is closed separately)
     xx_if = 0.5 * (_pad_layers_edge(xx_mid)[:-1] + _pad_layers_edge(xx_mid)[1:])
     zx_if = 0.5 * (_pad_layers_edge(zx_mid)[:-1] + _pad_layers_edge(zx_mid)[1:])
-    return StressField(xx_if=xx_if, zx_if=zx_if, zz_if=-xx_if,
-                       xx_mid=xx_mid, zx_mid=zx_mid, zz_mid=-xx_mid)
-
-
-def tangential_traction(xx: np.ndarray, zx: np.ndarray, zz: np.ndarray,
-                        slope: np.ndarray) -> np.ndarray:
-    """Traction along a surface of slope `slope` for a symmetric tensor."""
-    return zx - slope * (xx + slope * zx - zz)
-
-
-def bottom_traction(friction: FrictionLaw, u_bottom: np.ndarray,
-                    H: np.ndarray, cos_b: np.ndarray) -> np.ndarray:
-    """Wall-law traction kappa u_1 / cos^3 resisting the bottom slip."""
-    return friction.kappa(u_bottom, H) * u_bottom / cos_b**3
-
-
-def close_tractions(S: StressField, geom: InterfaceGeometry,
-                    friction: FrictionLaw, H: np.ndarray, u: np.ndarray) -> StressField:
-    """Fill StressField.sigma with interior, surface and bed tractions."""
-    sigma = tangential_traction(S.xx_if, S.zx_if, S.zz_if, geom.dz_if_dx)
-    sigma[-1] = 0.0
-    sigma[0] = bottom_traction(friction, u[0], H, geom.cos_b)
-    S.sigma = sigma
-    return S
+    return xx_if, zx_if, xx_mid, zx_mid
 
 
 def stress_closure(
     model: RheologyModel, friction: FrictionLaw,
     H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry,
-    w: Optional[np.ndarray] = None, dudx: Optional[np.ndarray] = None,
 ) -> StressField:
-    """Build the full stress field (with tractions) for one state."""
-    if w is None or dudx is None:
-        w, dudx = reconstruct_w(u, geom)
-    if model.placement == INTERFACE:
-        S = newtonian_interface_stresses(u, w, dudx, geom, model.mu)
-    else:
-        S = newtonian_layer_stresses(u, w, dudx, geom, model.mu)
-    return close_tractions(S, geom, friction, H, u)
+    """The closed stress field of one state, from the w it reconstructs."""
+    w, dudx = reconstruct_w(u, geom)
+    interface = model.placement == INTERFACE
+    closure = newtonian_interface_stresses if interface else newtonian_layer_stresses
+    xx_if, zx_if, xx_mid, zx_mid = closure(u, w, dudx, geom, model.mu)
+    weight, xx, zx = (geom.h_half, xx_if, zx_if) if interface else (geom.h, xx_mid, zx_mid)
+
+    s = geom.dz_if_dx
+    sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
+    sigma[-1] = 0.0
+    sigma[0] = friction.kappa(u[0], H) * u[0] / geom.cos_b**3
+
+    h = geom.h
+    resultant = h * (xx_mid + xx_mid) + ddx(h * geom.z_mid * zx_mid, geom.dx, geom.bc)
+    return StressField(xx_if=xx_if, zx_if=zx_if, xx_mid=xx_mid, zx_mid=zx_mid,
+                       weight=weight, xx=xx, zx=zx, sigma=sigma, w=w, resultant=resultant)
 
 
 def viscous_rhs(S: StressField, geom: InterfaceGeometry) -> np.ndarray:
@@ -189,12 +171,9 @@ def viscous_rhs(S: StressField, geom: InterfaceGeometry) -> np.ndarray:
     second-derivative coupling of the shear carried by all layers
     above, and the traction jump across the layer.
     """
-    if S.sigma is None:
-        raise ValueError("stress field is missing tractions; run close_tractions")
-    h, z_mid, z_if, dx, bc = geom.h, geom.z_mid, geom.z_if, geom.dx, geom.bc
+    h, z_if, dx, bc = geom.h, geom.z_if, geom.dx, geom.bc
 
-    inner = ddx(h * z_mid * S.zx_mid, dx, bc)
-    term1 = ddx(h * (S.xx_mid - S.zz_mid) + inner, dx, bc)
+    term1 = ddx(S.resultant, dx, bc)
 
     hzx = h * S.zx_mid
     above = np.zeros((h.shape[0] + 1, h.shape[1]))

@@ -78,7 +78,6 @@ class ControlsSpec:
     cfl: float = 0.5
     t_end: float = 1.0
     integrator: str = SSP_RK2
-    viscous_safety: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -330,9 +329,6 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     if c.integrator not in INTEGRATORS:
         bad("controls.integrator",
             f"unknown integrator {c.integrator!r}, expected one of {INTEGRATORS}")
-    if c.viscous_safety <= 0.0 or c.viscous_safety > 1.0:
-        out_of_range("controls.viscous_safety",
-            f"viscous_safety must lie in (0, 1], got {c.viscous_safety:g}")
 
     if scn.output.snapshot_every < 0:
         out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")

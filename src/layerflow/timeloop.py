@@ -1,10 +1,11 @@
 """Explicit time integration with adaptive stable steps.
 
 The step size satisfies the advective CFL condition and, for viscous
-runs, explicit-diffusion bounds for the vertical shear stencil (gap^2 /
-2 mu), the horizontal stress divergence (dx^2 / 4 mu) and the
-fourth-order cross terms weighted by interface heights (dx^4 / mu z^2).
-Friction adds a relaxation bound h_1 cos^3 / kappa.  After every stage
+runs, explicit-diffusion bounds for the vertical shear stencil
+(0.25 gap^2 / mu), the horizontal stress divergence (dx^2 / (8 mu)) and
+the fourth-order cross terms weighted by interface heights
+(dx^4 / (2 mu z_max^2)).  Friction, with or without viscosity, adds a
+relaxation bound 0.5 h_1 cos^3 / kappa.  After every stage
 the depth is clipped: small negatives (round-off from drying fronts)
 snap to zero and the momentum of dry columns is dropped; anything worse
 aborts with the offending cell.
@@ -17,8 +18,8 @@ states: there `run`, the one stepping loop, audits energy, takes
 snapshots and takes the step the diagnostics sized.  An evaluation the
 stepper only advances through, such as the second SSP-RK2 stage,
 therefore computes tendencies only.  Inviscid tendencies need no
-geometry; viscous ones build it, and reconstruct the vertical velocity w
-for the stresses, at every stage.
+geometry; viscous ones build it, and the closed stress field, at every
+stage.
 
 Every evaluation works on its window of cells and on the window's bed
 (`Bathymetry.cells`).  An inviscid window is the wet one (`wet_window`),
@@ -43,7 +44,6 @@ from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
 from .gridops import PERIODIC, Grid, widen
-from .kinematics import reconstruct_w
 from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
                        viscous_rhs)
 from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, Scenario,
@@ -151,7 +151,7 @@ def stable_dt(
         if np.any(pos):
             bounds.append(float((h1[pos] * cos3[pos] / kappa[pos]).min()))
     if bounds:
-        dt = min(dt, c.viscous_safety * min(bounds))
+        dt = min(dt, 0.5 * min(bounds))
     if not (dt > 0.0):
         raise SolverAbort(f"nonpositive stable step dt={dt:g}")
     return float(dt)
@@ -254,19 +254,17 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
             return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
                 ctx, H, u, ev.G, (a, b), E_dry, build_geometry(H, bed, part, h)))
         geom = build_geometry(H, bed, part, h)
-        w, dudx = reconstruct_w(u, geom)
-        S = stress_closure(ctx.model, ctx.friction, H, u, geom, w=w, dudx=dudx)
+        S = stress_closure(ctx.model, ctx.friction, H, u, geom)
         dq = ev.dq + viscous_rhs(S, geom)
         return RhsEval(ev.dH, dq, (a, b),
-                       lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, geom, S, w))
+                       lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, geom, S))
 
     return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
                  window: tuple[int, int], E_dry: np.ndarray, geom: InterfaceGeometry,
-                 S: Optional[StressField] = None,
-                 w: Optional[np.ndarray] = None) -> Diagnostics:
+                 S: Optional[StressField] = None) -> Diagnostics:
     """Stable step and audit sums of one evaluation on its window [a, b).
 
     The layer energies and the exchange dissipation are widened with the
@@ -284,7 +282,7 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     influx = 0.0
     if ctx.bathy.bc != PERIODIC and (a == 0 or b == n):  # the window's ends
         p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
-        flux = energy_mod.energy_flux_density(u, w, geom, E, p_mid, S)
+        flux = energy_mod.energy_flux_density(u, geom, E, p_mid, S)
         influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
                                              flux[-1] if b == n else 0.0))
     return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),

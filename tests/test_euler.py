@@ -440,7 +440,7 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
         p_mid, _ = hydrostatic_pressures(geom.h, g)
         influx = 0.0
         if bc != "periodic":
-            influx = boundary_influx(energy_flux_density(u, None, geom, E, p_mid, None))
+            influx = boundary_influx(energy_flux_density(u, geom, E, p_mid, None))
         want = {"energy": float(E.sum() * ctx.dx), "influx": influx,
                 "diss_exchange": exchange_dissipation(u, G, ctx.dx),
                 "eta": geom.z_if[-1], "u": u, "w": reconstruct_w(u, geom)[0],

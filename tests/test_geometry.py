@@ -84,7 +84,6 @@ def test_bathymetry_slope_and_cosine():
     x = np.arange(n) * dx
     zb = 0.3 * x
     b = make_bathymetry(zb, dx, "transmissive")
-    assert np.allclose(b.slope, 0.3, atol=1e-12)
     assert np.allclose(b.cos, 1.0 / np.sqrt(1.0 + 0.09), atol=1e-12)
 
 

@@ -16,7 +16,10 @@ before the tendencies and the diagnostics were restricted to the wet
 window.  The transmissive case with a receding shoreline, whose water
 flows out through the left end and leaves films on the slope behind
 it, was recorded before the stage updates, the clipping, the stable
-step and the audit were restricted to the wet window.  The CSVs carry
+step and the audit were restricted to the wet window.  The viscous
+transmissive case, the one run whose audit reads the boundary work of
+interface-placed stresses at an open end, was recorded before the stress
+closure took over w, the tractions and the in-layer resultant.  The CSVs carry
 17 significant digits, so any change to the arithmetic the stepper
 applies, to the audit or to the snapshot schedule shows up here.  A
 change that alters them on purpose has to explain every changed digit
@@ -108,6 +111,30 @@ controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
 """
 
+VISCOUS_INTERFACE_TRANSMISSIVE_RK2 = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 40
+boundary.kind = transmissive
+layers.n = 3
+bathymetry.kind = bump
+bathymetry.z0 = -0.5
+bathymetry.a = 0.1
+bathymetry.x0 = 0.3
+bathymetry.width = 0.1
+init.kind = dam_break
+init.eta_l = 0.6
+init.eta_r = 0.4
+init.x0 = 0.5
+init.u = 0.1, 0.2, 0.3
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+controls.t_end = 0.03
+controls.integrator = ssp-rk2
+output.snapshot_every = 0.01
+"""
+
 INVISCID_PERIODIC_BUMP_RK2 = """mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 100
@@ -190,6 +217,13 @@ GOLDEN = {
         "snapshot_0001.csv": "a46e9ee2ce6158da82e27dfdac36d822910afe125c26afd56cbde03df1838ff7",
         "snapshot_0002.csv": "652c03c074c74a0db0833525dfc0709f8bfa5057e02c7131c3143138f6c50da1",
         "snapshot_0003.csv": "28f46720ee302ba993607fd62972524c36be34167be1500eb0f7ad04fb3fd34d",
+    }),
+    "viscous_interface_transmissive_rk2": (VISCOUS_INTERFACE_TRANSMISSIVE_RK2, {
+        "energy.csv": "ef3adc402a573d7e6959123fa3544133d1a9d4f17d923f840d98475ad14fa247",
+        "snapshot_0000.csv": "285bd51e3f3fbfdebf444dea89b0cb796197dff5291599bb427f1531bac28fec",
+        "snapshot_0001.csv": "05753b13e9c187435e4b966f96ad9a10d625158f481b33555e7fcf22941606d2",
+        "snapshot_0002.csv": "1e3ac508631c843e90541090a7725ea2a4b8428bc0cc41498fb4f86885fc769d",
+        "snapshot_0003.csv": "3bf12dd07007345771bbd8dac5510861b43afdd520b68ffa10a145c1d37092bf",
     }),
     "inviscid_periodic_bump_rk2": (INVISCID_PERIODIC_BUMP_RK2, {
         "energy.csv": "f5890d9d62b8a7826a375f4de511d7ed04bfd3512a8b400164f55d5c900d7cbb",

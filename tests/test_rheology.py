@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
+from layerflow.gridops import ddx
 from layerflow.kinematics import reconstruct_w
-from layerflow.rheology import (FrictionLaw, RheologyModel,
-                                newtonian_interface_stresses, stress_closure,
-                                tangential_traction, viscous_rhs)
+from layerflow.rheology import (FrictionLaw, RheologyModel, stress_closure,
+                                viscous_rhs)
 
 
 def _flat_geom(H0, N, n, dx, bc):
@@ -65,7 +65,6 @@ def test_uniform_extension_both_placements():
         S = stress_closure(model, FrictionLaw(), H, u, geom)
         assert np.allclose(S.xx_if, 2 * mu * c, atol=1e-12)
         assert np.allclose(S.xx_mid, 2 * mu * c, atol=1e-12)
-        assert np.allclose(S.zz_if, -2 * mu * c, atol=1e-12)
         assert np.abs(S.zx_mid).max() < 1e-12
 
 
@@ -81,13 +80,25 @@ def test_traction_closures():
     assert np.allclose(S.sigma[0], kappa * u[0], atol=1e-14)  # cos=1 on flat
 
 
+def _random_sloped_state(seed, n=20, N=3, bc="transmissive"):
+    rng = np.random.default_rng(seed)
+    dx = 1.0 / n
+    bathy = make_bathymetry(0.2 * rng.standard_normal(n), dx, bc)
+    H = rng.uniform(0.5, 1.5, n)
+    geom = build_geometry(H, bathy, LayerPartition.uniform(N))
+    return geom, H, rng.standard_normal((N, n))
+
+
 def test_tangential_traction_formula():
-    xx = np.array([2.0])
-    zx = np.array([0.5])
-    zz = np.array([-2.0])
-    s = np.array([0.3])
-    sig = tangential_traction(xx, zx, zz, s)
-    assert np.isclose(sig[0], 0.5 - 0.3 * (2.0 + 0.15 + 2.0))
+    # interior interfaces of slope s carry Szx - s (Sxx + s Szx - Szz)
+    # with Szz = -Sxx, bit for bit
+    geom, H, u = _random_sloped_state(84)
+    for placement in ("interface", "layer"):
+        S = stress_closure(RheologyModel(mu=0.2, placement=placement),
+                           FrictionLaw(k_l=0.1), H, u, geom)
+        xx, zx, s = S.xx_if, S.zx_if, geom.dz_if_dx
+        want = zx - s * (xx + s * zx - (-xx))
+        assert S.sigma[1:-1].tobytes() == want[1:-1].tobytes()
 
 
 def test_internal_stresses_do_not_create_momentum():
@@ -108,14 +119,20 @@ def test_internal_stresses_do_not_create_momentum():
         assert abs(V.sum() * dx) < 1e-12 * max(1.0, scale)
 
 
-def test_viscous_rhs_requires_closed_tractions():
-    n, dx = 8, 0.1
-    geom, H = _flat_geom(1.0, 2, n, dx, "periodic")
-    u = np.zeros((2, n))
-    w, dudx = reconstruct_w(u, geom)
-    S = newtonian_interface_stresses(u, w, dudx, geom, 0.1)
-    with pytest.raises(ValueError):
-        viscous_rhs(S, geom)
+@pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
+def test_the_stress_field_carries_its_w_resultant_and_carrier(bc):
+    geom, H, u = _random_sloped_state([len(bc), 85], bc=bc)
+    carriers = {"interface": (geom.h_half, "xx_if", "zx_if"),
+                "layer": (geom.h, "xx_mid", "zx_mid")}
+    for placement, (weight, xx, zx) in carriers.items():
+        S = stress_closure(RheologyModel(mu=0.2, placement=placement),
+                           FrictionLaw(), H, u, geom)
+        assert S.w.tobytes() == reconstruct_w(u, geom)[0].tobytes()
+        inner = ddx(geom.h * geom.z_mid * S.zx_mid, geom.dx, bc)
+        assert S.resultant.tobytes() == (geom.h * (S.xx_mid - (-S.xx_mid))
+                                         + inner).tobytes()
+        assert S.weight is weight
+        assert S.xx is getattr(S, xx) and S.zx is getattr(S, zx)
 
 
 def test_model_validation():

@@ -80,6 +80,19 @@ mesh.x_min = 2
     assert "physics.g: required key is missing" in msg
 
 
+def test_the_removed_viscous_safety_key_is_unknown():
+    # the viscous and friction bounds are applied at half their value;
+    # the factor is no longer a setting
+    text = """mesh.n_cells = 50
+physics.g = 9.81
+init.kind = lake_at_rest
+controls.viscous_safety = 0.5
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert "line 4: unknown key 'controls.viscous_safety'" in str(err.value)
+
+
 def test_validation_catches_semantic_errors():
     text = """mesh.x_min = 0
 mesh.x_max = 1
@@ -179,7 +192,6 @@ HAND_WRITTEN_REGISTRY = {
     "controls.cfl": ("float", "controls", "cfl"),
     "controls.t_end": ("float", "controls", "t_end"),
     "controls.integrator": ("str", "controls", "integrator"),
-    "controls.viscous_safety": ("float", "controls", "viscous_safety"),
     "output.directory": ("str", "output", "directory"),
     "output.snapshot_every": ("float", "output", "snapshot_every"),
 }
@@ -216,13 +228,13 @@ physics.placement = layer
 controls.cfl = 0.45000000000000001
 controls.t_end = 0.80000000000000004
 controls.integrator = forward-euler
-controls.viscous_safety = 0.5
 output.directory = results
 output.snapshot_every = 0.20000000000000001
 """
 
 # Seed-0 configs of the three benchmark workloads, and the sha256 of the
-# text format_scenario wrote for each when the key table was hand-written.
+# text format_scenario wrote for each when the key table was hand-written,
+# less its `controls.viscous_safety = 0.5` line since that key was removed.
 BENCHMARK_CONFIGS = {
     "dam_bump_wall": ("""mesh.x_min = 0
 mesh.x_max = 1
@@ -241,7 +253,7 @@ physics.g = 9.81
 controls.t_end = 0.12
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.006
-""", "83d949f82948b703e40d6f788db996fe10fb77bd7fac77a38194898ef475fa9c"),
+""", "65202d135d01a06e30b097921f7ef82d722e63f1555dd54eef82d3bcbe8578cd"),
     "viscous_shear": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 100
@@ -259,7 +271,7 @@ physics.k_t = 0.01
 controls.t_end = 0.012
 controls.integrator = ssp-rk2
 output.snapshot_every = 0
-""", "e77c4df818d2e0564bd662a7e09050a91bacf93e10968588d05ccdab02b3e9a9"),
+""", "49f749c136f64fe30ff7f96eb011264a36535187d58d13f881b85e91267ac88b"),
     "dry_slope_deep": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 2000
@@ -276,7 +288,7 @@ physics.g = 9.81
 controls.t_end = 0.012
 controls.integrator = forward-euler
 output.snapshot_every = 0
-""", "4466639f13dd99cb11b70e65b7708097f2d424aabbadfbb3b47df6864491a715"),
+""", "aadba52426b3b878d263e5bd9c3da985cca51d5e1b2b4caf17fd719e3ba42931"),
 }
 
 

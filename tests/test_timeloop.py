@@ -21,15 +21,14 @@ from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
 
 
 def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
-         cfl=0.5, vs=0.5):
+         cfl=0.5):
     grid = Grid(0.0, n * dx, n)
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
     return SimContext(grid=grid, part=part, bathy=bathy, g=g,
                       model=RheologyModel(mu=mu),
                       friction=FrictionLaw(k_l=k_l, k_t=k_t),
-                      controls=ControlsSpec(t_end=1.0, cfl=cfl,
-                                            viscous_safety=vs))
+                      controls=ControlsSpec(t_end=1.0, cfl=cfl))
 
 
 def _geom(ctx, H):
@@ -46,8 +45,8 @@ def test_stable_dt_advective_bound():
 
 def test_stable_dt_vertical_viscous_bound():
     # large dx keeps the horizontal bounds out of the way; the bed gap
-    # h/2 = 0.25 then sets dt = safety * gap^2 / (2 mu)
-    ctx = _ctx(dx=50.0, g=1e-6, mu=2.0, N=2, vs=0.5)
+    # h/2 = 0.25 then sets dt = 0.25 gap^2 / mu
+    ctx = _ctx(dx=50.0, g=1e-6, mu=2.0, N=2)
     H = np.ones(10)
     u = np.zeros((2, 10))
     dt = stable_dt(H, u, _geom(ctx, H), ctx)
@@ -217,33 +216,34 @@ def _count_reconstruct_w(monkeypatch, module):
 def test_inviscid_audit_reconstructs_no_w(monkeypatch):
     # no audit term reads w without a stress field; snapshots rebuild it
     # once per frame
-    in_loop = _count_reconstruct_w(monkeypatch, timeloop)
+    in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
     scn = _smooth_scenario(boundary="wall")
     state, rhs, ctx = make_rhs(scn)
     d = rhs(state).diag
     assert np.isfinite(d.influx)
-    assert in_loop == []
+    assert in_closure == []
     output.snapshot_frame(0.0, state.H, d, ctx)
     assert len(in_output) == 1
     run(scn)
-    assert in_loop == []
+    assert in_closure == []
 
 
 def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
-    # the stress closure and the audit share one w; the snapshot, which
-    # keeps none, rebuilds the same w bit for bit
-    in_loop = _count_reconstruct_w(monkeypatch, timeloop)
+    # the stress closure reconstructs w and the audit reads it from the
+    # stress field; the snapshot, which keeps none, rebuilds the same w
+    # bit for bit
+    assert not hasattr(timeloop, "reconstruct_w")
     in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
     scn = _smooth_scenario(boundary="wall",
                            physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
     state, rhs, ctx = make_rhs(scn)
     d = rhs(state).diag
-    assert (len(in_loop), in_closure, in_output) == (1, [], [])
+    assert (len(in_closure), in_output) == (1, [])
     snap = output.snapshot_frame(0.0, state.H, d, ctx)
-    assert (len(in_loop), in_closure, len(in_output)) == (1, [], 1)
-    w = in_loop[0][0]
+    assert (len(in_closure), len(in_output)) == (1, 1)
+    w = in_closure[0][0]
     assert snap.w is not w and snap.w.tobytes() == w.tobytes()
     assert np.isfinite(d.influx)
 
@@ -361,7 +361,7 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
     r.diag
     (a, b), ((bed, geom),) = r.window, built
     assert b < ctx.grid.n_cells
-    for name, stop in (("zb", b), ("slope", b), ("cos", b),
+    for name, stop in (("zb", b), ("cos", b),
                        ("zb_l", b + 1), ("zb_r", b + 1), ("z_edge", b + 1)):
         field = getattr(bed, name)
         assert field.shape == (stop - a,), name
