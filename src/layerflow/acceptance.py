@@ -197,7 +197,7 @@ def expanded_dissipation(S, geom, u, friction: FrictionLaw, H: np.ndarray) -> fl
     terms += (phi * geom.h * S.zx_mid).sum()
     terms += (-2.0 * S.xx_if[1:-1] * du * s).sum()
     terms += (S.zx_if[1:-1] * du * (1.0 - s * s)).sum()
-    fric = (friction.kappa(u[0], H) / geom.cos_b ** 3 * u[0] ** 2).sum()
+    fric = (friction.kappa(u[0], H) / geom.cos3_b * u[0] ** 2).sum()
     return float(-(terms + fric) * geom.dx)
 
 
@@ -222,7 +222,7 @@ def criterion_6() -> CriterionResult:
         geom = build_geometry(H, bathy, part)
         model = RheologyModel(mu=mu, placement=placement)
         S = stress_closure(model, friction, H, u, geom)
-        stress, fric = energy_mod.newtonian_dissipation(S, geom, model, friction, H, u)
+        stress, fric = energy_mod.newtonian_dissipation(S, geom, model, u)
         compact = stress + fric
         expanded = expanded_dissipation(S, geom, u, friction, H)
         rel = abs(compact - expanded) / max(1.0, abs(compact))

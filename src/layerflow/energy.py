@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import InterfaceGeometry
 from .gridops import widen
-from .rheology import FrictionLaw, RheologyModel, StressField
+from .rheology import RheologyModel, StressField
 
 
 def layer_energies(u: np.ndarray, geom: InterfaceGeometry, g: float) -> np.ndarray:
@@ -50,16 +50,16 @@ def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float,
 
 
 def newtonian_dissipation(
-    S: StressField, geom: InterfaceGeometry, model: RheologyModel,
-    friction: FrictionLaw, H: np.ndarray, u: np.ndarray,
+    S: StressField, geom: InterfaceGeometry, model: RheologyModel, u: np.ndarray,
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
     The stress part sums weight (Sxx^2 + Szx^2) over the closure's
-    carrier and divides by mu, which is exact for the Newtonian closures.
+    carrier and divides by mu, which is exact for the Newtonian closures;
+    the friction part reads the field's kappa.
     """
-    dx, cos_b = geom.dx, geom.cos_b
-    friction_part = float(-(friction.kappa(u[0], H) / cos_b**3 * u[0] * u[0]).sum() * dx)
+    dx = geom.dx
+    friction_part = float(-(S.kappa / geom.cos3_b * u[0] * u[0]).sum() * dx)
     if model.mu <= 0.0:
         return 0.0, friction_part
     quad = S.weight * (S.xx * S.xx + S.zx * S.zx)

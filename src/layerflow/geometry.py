@@ -60,7 +60,8 @@ class LayerPartition:
 
 @dataclass(frozen=True)
 class Bathymetry:
-    """Bed elevation with the cosine of its centered slope.
+    """Bed elevation with the cube of the cosine of its centered slope,
+    which the friction law divides by.
 
     The bed holds the run's cell width `dx` and boundary kind `bc`, which
     kernels given a bed or a geometry built on it read.  The bed on either
@@ -70,7 +71,7 @@ class Bathymetry:
     """
 
     zb: np.ndarray
-    cos: np.ndarray
+    cos3: np.ndarray
     dx: float
     bc: str
     zb_l: np.ndarray     # (n+1,) bed of the cell left of each edge
@@ -83,7 +84,7 @@ class Bathymetry:
         if a == 0 and b == self.zb.size:
             return self
         e = slice(a, b + 1)
-        return Bathymetry(zb=self.zb[a:b], cos=self.cos[a:b], dx=self.dx, bc=self.bc,
+        return Bathymetry(zb=self.zb[a:b], cos3=self.cos3[a:b], dx=self.dx, bc=self.bc,
                           zb_l=self.zb_l[e], zb_r=self.zb_r[e], z_edge=self.z_edge[e])
 
 
@@ -95,7 +96,7 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     slope = ddx(zb, dx, bc)
     zbp = pad_cells(zb, bc)
     zb_l, zb_r = zbp[:-1], zbp[1:]
-    return Bathymetry(zb=zb, cos=1.0 / np.sqrt(1.0 + slope * slope),
+    return Bathymetry(zb=zb, cos3=(1.0 / np.sqrt(1.0 + slope * slope)) ** 3,
                       dx=dx, bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
 
 
@@ -105,14 +106,14 @@ class InterfaceGeometry:
 
     Shapes: layer fields (N, n), interface fields (N+1, n).  The slope
     fields are computed on first access, with the bed's `dx` and `bc`;
-    only the stresses read them.  The friction reads the bed's cosine.
+    only the stresses read them.  The friction reads the bed's cosine cubed.
     """
 
     h: np.ndarray          # layer thicknesses
     z_if: np.ndarray       # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
     z_mid: np.ndarray      # layer midpoints
     h_half: np.ndarray     # midpoint gaps across each interface
-    cos_b: np.ndarray      # bed slope cosine (n,), the bed's `cos`
+    cos3_b: np.ndarray     # cube of the bed slope cosine (n,), the bed's `cos3`
     dx: float
     bc: str
 
@@ -185,4 +186,4 @@ def build_geometry(
         np.add(h[:-1], h[1:], out=h_half[1:-1])
         h_half[1:-1] *= 0.5
     return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half,
-                             cos_b=bathy.cos, dx=bathy.dx, bc=bathy.bc)
+                             cos3_b=bathy.cos3, dx=bathy.dx, bc=bathy.bc)

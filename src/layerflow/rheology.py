@@ -1,12 +1,23 @@
-"""Viscous stress closures and the momentum tendencies they induce.
+"""Viscous stress closure and the momentum tendencies it induces.
 
-Deviatoric stresses are carried either at interfaces (then averaged to
-layer midpoints) or at midpoints (then averaged to interior
-interfaces); the two placements agree to first order in the layer
-thickness.  Ghost conventions close both variants: a zero-thickness
-layer below the bed and above the surface, with the adjacent velocity
-copied into it, which pins the boundary-interface stresses to their
-single-sided values (e.g. Sxx = 2 mu du/dx at the bed).
+One assembly closes the Newtonian stresses for both placements.  It
+computes the strains once: in each layer h du/dx and h phi, with
+phi = dw/dx + dz_mid/dx du/dx, and across each interface of slope s the
+velocity jump du as s du and du (1 - s^2).  These are the strains B u
+of a summation-by-parts assembly V = -mu B^T W B u, whose viscous work
+is the quadratic dissipation (Fernandez, Hicken & Zingg, Comput. Fluids
+95, 2014); `viscous_rhs` still takes V from the divergence of the
+stresses instead.  Ghost layers below the bed and above the surface carry no
+strain, and u does not jump at the bed or the surface, which pins the
+boundary-interface stresses to their single-sided values (e.g.
+Sxx = 2 mu du/dx at the bed).
+
+The placement only picks the carrier and its weights, the W.  The
+interface placement averages the in-layer strains to the interfaces
+and divides by the midpoint gaps h_half; the layer placement averages
+the jumps to the midpoints and divides by h.  The stresses at the other
+location are averaged from the carrier's; the two placements agree to
+first order in the layer thickness.
 
 The tangential traction transmitted across an interface of slope s is
 
@@ -46,7 +57,7 @@ class FrictionLaw:
 
 @dataclass
 class StressField:
-    """The closed stress field of one state.  The Newtonian closures are
+    """The closed stress field of one state.  The Newtonian closure is
     traceless, Szz = -Sxx, so Sxx - Szz is evaluated as Sxx + Sxx."""
 
     xx_if: np.ndarray       # Sxx at interfaces (N+1, n)
@@ -57,6 +68,7 @@ class StressField:
     xx: np.ndarray          # Sxx on the carrier
     zx: np.ndarray          # Szx on the carrier
     sigma: np.ndarray       # tangential tractions (N+1, n), surface and bed closed
+    kappa: np.ndarray       # bed friction coefficient (n,) of the sigma[0] closure
     w: np.ndarray           # the layer-mean w the stresses were built from
     resultant: np.ndarray   # in-layer h (Sxx - Szz) + d(h z_mid Szx)/dx (N, n)
 
@@ -79,67 +91,9 @@ class RheologyModel:
         return self.mu > 0.0
 
 
-def _pad_layers_zero(f: np.ndarray) -> np.ndarray:
-    z = np.zeros_like(f[:1])
-    return np.concatenate([z, f, z], axis=0)
-
-
-def _pad_layers_edge(f: np.ndarray) -> np.ndarray:
-    return np.concatenate([f[:1], f, f[-1:]], axis=0)
-
-
-def shear_phi(w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry) -> np.ndarray:
-    """phi_a = dw/dx + dz_mid/dx du/dx, the off-diagonal strain rate."""
-    return ddx(w, geom.dx, geom.bc) + geom.dz_mid_dx * dudx
-
-
-def newtonian_interface_stresses(
-    u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
-) -> tuple[np.ndarray, ...]:
-    """Newtonian closure evaluated at interfaces, averaged to midpoints."""
-    phi = shear_phi(w, dudx, geom)
-    hd = _pad_layers_zero(geom.h * dudx)
-    hphi = _pad_layers_zero(geom.h * phi)
-    up = _pad_layers_edge(u)
-    du = up[1:] - up[:-1]
-    s = geom.dz_if_dx
-
-    num_xx = 2.0 * mu * (0.5 * (hd[:-1] + hd[1:]) - s * du)
-    num_zx = mu * (0.5 * (hphi[:-1] + hphi[1:]) + du * (1.0 - s * s))
-    wet = geom.h_half > 0.0
-    xx_if = np.divide(num_xx, geom.h_half, out=np.zeros_like(num_xx), where=wet)
-    zx_if = np.divide(num_zx, geom.h_half, out=np.zeros_like(num_zx), where=wet)
-
-    xx_mid = 0.5 * (xx_if[:-1] + xx_if[1:])
-    zx_mid = 0.5 * (zx_if[:-1] + zx_if[1:])
-    return xx_if, zx_if, xx_mid, zx_mid
-
-
-def newtonian_layer_stresses(
-    u: np.ndarray, w: np.ndarray, dudx: np.ndarray, geom: InterfaceGeometry, mu: float,
-) -> tuple[np.ndarray, ...]:
-    """Newtonian closure evaluated per layer, averaged to interfaces."""
-    phi = shear_phi(w, dudx, geom)
-    up = _pad_layers_edge(u)
-    du_above = up[2:] - up[1:-1]
-    du_below = up[1:-1] - up[:-2]
-    s_above = geom.dz_if_dx[1:]
-    s_below = geom.dz_if_dx[:-1]
-
-    num_xx = 2.0 * mu * (geom.h * dudx
-                         - 0.5 * (s_above * du_above + s_below * du_below))
-    num_zx = mu * (geom.h * phi
-                   + 0.5 * du_above * (1.0 - s_above * s_above)
-                   + 0.5 * du_below * (1.0 - s_below * s_below))
-    wet = geom.h > 0.0
-    xx_mid = np.divide(num_xx, geom.h, out=np.zeros_like(num_xx), where=wet)
-    zx_mid = np.divide(num_zx, geom.h, out=np.zeros_like(num_zx), where=wet)
-
-    # interior interfaces average the two neighbors; the bed and surface
-    # keep the single-sided value (their traction is closed separately)
-    xx_if = 0.5 * (_pad_layers_edge(xx_mid)[:-1] + _pad_layers_edge(xx_mid)[1:])
-    zx_if = 0.5 * (_pad_layers_edge(zx_mid)[:-1] + _pad_layers_edge(zx_mid)[1:])
-    return xx_if, zx_if, xx_mid, zx_mid
+def _mean(f: np.ndarray) -> np.ndarray:
+    """Average of adjacent rows: interfaces to midpoints, or back."""
+    return 0.5 * (f[:-1] + f[1:])
 
 
 def stress_closure(
@@ -148,20 +102,42 @@ def stress_closure(
 ) -> StressField:
     """The closed stress field of one state, from the w it reconstructs."""
     w, dudx = reconstruct_w(u, geom)
-    interface = model.placement == INTERFACE
-    closure = newtonian_interface_stresses if interface else newtonian_layer_stresses
-    xx_if, zx_if, xx_mid, zx_mid = closure(u, w, dudx, geom, model.mu)
-    weight, xx, zx = (geom.h_half, xx_if, zx_if) if interface else (geom.h, xx_mid, zx_mid)
+    h, s, mu = geom.h, geom.dz_if_dx, model.mu
+    N, n = h.shape
+    # the strains, zero in the ghost layers and at the bed and the surface
+    hd, hphi, du = np.zeros((N + 2, n)), np.zeros((N + 2, n)), np.zeros((N + 1, n))
+    np.multiply(h, dudx, out=hd[1:-1])
+    phi = ddx(w, geom.dx, geom.bc) + geom.dz_mid_dx * dudx
+    np.multiply(h, phi, out=hphi[1:-1])
+    np.subtract(u[1:], u[:-1], out=du[1:-1])
+    sdu, tdu = s * du, du * (1.0 - s * s)
 
-    s = geom.dz_if_dx
+    interface = model.placement == INTERFACE
+    if interface:  # in-layer strains averaged to the interfaces
+        weight = geom.h_half
+        num = (2.0 * mu * (_mean(hd) - sdu), mu * (_mean(hphi) + tdu))
+    else:  # jumps averaged to the midpoints
+        weight = h
+        # the halves of tdu are added one at a time, as the golden outputs
+        # were computed: hphi + _mean(tdu) rounds differently
+        num = (2.0 * mu * (hd[1:-1] - _mean(sdu)),
+               mu * (hphi[1:-1] + 0.5 * tdu[1:] + 0.5 * tdu[:-1]))
+    xx, zx = (np.divide(f, weight, out=np.zeros_like(f), where=weight > 0.0) for f in num)
+    if interface:
+        xx_if, zx_if, xx_mid, zx_mid = xx, zx, _mean(xx), _mean(zx)
+    else:  # the bed and surface interfaces keep their layer's value
+        xx_if, zx_if = (_mean(np.concatenate([f[:1], f, f[-1:]])) for f in (xx, zx))
+        xx_mid, zx_mid = xx, zx
+
+    kappa = friction.kappa(u[0], H)
     sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
     sigma[-1] = 0.0
-    sigma[0] = friction.kappa(u[0], H) * u[0] / geom.cos_b**3
+    sigma[0] = kappa * u[0] / geom.cos3_b
 
-    h = geom.h
     resultant = h * (xx_mid + xx_mid) + ddx(h * geom.z_mid * zx_mid, geom.dx, geom.bc)
     return StressField(xx_if=xx_if, zx_if=zx_if, xx_mid=xx_mid, zx_mid=zx_mid,
-                       weight=weight, xx=xx, zx=zx, sigma=sigma, w=w, resultant=resultant)
+                       weight=weight, xx=xx, zx=zx, sigma=sigma, kappa=kappa, w=w,
+                       resultant=resultant)
 
 
 def viscous_rhs(S: StressField, geom: InterfaceGeometry) -> np.ndarray:

@@ -120,12 +120,12 @@ def sv_rhs(
     s_xx = 2.0 * mu * dudx
     s_zx = mu * (ddx(w, dx, bc) + ddx(z_mid, dx, bc) * dudx)
     slope_b = ddx(zb, dx, bc)
-    cos_b = 1.0 / np.sqrt(1.0 + slope_b * slope_b)
+    cos3_b = (1.0 / np.sqrt(1.0 + slope_b * slope_b)) ** 3
     kappa = k_l + k_t * H * np.abs(u)
 
     if mu > 0.0:
         inner = ddx(H * z_mid * s_zx, dx, bc)
         dq = dq + ddx(2.0 * H * s_xx + inner, dx, bc) - zb * d2dx2(H * s_zx, dx, bc)
-    dq = dq - kappa * u / cos_b**3
+    dq = dq - kappa * u / cos3_b
     return SvRhs(dH=dH, dq=dq)
 

@@ -145,7 +145,7 @@ def stable_dt(
                 bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
     if ctx.friction.active:
         kappa = ctx.friction.kappa(u[0], H)[wet]
-        cos3 = geom.cos_b[wet] ** 3
+        cos3 = geom.cos3_b[wet]
         h1 = geom.h[0, wet]
         pos = kappa > 0.0
         if np.any(pos):
@@ -274,8 +274,7 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     a, b = window
     n = ctx.grid.n_cells
     if S is not None:
-        d_stress, d_fric = energy_mod.newtonian_dissipation(
-            S, geom, ctx.model, ctx.friction, H, u)
+        d_stress, d_fric = energy_mod.newtonian_dissipation(S, geom, ctx.model, u)
     else:
         d_stress, d_fric = 0.0, 0.0
     E = energy_mod.layer_energies(u, geom, ctx.g)

@@ -70,7 +70,7 @@ def test_newtonian_dissipation_inactive_without_viscosity():
     friction = FrictionLaw(k_l=0.2)
     model = RheologyModel(mu=0.0)
     S = stress_closure(model, friction, H, u, geom)
-    stress, fric = newtonian_dissipation(S, geom, model, friction, H, u)
+    stress, fric = newtonian_dissipation(S, geom, model, u)
     assert stress == 0.0
     assert fric < 0.0
 

@@ -84,7 +84,7 @@ def test_bathymetry_slope_and_cosine():
     x = np.arange(n) * dx
     zb = 0.3 * x
     b = make_bathymetry(zb, dx, "transmissive")
-    assert np.allclose(b.cos, 1.0 / np.sqrt(1.0 + 0.09), atol=1e-12)
+    assert np.allclose(b.cos3, (1.0 / np.sqrt(1.0 + 0.09)) ** 3, atol=1e-12)
 
 
 def test_geometry_rejects_negative_depth():
@@ -111,7 +111,7 @@ def test_geometry_from_given_thicknesses_is_the_same_geometry():
     bathy = make_bathymetry(rng.standard_normal(30), 0.1, "wall")
     a = build_geometry(H, bathy, part)
     b = build_geometry(H, bathy, part, h=layer_thicknesses(H, part))
-    for name in ("h", "z_if", "z_mid", "h_half", "cos_b", "dz_if_dx", "dz_mid_dx"):
+    for name in ("h", "z_if", "z_mid", "h_half", "cos3_b", "dz_if_dx", "dz_mid_dx"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # the interface stack closes on the free surface and the midpoints
     # and gaps are the running sums the formulas state
@@ -122,8 +122,8 @@ def test_geometry_from_given_thicknesses_is_the_same_geometry():
 
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
 def test_the_bed_cosine_is_the_cosine_of_the_bed_interface_bitwise(bc):
-    # the friction reads the bed's cosine; the interface-0 slope the
-    # stresses see is the bed's own slope, so its cosine is the same
+    # the friction reads the cube of the bed's cosine; the interface-0
+    # slope the stresses see is the bed's own slope, so its cube is the same
     rng = np.random.default_rng([len(bc), 7])
     for trial in range(100):
         n, N = int(rng.integers(3, 40)), int(rng.integers(1, 9))
@@ -131,8 +131,8 @@ def test_the_bed_cosine_is_the_cosine_of_the_bed_interface_bitwise(bc):
         bathy = make_bathymetry(zb, 10.0 ** rng.uniform(-3, 0), bc)
         geom = build_geometry(rng.uniform(0.0, 2.0, n), bathy, LayerPartition.uniform(N))
         s = ddx(geom.z_if, bathy.dx, bc)[0]
-        assert geom.cos_b is bathy.cos
-        assert (1.0 / np.sqrt(1.0 + s * s)).tobytes() == bathy.cos.tobytes(), trial
+        assert geom.cos3_b is bathy.cos3
+        assert ((1.0 / np.sqrt(1.0 + s * s)) ** 3).tobytes() == bathy.cos3.tobytes(), trial
 
 
 @pytest.mark.parametrize("module", [euler, geometry, state, kinematics, rheology,

@@ -103,6 +103,8 @@ layers.fractions = 0.5, 0.6
 init.kind = shear
 physics.g = -9.81
 controls.cfl = 1.5
+physics.mu = -0.1
+physics.placement = edge
 """
     with pytest.raises(ConfigError) as err:
         parse_scenario(text)
@@ -115,6 +117,10 @@ controls.cfl = 1.5
     assert "cfl must lie in (0, 1]" in msg
     # the offending line is cited when the key appeared in the file
     assert "(line 9)" in msg
+    # the closure's own rules: RheologyModel restates them for library use
+    assert "physics.mu: viscosity must be nonnegative (line 10)" in err.value.problems
+    assert ("physics.placement: unknown placement 'edge', expected one of "
+            "('interface', 'layer') (line 11)") in err.value.problems
 
 
 def test_check_rejects_fractions_the_partition_rejects(tmp_path, capsys):

@@ -361,12 +361,12 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
     r.diag
     (a, b), ((bed, geom),) = r.window, built
     assert b < ctx.grid.n_cells
-    for name, stop in (("zb", b), ("cos", b),
+    for name, stop in (("zb", b), ("cos3", b),
                        ("zb_l", b + 1), ("zb_r", b + 1), ("z_edge", b + 1)):
         field = getattr(bed, name)
         assert field.shape == (stop - a,), name
         assert field.tobytes() == getattr(ctx.bathy, name)[a:stop].tobytes(), name
-    assert geom.cos_b.tobytes() == ctx.bathy.cos[a:b].tobytes()
+    assert geom.cos3_b.tobytes() == ctx.bathy.cos3[a:b].tobytes()
     assert (geom.z_if[0] == ctx.bathy.zb[a:b]).all()
 
 
