@@ -14,10 +14,9 @@ from .errors import ConfigError, SolverAbort
 from .euler import euler_rhs, hll_fluxes
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
-from .gridops import Grid, ddx, d2dx2, pad_cells
+from .gridops import ddx, d2dx2, pad_cells
 from .kinematics import reconstruct_w, what_coefficients
-from .rheology import (FrictionLaw, RheologyModel, StressField,
-                       stress_closure, viscous_rhs)
+from .rheology import StressField, stress_closure, viscous_rhs
 from .scenario import Scenario, format_scenario, parse_scenario
 from .state import (H_DRY, LayerState, exchange_fluxes, hydrostatic_pressures,
                     interface_velocities, velocities)
@@ -28,8 +27,8 @@ from .timeloop import (RunResult, SimContext, make_context, make_rhs, run,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bathymetry", "ConfigError", "FrictionLaw", "Grid", "H_DRY",
-    "InterfaceGeometry", "LayerPartition", "LayerState", "RheologyModel",
+    "Bathymetry", "ConfigError", "H_DRY",
+    "InterfaceGeometry", "LayerPartition", "LayerState",
     "RunResult", "Scenario", "SimContext", "SolverAbort", "StressField",
     "build_geometry", "d2dx2", "ddx", "euler_rhs", "exchange_dissipation",
     "exchange_fluxes", "format_scenario", "hll_fluxes",

@@ -22,7 +22,7 @@ from .euler import euler_rhs
 from .geometry import LayerPartition, build_geometry, make_bathymetry
 from .gridops import ddx
 from .kinematics import reconstruct_w, what_coefficients
-from .rheology import FrictionLaw, RheologyModel, stress_closure, viscous_rhs
+from .rheology import stress_closure, viscous_rhs
 from .scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
                        MeshSpec, OutputSpec, PhysicsSpec, Scenario)
 from .state import LayerState, velocities
@@ -141,9 +141,8 @@ def _ritter_error(n_cells: int) -> float:
         controls=ControlsSpec(t_end=t_end, cfl=0.9, integrator="forward-euler"),
     )
     result = run(scn)
-    x = scn.grid().x
-    H_ref, _ = ritter_profile(x, t_end, g, 1.0)
-    return float(np.abs(result.final.H - H_ref).sum() * scn.grid().dx)
+    H_ref, _ = ritter_profile(scn.mesh.x, t_end, g, 1.0)
+    return float(np.abs(result.final.H - H_ref).sum() * scn.mesh.dx)
 
 
 def criterion_4() -> CriterionResult:
@@ -181,7 +180,7 @@ def criterion_5() -> CriterionResult:
 
 # --- 6: compact Newtonian dissipation equals the expanded balance ----------
 
-def expanded_dissipation(S, geom, u, friction: FrictionLaw, H: np.ndarray) -> float:
+def expanded_dissipation(S, geom, u, physics: PhysicsSpec, H: np.ndarray) -> float:
     """Term-by-term evaluation of the viscous energy drain.
 
     Written directly from the expanded work balance (deformation work
@@ -197,7 +196,8 @@ def expanded_dissipation(S, geom, u, friction: FrictionLaw, H: np.ndarray) -> fl
     terms += (phi * geom.h * S.zx_mid).sum()
     terms += (-2.0 * S.xx_if[1:-1] * du * s).sum()
     terms += (S.zx_if[1:-1] * du * (1.0 - s * s)).sum()
-    fric = (friction.kappa(u[0], H) / geom.cos3_b * u[0] ** 2).sum()
+    kappa = physics.k_l + physics.k_t * H * np.abs(u[0])
+    fric = (kappa / geom.cos3_b * u[0] ** 2).sum()
     return float(-(terms + fric) * geom.dx)
 
 
@@ -214,17 +214,15 @@ def criterion_6() -> CriterionResult:
         zb = 0.3 * rng.standard_normal(n) * 0.3
         H = rng.uniform(0.5, 2.0, n)
         u = rng.standard_normal((N, n))
-        mu = 10.0 ** rng.uniform(-3, 0)
-        friction = FrictionLaw(k_l=float(rng.uniform(0, 1)),
-                               k_t=float(rng.uniform(0, 1)))
+        physics = PhysicsSpec(mu=10.0 ** rng.uniform(-3, 0), k_l=float(rng.uniform(0, 1)),
+                              k_t=float(rng.uniform(0, 1)), placement=placement)
         part = LayerPartition.uniform(N)
         bathy = make_bathymetry(zb, dx, bc)
         geom = build_geometry(H, bathy, part)
-        model = RheologyModel(mu=mu, placement=placement)
-        S = stress_closure(model, friction, H, u, geom)
-        stress, fric = energy_mod.newtonian_dissipation(S, geom, model, u)
+        S = stress_closure(physics, H, u, geom)
+        stress, fric = energy_mod.newtonian_dissipation(S, geom, physics.mu, u)
         compact = stress + fric
-        expanded = expanded_dissipation(S, geom, u, friction, H)
+        expanded = expanded_dissipation(S, geom, u, physics, H)
         rel = abs(compact - expanded) / max(1.0, abs(compact))
         worst = max(worst, rel)
         if stress > 0.0 or fric > 0.0:
@@ -337,9 +335,7 @@ def criterion_9() -> CriterionResult:
     geom = build_geometry(H, bathy, part)
     q = geom.h * u[None, :]
     ev = euler_rhs(H, q, bathy, part, phys["g"])
-    model = RheologyModel(mu=phys["mu"])
-    friction = FrictionLaw(k_l=phys["k_l"], k_t=phys["k_t"])
-    S = stress_closure(model, friction, H, u[None, :], geom)
+    S = stress_closure(PhysicsSpec(**phys), H, u[None, :], geom)
     dq_ml = ev.dq + viscous_rhs(S, geom)
     ref = sv_rhs(H, H * u, zb, phys["g"], phys["mu"], phys["k_l"], phys["k_t"], dx, bc)
     scale_H = max(1.0, float(np.abs(ref.dH).max()))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import InterfaceGeometry
 from .gridops import widen
-from .rheology import RheologyModel, StressField
+from .rheology import StressField
 
 
 def layer_energies(u: np.ndarray, geom: InterfaceGeometry, g: float) -> np.ndarray:
@@ -50,7 +50,7 @@ def exchange_dissipation(u: np.ndarray, G: np.ndarray, dx: float,
 
 
 def newtonian_dissipation(
-    S: StressField, geom: InterfaceGeometry, model: RheologyModel, u: np.ndarray,
+    S: StressField, geom: InterfaceGeometry, mu: float, u: np.ndarray,
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
@@ -60,10 +60,10 @@ def newtonian_dissipation(
     """
     dx = geom.dx
     friction_part = float(-(S.kappa / geom.cos3_b * u[0] * u[0]).sum() * dx)
-    if model.mu <= 0.0:
+    if mu <= 0.0:
         return 0.0, friction_part
     quad = S.weight * (S.xx * S.xx + S.zx * S.zx)
-    return float(-(quad.sum() / model.mu) * dx), friction_part
+    return float(-(quad.sum() / mu) * dx), friction_part
 
 
 def energy_flux_density(

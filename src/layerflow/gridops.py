@@ -1,12 +1,10 @@
-"""Uniform 1-D mesh and the shared finite-difference primitives.
+"""Boundary kinds and the shared finite-difference primitives.
 
 Every derivative taken anywhere in the solver goes through `ddx` / `d2dx2`
 so that discrete identities (telescoping sums, product-rule groupings)
 hold between modules.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,31 +13,6 @@ WALL = "wall"
 TRANSMISSIVE = "transmissive"
 
 BOUNDARY_KINDS = (PERIODIC, WALL, TRANSMISSIVE)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform mesh of cell centers on [x_min, x_max]."""
-
-    x_min: float
-    x_max: float
-    n_cells: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
-        if self.x_max <= self.x_min:
-            raise ValueError("grid needs x_max > x_min")
-        if self.n_cells < 3:
-            raise ValueError("grid needs at least 3 cells")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_cells
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
 def check_boundary(bc: str) -> str:

@@ -44,7 +44,7 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
     p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
     return Snapshot(
         t=t,
-        x=ctx.grid.x,
+        x=ctx.mesh.x,
         zb=ctx.bathy.zb,
         H=H.copy(),
         eta=geom.z_if[-1],

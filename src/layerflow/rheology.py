@@ -35,24 +35,7 @@ import numpy as np
 from .geometry import InterfaceGeometry
 from .gridops import cumsum_layers, d2dx2, ddx
 from .kinematics import reconstruct_w
-
-INTERFACE = "interface"
-LAYER = "layer"
-
-
-@dataclass
-class FrictionLaw:
-    """Navier-type wall law with a laminar and a turbulent coefficient."""
-
-    k_l: float = 0.0
-    k_t: float = 0.0
-
-    def kappa(self, u_bottom: np.ndarray, H: np.ndarray) -> np.ndarray:
-        return self.k_l + self.k_t * H * np.abs(u_bottom)
-
-    @property
-    def active(self) -> bool:
-        return self.k_l != 0.0 or self.k_t != 0.0
+from .scenario import INTERFACE, PhysicsSpec
 
 
 @dataclass
@@ -73,22 +56,9 @@ class StressField:
     resultant: np.ndarray   # in-layer h (Sxx - Szz) + d(h z_mid Szx)/dx (N, n)
 
 
-@dataclass
-class RheologyModel:
-    """Newtonian stress model: dynamic viscosity and stress placement."""
-
-    mu: float = 0.0
-    placement: str = INTERFACE
-
-    def __post_init__(self):
-        if self.placement not in (INTERFACE, LAYER):
-            raise ValueError(f"unknown stress placement {self.placement!r}")
-        if self.mu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
-
-    @property
-    def active(self) -> bool:
-        return self.mu > 0.0
+def friction_kappa(physics: PhysicsSpec, H: np.ndarray, u_bottom: np.ndarray) -> np.ndarray:
+    """Coefficient kappa = k_l + k_t H |u_1| of the Navier-type wall law."""
+    return physics.k_l + physics.k_t * H * np.abs(u_bottom)
 
 
 def _mean(f: np.ndarray) -> np.ndarray:
@@ -97,12 +67,11 @@ def _mean(f: np.ndarray) -> np.ndarray:
 
 
 def stress_closure(
-    model: RheologyModel, friction: FrictionLaw,
-    H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry,
+    physics: PhysicsSpec, H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry,
 ) -> StressField:
     """The closed stress field of one state, from the w it reconstructs."""
     w, dudx = reconstruct_w(u, geom)
-    h, s, mu = geom.h, geom.dz_if_dx, model.mu
+    h, s, mu = geom.h, geom.dz_if_dx, physics.mu
     N, n = h.shape
     # the strains, zero in the ghost layers and at the bed and the surface
     hd, hphi, du = np.zeros((N + 2, n)), np.zeros((N + 2, n)), np.zeros((N + 1, n))
@@ -112,7 +81,7 @@ def stress_closure(
     np.subtract(u[1:], u[:-1], out=du[1:-1])
     sdu, tdu = s * du, du * (1.0 - s * s)
 
-    interface = model.placement == INTERFACE
+    interface = physics.placement == INTERFACE
     if interface:  # in-layer strains averaged to the interfaces
         weight = geom.h_half
         num = (2.0 * mu * (_mean(hd) - sdu), mu * (_mean(hphi) + tdu))
@@ -129,7 +98,7 @@ def stress_closure(
         xx_if, zx_if = (_mean(np.concatenate([f[:1], f, f[-1:]])) for f in (xx, zx))
         xx_mid, zx_mid = xx, zx
 
-    kappa = friction.kappa(u[0], H)
+    kappa = friction_kappa(physics, H, u[0])
     sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
     sigma[-1] = 0.0
     sigma[0] = kappa * u[0] / geom.cos3_b

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import PARTITION_TOL, LayerPartition, layer_thicknesses
-from .gridops import BOUNDARY_KINDS, Grid
-from .rheology import INTERFACE, LAYER
+from .gridops import BOUNDARY_KINDS
 from .state import H_DRY
 
 BATHYMETRY_KINDS = ("flat", "slope", "bump", "table")
@@ -26,13 +25,25 @@ INIT_KINDS = ("lake_at_rest", "dam_break", "shear", "table")
 FORWARD_EULER = "forward-euler"
 SSP_RK2 = "ssp-rk2"
 INTEGRATORS = (FORWARD_EULER, SSP_RK2)
+INTERFACE = "interface"
+LAYER = "layer"
 
 
 @dataclass(frozen=True)
 class MeshSpec:
+    """Uniform mesh of cell centers on [x_min, x_max]."""
+
     x_min: float = 0.0
     x_max: float = 1.0
     n_cells: int = 0
+
+    @property
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / self.n_cells
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
 @dataclass(frozen=True)
@@ -96,9 +107,6 @@ class Scenario:
     physics: PhysicsSpec = field(default_factory=PhysicsSpec)
     controls: ControlsSpec = field(default_factory=ControlsSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
-
-    def grid(self) -> Grid:
-        return Grid(self.mesh.x_min, self.mesh.x_max, self.mesh.n_cells)
 
     def partition(self) -> LayerPartition:
         if self.layers.fractions is None:
@@ -251,11 +259,9 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     if nonfinite.isdisjoint(("mesh.x_min", "mesh.x_max")):
         if m.x_max <= m.x_min:
             bad("mesh.x_max", f"domain [{m.x_min:g}, {m.x_max:g}] is empty")
-        elif m.n_cells >= 3:
-            dx = (m.x_max - m.x_min) / m.n_cells
-            if not (0.0 < dx < math.inf):
-                bad("mesh.x_max", f"cell width (x_max - x_min) / n_cells = {dx:g} "
-                    "must be finite and positive")
+        elif m.n_cells >= 3 and not (0.0 < m.dx < math.inf):
+            bad("mesh.x_max", f"cell width (x_max - x_min) / n_cells = {m.dx:g} "
+                "must be finite and positive")
     if m.n_cells < 3:
         bad("mesh.n_cells", f"need at least 3 cells, got {m.n_cells}")
 
@@ -337,12 +343,12 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
 
 # --- field construction ----------------------------------------------------
 
-def bathymetry_values(scn: Scenario, grid: Grid) -> np.ndarray:
+def bathymetry_values(scn: Scenario) -> np.ndarray:
     """Bed elevation sampled at cell centers."""
     b = scn.bathymetry
-    x = grid.x
+    x = scn.mesh.x
     if b.kind == "flat":
-        return np.full(grid.n_cells, b.z0)
+        return np.full(scn.mesh.n_cells, b.z0)
     if b.kind == "slope":
         return b.z0 + b.s * x
     if b.kind == "bump":
@@ -350,16 +356,16 @@ def bathymetry_values(scn: Scenario, grid: Grid) -> np.ndarray:
     return np.asarray(b.values, dtype=float)
 
 
-def initial_fields(scn: Scenario, grid: Grid, part: LayerPartition,
+def initial_fields(scn: Scenario, part: LayerPartition,
                    zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Initial (H, q); free surfaces below the bed give dry columns."""
     ini = scn.init
-    n = grid.n_cells
+    n = scn.mesh.n_cells
     N = part.n_layers
     if ini.kind == "lake_at_rest":
         H = np.maximum(ini.eta0 - zb, 0.0)
     elif ini.kind == "dam_break":
-        eta = np.where(grid.x < ini.x0, ini.eta_l, ini.eta_r)
+        eta = np.where(scn.mesh.x < ini.x0, ini.eta_l, ini.eta_r)
         H = np.maximum(eta - zb, 0.0)
     elif ini.kind == "shear":
         H = np.maximum(ini.eta0 - zb, 0.0)

@@ -43,11 +43,10 @@ from .errors import SolverAbort
 from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
-from .gridops import PERIODIC, Grid, widen
-from .rheology import (FrictionLaw, RheologyModel, StressField, stress_closure,
-                       viscous_rhs)
-from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, Scenario,
-                       bathymetry_values, initial_fields)
+from .gridops import PERIODIC, widen
+from .rheology import StressField, friction_kappa, stress_closure, viscous_rhs
+from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec,
+                       Scenario, bathymetry_values, initial_fields)
 from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
                     velocities)
 
@@ -95,23 +94,27 @@ class RhsEval:
 
 @dataclass
 class SimContext:
-    """Everything make_context derived from a validated scenario.
+    """A validated scenario's own mesh, physics and controls specs, plus
+    the layer partition and the bed that make_context derived from them.
 
-    The bed holds the boundary kind; `h_dry` is H_DRY, for perfbench's tracer.
+    The bed holds the boundary kind; `dx` and `g` read the specs, and
+    `h_dry` is H_DRY, for perfbench's tracer.
     """
 
-    grid: Grid
+    mesh: MeshSpec
     part: LayerPartition
     bathy: Bathymetry
-    g: float
-    model: RheologyModel
-    friction: FrictionLaw
+    physics: PhysicsSpec
     controls: ControlsSpec
     h_dry = H_DRY
 
     @property
     def dx(self) -> float:
-        return self.grid.dx
+        return self.mesh.dx
+
+    @property
+    def g(self) -> float:
+        return self.physics.g
 
 
 def stable_dt(
@@ -125,7 +128,7 @@ def stable_dt(
     H, u and `geom` hold the cells of an evaluation's window: the bounds
     are over wet cells, and only the viscous and friction ones read `geom`.
     """
-    c = ctx.controls
+    c, p = ctx.controls, ctx.physics
     dx = ctx.dx
     wet = H > H_DRY
     if not np.any(wet):
@@ -134,8 +137,8 @@ def stable_dt(
     dt = c.cfl * dx / speed if speed > 0.0 else np.inf
 
     bounds = []
-    mu = ctx.model.mu
-    if ctx.model.active and mu > 0.0:
+    mu = p.mu
+    if mu > 0.0:
         gap = float(geom.h_half[:, wet].min())
         bounds.append(gap * gap / (2.0 * mu))
         bounds.append(dx * dx / (4.0 * mu))
@@ -143,13 +146,14 @@ def stable_dt(
         if zmax > 0.0:
             with np.errstate(over="ignore"):  # a dx^4 beyond the float range bounds nothing
                 bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
-    if ctx.friction.active:
-        kappa = ctx.friction.kappa(u[0], H)[wet]
+    if p.k_l > 0.0 or p.k_t > 0.0:
+        kappa = friction_kappa(p, H, u[0])[wet]
         cos3 = geom.cos3_b[wet]
         h1 = geom.h[0, wet]
         pos = kappa > 0.0
         if np.any(pos):
-            bounds.append(float((h1[pos] * cos3[pos] / kappa[pos]).min()))
+            with np.errstate(over="ignore"):  # a subnormal kappa bounds nothing
+                bounds.append(float((h1[pos] * cos3[pos] / kappa[pos]).min()))
     if bounds:
         dt = min(dt, 0.5 * min(bounds))
     if not (dt > 0.0):
@@ -212,29 +216,19 @@ def step(
 
 
 def make_context(scn: Scenario) -> SimContext:
-    """Grid, bed, closures and controls of a scenario; ConfigError if invalid."""
+    """Specs, partition and bed of a scenario; ConfigError if invalid."""
     scn.validate()
-    grid = scn.grid()
-    part = scn.partition()
-    zb = bathymetry_values(scn, grid)
-    bathy = make_bathymetry(zb, grid.dx, scn.boundary)
-    return SimContext(
-        grid=grid,
-        part=part,
-        bathy=bathy,
-        g=scn.physics.g,
-        model=RheologyModel(mu=scn.physics.mu, placement=scn.physics.placement),
-        friction=FrictionLaw(k_l=scn.physics.k_l, k_t=scn.physics.k_t),
-        controls=scn.controls,
-    )
+    bathy = make_bathymetry(bathymetry_values(scn), scn.mesh.dx, scn.boundary)
+    return SimContext(mesh=scn.mesh, part=scn.partition(), bathy=bathy,
+                      physics=scn.physics, controls=scn.controls)
 
 
 def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval], SimContext]:
     """Initial state plus the full right-hand-side closure for a scenario."""
     ctx = make_context(scn)
-    bathy, part, g = ctx.bathy, ctx.part, ctx.g
-    viscous = ctx.model.active or ctx.friction.active
-    H0, q0 = initial_fields(scn, ctx.grid, part, bathy.zb)
+    bathy, part, g, p = ctx.bathy, ctx.part, ctx.g, ctx.physics
+    viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
+    H0, q0 = initial_fields(scn, part, bathy.zb)
 
     n = H0.size
     # the layer energies of a dry bed, which cells outside a wet window keep
@@ -254,7 +248,7 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
             return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
                 ctx, H, u, ev.G, (a, b), E_dry, build_geometry(H, bed, part, h)))
         geom = build_geometry(H, bed, part, h)
-        S = stress_closure(ctx.model, ctx.friction, H, u, geom)
+        S = stress_closure(p, H, u, geom)
         dq = ev.dq + viscous_rhs(S, geom)
         return RhsEval(ev.dH, dq, (a, b),
                        lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, geom, S))
@@ -272,9 +266,9 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     would round differently.  Only u and G outlive the call.
     """
     a, b = window
-    n = ctx.grid.n_cells
+    n = ctx.mesh.n_cells
     if S is not None:
-        d_stress, d_fric = energy_mod.newtonian_dissipation(S, geom, ctx.model, u)
+        d_stress, d_fric = energy_mod.newtonian_dissipation(S, geom, ctx.physics.mu, u)
     else:
         d_stress, d_fric = 0.0, 0.0
     E = energy_mod.layer_energies(u, geom, ctx.g)

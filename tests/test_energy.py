@@ -5,7 +5,7 @@ from layerflow.energy import (boundary_influx, budget_residuals,
                               exchange_dissipation, interface_energy_term,
                               layer_energies, newtonian_dissipation)
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
-from layerflow.rheology import FrictionLaw, RheologyModel, stress_closure
+from layerflow.rheology import stress_closure
 from layerflow.scenario import (ControlsSpec, InitSpec, LayersSpec, MeshSpec,
                                 PhysicsSpec, Scenario)
 from layerflow.timeloop import run
@@ -67,10 +67,8 @@ def test_newtonian_dissipation_inactive_without_viscosity():
     H = np.ones(n)
     geom = build_geometry(H, bathy, part)
     u = np.random.default_rng(1).standard_normal((2, n))
-    friction = FrictionLaw(k_l=0.2)
-    model = RheologyModel(mu=0.0)
-    S = stress_closure(model, friction, H, u, geom)
-    stress, fric = newtonian_dissipation(S, geom, model, u)
+    S = stress_closure(PhysicsSpec(mu=0.0, k_l=0.2), H, u, geom)
+    stress, fric = newtonian_dissipation(S, geom, 0.0, u)
     assert stress == 0.0
     assert fric < 0.0
 

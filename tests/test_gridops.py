@@ -1,23 +1,8 @@
-"""Derivative stencils, ghost padding and the cell-centered grid."""
+"""Derivative stencils, layer sums and ghost padding."""
 import numpy as np
 import pytest
 
-from layerflow.gridops import Grid, cumsum_layers, d2dx2, ddx, pad_cells
-
-
-def test_grid_centers_and_spacing():
-    g = Grid(0.0, 1.0, 4)
-    assert g.dx == 0.25
-    assert np.allclose(g.x, [0.125, 0.375, 0.625, 0.875])
-
-
-def test_grid_rejects_bad_domains():
-    with pytest.raises(ValueError):
-        Grid(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        Grid(1.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        Grid(0.0, np.inf, 10)
+from layerflow.gridops import cumsum_layers, d2dx2, ddx, pad_cells
 
 
 def test_ddx_exact_on_linear_fields():

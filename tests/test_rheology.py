@@ -7,8 +7,8 @@ import pytest
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
 from layerflow.gridops import ddx
 from layerflow.kinematics import reconstruct_w
-from layerflow.rheology import (FrictionLaw, RheologyModel, stress_closure,
-                                viscous_rhs)
+from layerflow.rheology import friction_kappa, stress_closure, viscous_rhs
+from layerflow.scenario import PhysicsSpec
 
 
 def _flat_geom(H0, N, n, dx, bc):
@@ -25,8 +25,7 @@ def test_pure_vertical_shear_interface_placement():
     geom, H = _flat_geom(2.0, N, n, 0.25, "periodic")
     u_col = np.array([0.0, 1.0, 3.0, 2.0])
     u = np.repeat(u_col[:, None], n, axis=1)
-    model = RheologyModel(mu=mu)
-    S = stress_closure(model, FrictionLaw(), H, u, geom)
+    S = stress_closure(PhysicsSpec(mu=mu), H, u, geom)
     gap = 0.5  # interior interface gap for H=2, N=4
     expect = mu * np.diff(u_col) / gap
     for k in range(1, N):
@@ -45,8 +44,7 @@ def test_pure_shear_viscous_rhs_is_tridiagonal_diffusion():
     geom, H = _flat_geom(1.0, N, n, dx, "periodic")
     u_col = np.array([0.4, -0.3, 0.9, 0.0, 0.2])
     u = np.repeat(u_col[:, None], n, axis=1)
-    model = RheologyModel(mu=mu)
-    S = stress_closure(model, FrictionLaw(), H, u, geom)
+    S = stress_closure(PhysicsSpec(mu=mu), H, u, geom)
     V = viscous_rhs(S, geom)
     gap = 1.0 / N
     flux = np.zeros(N + 1)
@@ -63,8 +61,7 @@ def test_uniform_extension_both_placements():
     for placement in ("interface", "layer"):
         geom, H = _flat_geom(1.5, 3, n, dx, "transmissive")
         u = np.repeat((c * x)[None, :], 3, axis=0)
-        model = RheologyModel(mu=mu, placement=placement)
-        S = stress_closure(model, FrictionLaw(), H, u, geom)
+        S = stress_closure(PhysicsSpec(mu=mu, placement=placement), H, u, geom)
         assert np.allclose(S.xx_if, 2 * mu * c, atol=1e-12)
         assert np.allclose(S.xx_mid, 2 * mu * c, atol=1e-12)
         assert np.abs(S.zx_mid).max() < 1e-12
@@ -74,9 +71,7 @@ def test_traction_closures():
     n, dx = 12, 0.1
     geom, H = _flat_geom(1.0, 2, n, dx, "periodic")
     u = np.vstack([np.full(n, 0.8), np.full(n, 1.4)])
-    friction = FrictionLaw(k_l=0.3, k_t=0.2)
-    model = RheologyModel(mu=0.05)
-    S = stress_closure(model, friction, H, u, geom)
+    S = stress_closure(PhysicsSpec(mu=0.05, k_l=0.3, k_t=0.2), H, u, geom)
     assert (S.sigma[-1] == 0.0).all()
     kappa = 0.3 + 0.2 * H * np.abs(u[0])
     assert np.allclose(S.sigma[0], kappa * u[0], atol=1e-14)  # cos=1 on flat
@@ -96,8 +91,7 @@ def test_tangential_traction_formula():
     # with Szz = -Sxx, bit for bit
     geom, H, u = _random_sloped_state(84)
     for placement in ("interface", "layer"):
-        S = stress_closure(RheologyModel(mu=0.2, placement=placement),
-                           FrictionLaw(k_l=0.1), H, u, geom)
+        S = stress_closure(PhysicsSpec(mu=0.2, k_l=0.1, placement=placement), H, u, geom)
         xx, zx, s = S.xx_if, S.zx_if, geom.dz_if_dx
         want = zx - s * (xx + s * zx - (-xx))
         assert S.sigma[1:-1].tobytes() == want[1:-1].tobytes()
@@ -114,8 +108,7 @@ def test_internal_stresses_do_not_create_momentum():
     geom = build_geometry(H, bathy, part)
     u = rng.standard_normal((N, n))
     for placement in ("interface", "layer"):
-        model = RheologyModel(mu=0.15, placement=placement)
-        S = stress_closure(model, FrictionLaw(), H, u, geom)
+        S = stress_closure(PhysicsSpec(mu=0.15, placement=placement), H, u, geom)
         V = viscous_rhs(S, geom)
         scale = np.abs(V).max()
         assert abs(V.sum() * dx) < 1e-12 * max(1.0, scale)
@@ -127,8 +120,7 @@ def test_the_stress_field_carries_its_w_resultant_and_carrier(bc):
     carriers = {"interface": (geom.h_half, "xx_if", "zx_if"),
                 "layer": (geom.h, "xx_mid", "zx_mid")}
     for placement, (weight, xx, zx) in carriers.items():
-        S = stress_closure(RheologyModel(mu=0.2, placement=placement),
-                           FrictionLaw(), H, u, geom)
+        S = stress_closure(PhysicsSpec(mu=0.2, placement=placement), H, u, geom)
         assert S.w.tobytes() == reconstruct_w(u, geom)[0].tobytes()
         inner = ddx(geom.h * geom.z_mid * S.zx_mid, geom.dx, bc)
         assert S.resultant.tobytes() == (geom.h * (S.xx_mid - (-S.xx_mid))
@@ -177,21 +169,13 @@ def test_the_stress_field_reproduces_its_digests_bitwise(placement, bc, N):
     u = rng.standard_normal((N, n))
     u[:, H == 0.0] = 0.0
     geom = build_geometry(H, bathy, part)
-    model = RheologyModel(mu=float(rng.uniform(0.05, 0.3)), placement=placement)
-    friction = FrictionLaw(k_l=float(rng.uniform(0.1, 0.5)), k_t=float(rng.uniform(0.1, 0.5)))
-    S = stress_closure(model, friction, H, u, geom)
+    # the draws keep their order: mu, k_l, k_t
+    physics = PhysicsSpec(mu=float(rng.uniform(0.05, 0.3)), k_l=float(rng.uniform(0.1, 0.5)),
+                          k_t=float(rng.uniform(0.1, 0.5)), placement=placement)
+    S = stress_closure(physics, H, u, geom)
     sha = hashlib.sha256()
     for name in STRESS_FIELDS:
         sha.update(np.ascontiguousarray(getattr(S, name)).tobytes())
     sha.update(viscous_rhs(S, geom).tobytes())
     assert sha.hexdigest() == STRESS_DIGESTS[placement, bc, N]
-    assert S.kappa.tobytes() == friction.kappa(u[0], H).tobytes()
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        RheologyModel(mu=-0.1)
-    with pytest.raises(ValueError):
-        RheologyModel(mu=0.1, placement="edge")
-    assert not RheologyModel().active
-    assert RheologyModel(mu=0.2).active
+    assert S.kappa.tobytes() == friction_kappa(physics, H, u[0]).tobytes()

@@ -10,7 +10,6 @@ import pytest
 from layerflow import cli, timeloop
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition
-from layerflow.gridops import Grid
 from layerflow.output import (ENERGY_COLUMNS, Snapshot, read_energy_series,
                               read_snapshot, snapshot_header, write_energy_series,
                               write_snapshot)
@@ -57,6 +56,20 @@ def test_parse_golden_config():
     assert scn.physics.mu == 0.003
     assert scn.controls.integrator == "forward-euler"
     assert scn.output.directory == "results"
+
+
+def test_mesh_centers_and_spacing():
+    mesh = MeshSpec(0.0, 1.0, 4)
+    assert mesh.dx == 0.25
+    assert mesh.x.tolist() == [0.125, 0.375, 0.625, 0.875]
+
+
+def test_check_rejects_an_empty_domain():
+    text = GOLDEN.replace("mesh.x_min = -1.0", "mesh.x_min = 0").replace(
+        "mesh.x_max = 3.0", "mesh.x_max = 0")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert err.value.problems == ["mesh.x_max: domain [0, 0] is empty (line 4)"]
 
 
 def test_parse_reports_every_problem_with_lines():
@@ -117,7 +130,7 @@ physics.placement = edge
     assert "cfl must lie in (0, 1]" in msg
     # the offending line is cited when the key appeared in the file
     assert "(line 9)" in msg
-    # the closure's own rules: RheologyModel restates them for library use
+    # the closure's rules, which validation alone owns
     assert "physics.mu: viscosity must be nonnegative (line 10)" in err.value.problems
     assert ("physics.placement: unknown placement 'edge', expected one of "
             "('interface', 'layer') (line 11)") in err.value.problems
@@ -316,9 +329,8 @@ def test_initial_fields_clip_dry_columns():
         init=InitSpec(kind="lake_at_rest", eta0=1.0),
         physics=PhysicsSpec(g=9.81),
     )
-    grid = scn.grid()
-    zb = bathymetry_values(scn, grid)
-    H, q = initial_fields(scn, grid, scn.partition(), zb)
+    zb = bathymetry_values(scn)
+    H, q = initial_fields(scn, scn.partition(), zb)
     assert (H >= 0.0).all()
     dry = zb >= 1.0
     assert dry.any()
@@ -336,8 +348,7 @@ def test_initial_fields_table_layout():
                       u_values=(1.0, 2.0, 3.0, 10.0, 20.0, 30.0)),
         physics=PhysicsSpec(g=9.81),
     )
-    grid = scn.grid()
-    H, q = initial_fields(scn, grid, scn.partition(), np.zeros(3))
+    H, q = initial_fields(scn, scn.partition(), np.zeros(3))
     part = LayerPartition.uniform(2)
     assert np.allclose(q[0], 0.5 * H * np.array([1.0, 2.0, 3.0]))
     assert np.allclose(q[1], 0.5 * H * np.array([10.0, 20.0, 30.0]))

@@ -9,8 +9,7 @@ from layerflow.errors import ConfigError, SolverAbort
 from layerflow.euler import euler_rhs, wet_window
 from layerflow.geometry import (InterfaceGeometry, LayerPartition,
                                 build_geometry, make_bathymetry)
-from layerflow.gridops import Grid, ddx
-from layerflow.rheology import FrictionLaw, RheologyModel
+from layerflow.gridops import ddx
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
                                 Scenario, parse_scenario)
@@ -22,12 +21,10 @@ from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
 
 def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
          cfl=0.5):
-    grid = Grid(0.0, n * dx, n)
     part = LayerPartition.uniform(N)
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
-    return SimContext(grid=grid, part=part, bathy=bathy, g=g,
-                      model=RheologyModel(mu=mu),
-                      friction=FrictionLaw(k_l=k_l, k_t=k_t),
+    return SimContext(mesh=MeshSpec(0.0, n * dx, n), part=part, bathy=bathy,
+                      physics=PhysicsSpec(g=g, mu=mu, k_l=k_l, k_t=k_t),
                       controls=ControlsSpec(t_end=1.0, cfl=cfl))
 
 
@@ -70,6 +67,15 @@ def test_stable_dt_survives_a_dry_domain():
     assert np.isfinite(dt) and dt > 0.0
 
 
+@pytest.mark.parametrize("key, kappa", [("k_l", 5e-324), ("k_t", 1e-310)])
+def test_a_subnormal_friction_coefficient_bounds_nothing(key, kappa):
+    # h_1 cos^3 / kappa overflows: the friction bound is infinite, not a warning
+    twin = run(_smooth_scenario())
+    result = run(_smooth_scenario(physics=PhysicsSpec(g=9.81, **{key: kappa})))
+    assert result.summary["steps"] == twin.summary["steps"]
+    assert np.array_equal(result.times, twin.times)
+
+
 def _decay_rhs(state):
     return RhsEval(dH=-state.H, dq=-state.q)
 
@@ -82,6 +88,15 @@ def test_make_context_validates_the_scenario():
     with pytest.raises(ConfigError) as err:
         make_context(scn)
     assert any(p.startswith("controls.cfl:") for p in err.value.problems)
+
+
+def test_make_context_holds_the_scenarios_own_specs():
+    scn = _smooth_scenario(physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
+    ctx = make_context(scn)
+    assert ctx.mesh is scn.mesh
+    assert ctx.physics is scn.physics
+    assert ctx.controls is scn.controls
+    assert (ctx.dx, ctx.g) == (scn.mesh.dx, scn.physics.g)
 
 
 def test_step_forward_euler_and_rk2_on_linear_decay():
@@ -360,7 +375,7 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
     r = rhs(state)
     r.diag
     (a, b), ((bed, geom),) = r.window, built
-    assert b < ctx.grid.n_cells
+    assert b < ctx.mesh.n_cells
     for name, stop in (("zb", b), ("cos3", b),
                        ("zb_l", b + 1), ("zb_r", b + 1), ("z_edge", b + 1)):
         field = getattr(bed, name)
