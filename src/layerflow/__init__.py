@@ -14,7 +14,7 @@ from .errors import ConfigError, SolverAbort
 from .euler import euler_rhs, hll_fluxes
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
-from .gridops import ddx, d2dx2, pad_cells
+from .gridops import ddx, ddx_adjoint, pad_cells
 from .kinematics import reconstruct_w, what_coefficients
 from .rheology import StressField, stress_closure, viscous_rhs
 from .scenario import Scenario, format_scenario, parse_scenario
@@ -30,7 +30,7 @@ __all__ = [
     "Bathymetry", "ConfigError", "H_DRY",
     "InterfaceGeometry", "LayerPartition", "LayerState",
     "RunResult", "Scenario", "SimContext", "SolverAbort", "StressField",
-    "build_geometry", "d2dx2", "ddx", "euler_rhs", "exchange_dissipation",
+    "build_geometry", "ddx", "ddx_adjoint", "euler_rhs", "exchange_dissipation",
     "exchange_fluxes", "format_scenario", "hll_fluxes",
     "hydrostatic_pressures", "interface_velocities", "layer_energies",
     "layer_thicknesses", "make_bathymetry", "make_context", "make_rhs",

@@ -6,9 +6,10 @@ tracked exactly from the scheme's own quantities:
   * exchange dissipation: every interface transfer G destroys kinetic
     energy at rate (1/2) (u_above - u_below)^2 |G| because the upwinded
     interface velocity carries the donor layer's momentum;
-  * viscous dissipation: for a Newtonian closure the work of the stress
-    terms collapses to -(h/mu) (Sxx^2 + Szx^2) summed over the stress
-    carriers, plus the bottom friction drain -(kappa/cos^3) u_1^2.
+  * viscous dissipation: the work sum(u V) dx of the stress terms is
+    -(weight/mu) (Sxx^2 + Szx^2) summed over the stress carriers, plus
+    the bottom friction drain -(kappa/cos^3) u_1^2, because V is the
+    transpose of the closure's strain map (`rheology.viscous_rhs`).
 
 The budget residual compares the measured energy change per step with
 the boundary flux and these sinks; it is a consistency indicator, not a
@@ -67,19 +68,12 @@ def newtonian_dissipation(
 
 
 def energy_flux_density(
-    u: np.ndarray, geom: InterfaceGeometry,
-    E: np.ndarray, p_mid: np.ndarray, S: StressField | None,
+    u: np.ndarray, geom: InterfaceGeometry, E: np.ndarray, p_mid: np.ndarray,
 ) -> np.ndarray:
-    """Horizontal energy flux per cell (n,), used for boundary budgets.
-
-    Advective/pressure part u (E + h p) per layer, plus the in-layer
-    viscous working when a stress field is supplied.
-    """
-    flux = (u * (E + geom.h * p_mid)).sum(axis=0)
-    if S is not None:
-        work = u * S.resultant + S.w * geom.h * S.zx_mid
-        flux = flux - work.sum(axis=0)
-    return flux
+    """Horizontal energy flux u (E + h p) per cell (n,), summed over the
+    layers, for the budget at transmissive ends.  The viscous terms do
+    no boundary work: their work is the dissipation."""
+    return (u * (E + geom.h * p_mid)).sum(axis=0)
 
 
 def budget_residuals(
@@ -98,5 +92,5 @@ def budget_residuals(
 
 
 def boundary_influx(flux_density: np.ndarray) -> float:
-    """Net energy inflow across the two ends of a non-periodic domain."""
+    """Net energy inflow across the two ends of a transmissive domain."""
     return float(flux_density[0] - flux_density[-1])

@@ -1,8 +1,9 @@
 """Boundary kinds and the shared finite-difference primitives.
 
-Every derivative taken anywhere in the solver goes through `ddx` / `d2dx2`
-so that discrete identities (telescoping sums, product-rule groupings)
-hold between modules.
+Every derivative taken anywhere in the solver goes through `ddx`, and
+every transposed one through `ddx_adjoint`, so that discrete identities
+(telescoping sums, product-rule groupings, summation by parts) hold
+between modules.
 """
 from __future__ import annotations
 
@@ -41,26 +42,24 @@ def ddx(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
     return out
 
 
-def d2dx2(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
-    """Three-point second derivative along the last axis."""
-    dx2 = dx * dx
-    out = np.empty_like(f, dtype=float)
+def ddx_adjoint(g: np.ndarray, dx: float, bc: str) -> np.ndarray:
+    """The transpose of `ddx`'s matrix along the last axis, so that
+    sum(f * ddx(g)) == sum(ddx_adjoint(f) * g): -ddx on periodic domains,
+    else with the transposed one-sided end rows, which at three cells
+    both reach the middle cell."""
     if bc == PERIODIC:
-        # (right - 2 f) + left, the wrapped neighbors taken as slices
-        f2 = 2.0 * f
-        np.subtract(f[..., 2:], f2[..., 1:-1], out=out[..., 1:-1])
-        np.subtract(f[..., 0], f2[..., -1], out=out[..., -1])
-        np.subtract(f[..., 1], f2[..., 0], out=out[..., 0])
-        out[..., 1:-1] += f[..., :-2]
-        out[..., -1] += f[..., -2]
-        out[..., 0] += f[..., -1]
-        out /= dx2
-        return out
+        out = ddx(g, dx, bc)
+        return np.negative(out, out=out)
     check_boundary(bc)
-    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / dx2
-    # one-sided copies of the adjacent interior stencil
-    out[..., 0] = (f[..., 2] - 2.0 * f[..., 1] + f[..., 0]) / dx2
-    out[..., -1] = (f[..., -1] - 2.0 * f[..., -2] + f[..., -3]) / dx2
+    out = np.zeros_like(g, dtype=float)
+    out[..., 2:] += g[..., 1:-1]
+    out[..., :-2] -= g[..., 1:-1]
+    out /= 2.0 * dx
+    lo, hi = g[..., 0] / dx, g[..., -1] / dx
+    out[..., 0] -= lo
+    out[..., 1] += lo
+    out[..., -2] -= hi
+    out[..., -1] += hi
     return out
 
 

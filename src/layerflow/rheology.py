@@ -3,11 +3,12 @@
 One assembly closes the Newtonian stresses for both placements.  It
 computes the strains once: in each layer h du/dx and h phi, with
 phi = dw/dx + dz_mid/dx du/dx, and across each interface of slope s the
-velocity jump du as s du and du (1 - s^2).  These are the strains B u
-of a summation-by-parts assembly V = -mu B^T W B u, whose viscous work
-is the quadratic dissipation (Fernandez, Hicken & Zingg, Comput. Fluids
-95, 2014); `viscous_rhs` still takes V from the divergence of the
-stresses instead.  Ghost layers below the bed and above the surface carry no
+velocity jump du as s du and du (1 - s^2).  These are the strains B u,
+and `viscous_rhs` applies their transpose to the stresses: the
+summation-by-parts assembly V = -mu B^T W B u, whose viscous work
+sum(u V) dx is the quadratic dissipation on every boundary kind and
+which does not see the bed datum (Fernandez, Hicken & Zingg, Comput.
+Fluids 95, 2014).  Ghost layers below the bed and above the surface carry no
 strain, and u does not jump at the bed or the surface, which pins the
 boundary-interface stresses to their single-sided values (e.g.
 Sxx = 2 mu du/dx at the bed).
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import InterfaceGeometry
-from .gridops import cumsum_layers, d2dx2, ddx
+from .gridops import cumsum_layers, ddx, ddx_adjoint
 from .kinematics import reconstruct_w
 from .scenario import INTERFACE, PhysicsSpec
 
@@ -52,8 +53,6 @@ class StressField:
     zx: np.ndarray          # Szx on the carrier
     sigma: np.ndarray       # tangential tractions (N+1, n), surface and bed closed
     kappa: np.ndarray       # bed friction coefficient (n,) of the sigma[0] closure
-    w: np.ndarray           # the layer-mean w the stresses were built from
-    resultant: np.ndarray   # in-layer h (Sxx - Szz) + d(h z_mid Szx)/dx (N, n)
 
 
 def friction_kappa(physics: PhysicsSpec, H: np.ndarray, u_bottom: np.ndarray) -> np.ndarray:
@@ -102,28 +101,30 @@ def stress_closure(
     sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
     sigma[-1] = 0.0
     sigma[0] = kappa * u[0] / geom.cos3_b
-
-    resultant = h * (xx_mid + xx_mid) + ddx(h * geom.z_mid * zx_mid, geom.dx, geom.bc)
     return StressField(xx_if=xx_if, zx_if=zx_if, xx_mid=xx_mid, zx_mid=zx_mid,
-                       weight=weight, xx=xx, zx=zx, sigma=sigma, kappa=kappa, w=w,
-                       resultant=resultant)
+                       weight=weight, xx=xx, zx=zx, sigma=sigma, kappa=kappa)
 
 
 def viscous_rhs(S: StressField, geom: InterfaceGeometry) -> np.ndarray:
-    """Momentum tendencies V (N, n) from a closed stress field.
+    """Momentum tendencies V (N, n): the transpose of the strain map
+    applied to the closed stresses, so that sum(u V) dx is the dissipation.
 
-    Per layer: the divergence of the in-layer stress resultant, the
-    second-derivative coupling of the shear carried by all layers
-    above, and the traction jump across the layer.
+    Both placements do the in-layer work 2 Sxx h du/dx + Szx h phi per
+    layer, with phi = dw/dx + dz_mid/dx du/dx and w built from u as in
+    `reconstruct_w`.  With D^T = `ddx_adjoint`, r = D^T(h Szx) and
+    m = r/2 + (the sum of r over the layers above), its transpose is
+
+        -D^T(2 h Sxx + dz_mid/dx h Szx - z_mid r) + h D^T m - z_mid D^T r,
+
+    in which a shift of the datum cancels.  The interface jumps give the
+    traction differences across each layer.
     """
-    h, z_if, dx, bc = geom.h, geom.z_if, geom.dx, geom.bc
-
-    term1 = ddx(S.resultant, dx, bc)
-
+    h, z_mid, dx, bc = geom.h, geom.z_mid, geom.dx, geom.bc
     hzx = h * S.zx_mid
-    above = np.zeros((h.shape[0] + 1, h.shape[1]))
-    cumsum_layers(hzx, from_top=True, out=above[:-1])
-    d2 = d2dx2(above, dx, bc)
-    term2 = z_if[1:] * d2[1:] - z_if[:-1] * d2[:-1]
-
-    return term1 + term2 + (S.sigma[1:] - S.sigma[:-1])
+    r = ddx_adjoint(hzx, dx, bc)
+    m = cumsum_layers(r, from_top=True)
+    m -= 0.5 * r
+    V = h * ddx_adjoint(m, dx, bc) - z_mid * ddx_adjoint(r, dx, bc)
+    V -= ddx_adjoint(2.0 * h * S.xx_mid + geom.dz_mid_dx * hzx - z_mid * r, dx, bc)
+    V += S.sigma[1:] - S.sigma[:-1]
+    return V

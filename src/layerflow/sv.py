@@ -12,8 +12,11 @@ Depth-averaged closure:
     w   = -1/2 d(Hu)/dx + u dz/dx,        z = z_b + H/2,
     Sxx = 2 mu du/dx,
     Szx = mu (dw/dx + dz/dx du/dx),
-    V   = d/dx(2 H Sxx + d/dx(H z Szx)) - z_b d2/dx2(H Szx)
-          - kappa u / cos_b^3.
+
+and the transpose of the strain map under the work, with D^T the
+transposed derivative matrix and r = D^T(H Szx),
+
+    V = -D^T(2 H Sxx + dz/dx H Szx - z r) - z_b D^T r - kappa u / cos_b^3.
 
 The w and Szx expressions keep the d(z u)/dx - z du/dx grouping so the
 discrete energy behavior matches the layered solver exactly.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverAbort
-from .gridops import d2dx2, ddx, pad_cells
+from .gridops import ddx, ddx_adjoint, pad_cells
 from .state import H_DRY
 
 
@@ -118,14 +121,16 @@ def sv_rhs(
     dudx = ddx(u, dx, bc)
     w = -0.5 * ddx(H * u, dx, bc) + (ddx(z_mid * u, dx, bc) - z_mid * dudx)
     s_xx = 2.0 * mu * dudx
-    s_zx = mu * (ddx(w, dx, bc) + ddx(z_mid, dx, bc) * dudx)
+    dzdx = ddx(z_mid, dx, bc)
+    s_zx = mu * (ddx(w, dx, bc) + dzdx * dudx)
     slope_b = ddx(zb, dx, bc)
     cos3_b = (1.0 / np.sqrt(1.0 + slope_b * slope_b)) ** 3
     kappa = k_l + k_t * H * np.abs(u)
 
     if mu > 0.0:
-        inner = ddx(H * z_mid * s_zx, dx, bc)
-        dq = dq + ddx(2.0 * H * s_xx + inner, dx, bc) - zb * d2dx2(H * s_zx, dx, bc)
+        r = ddx_adjoint(H * s_zx, dx, bc)
+        dq = (dq - ddx_adjoint(2.0 * H * s_xx + dzdx * H * s_zx - z_mid * r, dx, bc)
+              - zb * ddx_adjoint(r, dx, bc))
     dq = dq - kappa * u / cos3_b
     return SvRhs(dH=dH, dq=dq)
 

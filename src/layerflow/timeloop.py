@@ -2,10 +2,11 @@
 
 The step size satisfies the advective CFL condition and, for viscous
 runs, explicit-diffusion bounds for the vertical shear stencil
-(0.25 gap^2 / mu), the horizontal stress divergence (dx^2 / (8 mu)) and
-the fourth-order cross terms weighted by interface heights
-(dx^4 / (2 mu z_max^2)).  Friction, with or without viscosity, adds a
-relaxation bound 0.5 h_1 cos^3 / kappa.  After every stage
+(0.25 gap^2 / mu), the horizontal stresses (dx^2 / (8 mu)) and the
+fourth-order cross terms weighted by interface heights measured from
+mid-column, which a datum shift leaves alone (dx^4 / (2 mu z_max^2)).
+Friction, with or without viscosity, adds a relaxation bound
+0.5 h_1 cos^3 / kappa.  After every stage
 the depth is clipped: small negatives (round-off from drying fronts)
 snap to zero and the momentum of dry columns is dropped; anything worse
 aborts with the offending cell.
@@ -43,7 +44,7 @@ from .errors import SolverAbort
 from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
-from .gridops import PERIODIC, widen
+from .gridops import TRANSMISSIVE, widen
 from .rheology import StressField, friction_kappa, stress_closure, viscous_rhs
 from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec,
                        Scenario, bathymetry_values, initial_fields)
@@ -142,7 +143,7 @@ def stable_dt(
         gap = float(geom.h_half[:, wet].min())
         bounds.append(gap * gap / (2.0 * mu))
         bounds.append(dx * dx / (4.0 * mu))
-        zmax = float(np.abs(geom.z_if[:, wet]).max())
+        zmax = float(np.abs(geom.z_if[:, wet] - (geom.z_if[0, wet] + 0.5 * H[wet])).max())
         if zmax > 0.0:
             with np.errstate(over="ignore"):  # a dx^4 beyond the float range bounds nothing
                 bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
@@ -273,9 +274,11 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
         d_stress, d_fric = 0.0, 0.0
     E = energy_mod.layer_energies(u, geom, ctx.g)
     influx = 0.0
-    if ctx.bathy.bc != PERIODIC and (a == 0 or b == n):  # the window's ends
+    # water crosses transmissive ends only: the mirrored traces at a wall
+    # carry no mass flux
+    if ctx.bathy.bc == TRANSMISSIVE and (a == 0 or b == n):  # the window's ends
         p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
-        flux = energy_mod.energy_flux_density(u, geom, E, p_mid, S)
+        flux = energy_mod.energy_flux_density(u, geom, E, p_mid)
         influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
                                              flux[-1] if b == n else 0.0))
     return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),

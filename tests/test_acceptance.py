@@ -18,10 +18,10 @@ DETAILS = {
     3: "max|u_a-u|=1.42e-15, max|H4-H1|=8.88e-16 (<=1e-10)",
     4: "L1 errors 6.254e-02 -> 3.656e-02, order=0.77 (>=0.7), wall=…s (<30s)",
     5: "max relative step growth=-8.91e-05 (<=1e-12), max D_G=-0.00e+00 (<=0)",
-    6: "worst relative gap=5.94e-16 over 1000 states (<=1e-12), signs nonpositive=True",
+    6: "worst relative gap=8.46e-16 over 1000 states (<=1e-12), signs nonpositive=True",
     7: "worst |int(what) - h w|=9.31e-15 for N in 2,3,5 (<=1e-12)",
     8: "monotone=True, rate=0.09743 vs oracle 0.09743 (gap 0.0%, <=10%), wall=…s (<10s)",
-    9: "rhs gap=7.07e-16 (<=1e-14), trajectory gap after 100 steps=1.11e-16 (<=1e-12)",
+    9: "rhs gap=3.67e-16 (<=1e-14), trajectory gap after 100 steps=2.22e-16 (<=1e-12)",
     10: "upwind terms nonpositive=True, match closed form=True, "
         "anti-upwind witness=39.254 (>0)",
 }

@@ -1,13 +1,16 @@
 """Energy bookkeeping: densities, dissipation channels, budget closure."""
 import numpy as np
+import pytest
 
 from layerflow.energy import (boundary_influx, budget_residuals,
                               exchange_dissipation, interface_energy_term,
                               layer_energies, newtonian_dissipation)
-from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
+from layerflow.geometry import (LayerPartition, build_geometry, layer_thicknesses,
+                                make_bathymetry)
 from layerflow.rheology import stress_closure
-from layerflow.scenario import (ControlsSpec, InitSpec, LayersSpec, MeshSpec,
-                                PhysicsSpec, Scenario)
+from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
+                                MeshSpec, OutputSpec, PhysicsSpec, Scenario)
+from layerflow.state import velocities
 from layerflow.timeloop import run
 
 
@@ -125,8 +128,6 @@ def test_friction_only_run_loses_energy():
 def test_budget_closes_for_x_uniform_shear():
     # without horizontal jumps the transport core is silent and the
     # audited channels explain the whole energy drop
-    from layerflow.scenario import BathymetrySpec
-
     scn = Scenario(
         mesh=MeshSpec(0.0, 1.0, 16),
         boundary="periodic",
@@ -167,3 +168,58 @@ def test_smooth_run_residual_is_pure_extra_dissipation():
     assert dE < 0.0
     assert dE <= explained + 1e-12
     assert result.residuals.max() <= 1e-9
+
+
+def _two_layer_dam_break(bc):
+    return Scenario(
+        mesh=MeshSpec(0.0, 1.0, 100),
+        boundary=bc,
+        layers=LayersSpec(n=2),
+        init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.5, x0=0.5, u=(0.3, 0.5)),
+        physics=PhysicsSpec(g=9.81),
+        controls=ControlsSpec(t_end=0.3),
+    )
+
+
+def test_a_wall_books_no_energy_influx():
+    # the mirrored traces at a wall carry no mass flux, so no energy enters;
+    # the same flow between transmissive ends exchanges energy through them
+    walled = run(_two_layer_dam_break("wall"))
+    assert walled.influx.size > 2
+    assert np.all(walled.influx == 0.0)
+    assert np.abs(run(_two_layer_dam_break("transmissive")).influx).max() > 0.1
+
+
+@pytest.mark.parametrize("placement", ["interface", "layer"])
+def test_a_viscous_lake_at_rest_loses_energy_at_every_datum(placement):
+    # 1e-6 velocity noise on a lake at rest over a bump: its energy above the
+    # rest state, kinetic plus g/2 (eta - eta0)^2, falls at every step, and
+    # the run takes the same steps whatever the height of the datum
+    n, N, g = 48, 4, 9.81
+    x = (np.arange(n) + 0.5) / n
+    noise = 1e-6 * np.random.default_rng(5).standard_normal(N * n)
+    steps = set()
+    for datum in (-0.5, 0.0, 1.0):
+        zb = 0.1 * np.cos(2 * np.pi * x) + datum
+        scn = Scenario(
+            mesh=MeshSpec(0.0, 1.0, n),
+            boundary="periodic",
+            layers=LayersSpec(n=N),
+            bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
+            init=InitSpec(kind="table", H_values=tuple(datum + 1.0 - zb),
+                          u_values=tuple(noise)),
+            physics=PhysicsSpec(g=g, mu=1e-3, placement=placement),
+            controls=ControlsSpec(t_end=0.02),
+            output=OutputSpec(snapshot_every=1e-12),  # a frame per step
+        )
+        result = run(scn)
+        part = result.ctx.part
+        above_rest = []
+        for _, _, s in result.snapshots:
+            h = layer_thicknesses(s.H, part)
+            u = velocities(s.H, s.q, part, h=h)
+            eta = s.H + zb - (datum + 1.0)
+            above_rest.append(((0.5 * h * u * u).sum() + 0.5 * g * (eta * eta).sum()) / n)
+        assert (np.diff(above_rest) < 0.0).all(), datum
+        steps.add(result.summary["steps"])
+    assert len(steps) == 1

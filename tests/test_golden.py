@@ -1,10 +1,7 @@
 """Golden outputs: `layerflow run` must reproduce these files byte for byte.
 
 The first three digest sets were recorded before the tendency evaluation
-was reorganized to compute each quantity once per stage.  The viscous
-wall case, the one golden run whose energy audit reads the boundary work
-of the stress field (and so the w the stress closure used), was recorded
-before the accepted-state fields moved into `Diagnostics`.  The periodic
+was reorganized to compute each quantity once per stage.  The periodic
 bump case, the one golden run whose bed differs across the periodic seam
 (so the bed edges wrap) and whose snapshots take w from periodic
 stencils, was recorded before the tendency kernels were rewritten to
@@ -17,19 +14,36 @@ window.  The transmissive case with a receding shoreline, whose water
 flows out through the left end and leaves films on the slope behind
 it, was recorded before the stage updates, the clipping, the stable
 step and the audit were restricted to the wet window.  The viscous
-transmissive case, the one run whose audit reads the boundary work of
-interface-placed stresses at an open end, was recorded before the stress
-closure took over w, the tractions and the in-layer resultant.  The CSVs carry
-17 significant digits, so any change to the arithmetic the stepper
-applies, to the audit or to the snapshot schedule shows up here.  A
-change that alters them on purpose has to explain every changed digit
-and re-record them.
+transmissive case is the one run whose audit reads an energy flux at an
+open end while interface-placed stresses act.
+
+Two changes were recorded together.  The viscous tendency became the
+transpose of the stress closure's strain map (its in-layer part had
+been a stress divergence), and the stable step's dx^4 bound reads
+heights from mid-column.  The two viscous cases on a bumpy bed,
+`viscous_friction_wall_layer_rk2` and
+`viscous_interface_transmissive_rk2`, now take 47 steps where they took
+56, and every file but the initial snapshot changed.  The audit books
+an energy influx at transmissive ends only, since no water crosses a
+wall: in the `energy.csv` of `inviscid_wall_rk2` and
+`inviscid_wall_dry_stretch_rk2` that moved the residual column alone.
+The periodic viscous case is an x-uniform shear over a flat bed, where
+both operators reduce to the traction jumps, and it kept its files
+byte for byte.
+
+The CSVs carry 17 significant digits, so any change to the arithmetic
+the stepper applies, to the audit or to the snapshot schedule shows up
+here.  A change that alters them on purpose has to explain every
+changed digit and re-record them.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from layerflow import cli
+from layerflow.scenario import parse_scenario
+from layerflow.timeloop import run
 
 INVISCID_WALL_RK2 = """mesh.x_min = 0
 mesh.x_max = 1
@@ -197,7 +211,7 @@ output.snapshot_every = 0.075
 
 GOLDEN = {
     "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
-        "energy.csv": "37afad6bdcb910039ecee8dbb6734d3cb5af46ba7fc270afed80a527545d9450",
+        "energy.csv": "d68fffbeb27adbab3223f67ea223b18737f7c8cbf361a6fdc3e8f50cc2ef2ae3",
         "snapshot_0000.csv": "34cba07e2bc77c49b5174c02a9e6cb358830fc68eabd255114341bef19d0005d",
         "snapshot_0001.csv": "00b20ee9b508ae86df16f4e8da6dd45489dc7380805366b892fc74bc79dff55d",
         "snapshot_0002.csv": "e971b8812b0450b7932a1f9e4502a4b992e50f0db623a453e22f6a20c0be6b3c",
@@ -212,18 +226,18 @@ GOLDEN = {
         "snapshot_0003.csv": "db0068ec7d54dac5c29ac354656aacf71cae86ae5c24c47b06a74f3c27ef921a",
     }),
     "viscous_friction_wall_layer_rk2": (VISCOUS_FRICTION_WALL_LAYER_RK2, {
-        "energy.csv": "c1fc8e87cc3c0c5fd7fbbd6ac520b446ef7def095d1ac36e4accb4d8903612da",
+        "energy.csv": "deb6263ca392d76081279c3354c2d2a7c13e311aaefed1e3a58934da9a3747d8",
         "snapshot_0000.csv": "04021eca199e53ec51d6f387512d62d55838f2ad3f230a479b52ba6046c3b022",
-        "snapshot_0001.csv": "a46e9ee2ce6158da82e27dfdac36d822910afe125c26afd56cbde03df1838ff7",
-        "snapshot_0002.csv": "652c03c074c74a0db0833525dfc0709f8bfa5057e02c7131c3143138f6c50da1",
-        "snapshot_0003.csv": "28f46720ee302ba993607fd62972524c36be34167be1500eb0f7ad04fb3fd34d",
+        "snapshot_0001.csv": "07de23537e8b53a4f714483ade3b57f5f0798de91e1912fb68e29373241e1bba",
+        "snapshot_0002.csv": "0f6a47e93a4cc5ad28292f982eca63748debc57a87edb6d94ee613432f15122c",
+        "snapshot_0003.csv": "e8f8f57031ac49d95c98f79df52f3121e536f1a61dc176ff97caa27b75e6ea70",
     }),
     "viscous_interface_transmissive_rk2": (VISCOUS_INTERFACE_TRANSMISSIVE_RK2, {
-        "energy.csv": "ef3adc402a573d7e6959123fa3544133d1a9d4f17d923f840d98475ad14fa247",
+        "energy.csv": "c926d9e763b546c16c67a0fb585320ca251246d5cb2d9f92966f7c83dbcee100",
         "snapshot_0000.csv": "285bd51e3f3fbfdebf444dea89b0cb796197dff5291599bb427f1531bac28fec",
-        "snapshot_0001.csv": "05753b13e9c187435e4b966f96ad9a10d625158f481b33555e7fcf22941606d2",
-        "snapshot_0002.csv": "1e3ac508631c843e90541090a7725ea2a4b8428bc0cc41498fb4f86885fc769d",
-        "snapshot_0003.csv": "3bf12dd07007345771bbd8dac5510861b43afdd520b68ffa10a145c1d37092bf",
+        "snapshot_0001.csv": "497bfc8315f827cb8a3e9fe016f366293729e38c1daf5b67734aeb39785766a0",
+        "snapshot_0002.csv": "3502a01ab9840dab6ce5fba9453d55dad3eede50f387007d0d7357bb29aad684",
+        "snapshot_0003.csv": "e6e28c47ba305f60b2169b30d12f60bf6e674a823b98275a123875aa13f7d67e",
     }),
     "inviscid_periodic_bump_rk2": (INVISCID_PERIODIC_BUMP_RK2, {
         "energy.csv": "f5890d9d62b8a7826a375f4de511d7ed04bfd3512a8b400164f55d5c900d7cbb",
@@ -234,7 +248,7 @@ GOLDEN = {
         "snapshot_0004.csv": "577c42b93105114bcf01a26c7904ed4557b283e1841014933b7b97406e730bec",
     }),
     "inviscid_wall_dry_stretch_rk2": (INVISCID_WALL_DRY_STRETCH_RK2, {
-        "energy.csv": "d4d2377b2da81d9fb6d294dc9317d7b756a1d15d98c61c56ce6dc7e354dad17c",
+        "energy.csv": "d71c4f710a0cc968a72a1f80136f95cd822092d3b7d55046aeedc4e197a7e4ad",
         "snapshot_0000.csv": "2257b9dfd5e5eb024bb12f42de98c6a896aed16578533261d1bd150b2735b77b",
         "snapshot_0001.csv": "b944dd2e6ede3d6a0167a5c104088d5b931744d620166620657b3e37e79dcffd",
         "snapshot_0002.csv": "bac2c7afc52b152460d16c26e7c6c9881ec7e9aee372febde5add7ccfc779c51",
@@ -265,3 +279,15 @@ def test_run_reproduces_golden_files(name, tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == digests
+
+
+def test_raising_the_viscous_wall_case_changes_nothing():
+    # bed and surfaces one unit higher: the same steps to the same state
+    raised = (VISCOUS_FRICTION_WALL_LAYER_RK2.replace("z0 = -0.5", "z0 = 0.5")
+              .replace("eta_l = 0.6", "eta_l = 1.6").replace("eta_r = 0.4", "eta_r = 1.4"))
+    assert raised.count("= 1.") == 2 and "z0 = 0.5" in raised
+    a, b = run(parse_scenario(VISCOUS_FRICTION_WALL_LAYER_RK2)), run(parse_scenario(raised))
+    assert a.summary["steps"] == b.summary["steps"] == 47
+    assert np.abs(a.times - b.times).max() <= 1e-12 * a.times[-1]
+    for x, y in ((a.final.H, b.final.H), (a.final.q, b.final.q)):
+        assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerflow.gridops import cumsum_layers, d2dx2, ddx, pad_cells
+from layerflow.gridops import cumsum_layers, ddx, ddx_adjoint, pad_cells
 
 
 def test_ddx_exact_on_linear_fields():
@@ -26,12 +26,22 @@ def test_ddx_periodic_second_order():
     assert order > 1.9
 
 
-def test_d2dx2_exact_on_quadratics_inside():
-    n, dx = 12, 0.1
-    x = np.arange(n) * dx
-    f = 3.0 * x * x - x + 2.0
-    d2 = d2dx2(f, dx, "transmissive")
-    assert np.allclose(d2[1:-1], 6.0, atol=1e-10)
+@pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_ddx_adjoint_is_the_transpose_of_ddx(n, bc):
+    # column j of each matrix is the operator applied to the unit vector e_j;
+    # at n = 3 both one-sided end rows of ddx reach the middle cell
+    dx = 0.3
+    eye = np.eye(n)
+    D = np.array([ddx(e, dx, bc) for e in eye]).T
+    Dt = np.array([ddx_adjoint(e, dx, bc) for e in eye]).T
+    assert np.abs(Dt - D.T).max() <= 1e-15 * np.abs(D).max()
+    # and along the last axis of a stack of rows, as the layers use it
+    rng = np.random.default_rng(n)
+    f, g = rng.standard_normal((2, 3, n))
+    rows = np.array([ddx_adjoint(r, dx, bc) for r in g])
+    assert ddx_adjoint(g, dx, bc).tobytes() == rows.tobytes()
+    assert abs((f * ddx(g, dx, bc)).sum() - (ddx_adjoint(f, dx, bc) * g).sum()) < 1e-12
 
 
 def test_pad_cells_periodic_wraps():
@@ -85,6 +95,6 @@ def test_periodic_stencils_match_roll_formulas_bitwise(shape):
     f = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
     dx = 0.37
     d1 = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
-    d2 = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (dx * dx)
     assert ddx(f, dx, "periodic").tobytes() == d1.tobytes()
-    assert d2dx2(f, dx, "periodic").tobytes() == d2.tobytes()
+    # the periodic transpose is -ddx
+    assert ddx_adjoint(f, dx, "periodic").tobytes() == (-d1).tobytes()

@@ -61,3 +61,24 @@ def test_sv_matches_multilayer_on_open_boundaries():
     ev = euler_rhs(H, (H * u)[None, :], bathy, part, 9.81)
     assert np.abs(ev.dH - ref.dH).max() < 1e-14
     assert np.abs(ev.dq[0] - ref.dq).max() < 1e-13
+
+
+def test_sv_viscous_work_dissipates_and_does_not_see_the_datum():
+    # the viscous tendency, with friction off, does work sum(u V) dx < 0,
+    # and raising the bed and the surface together moves V by round-off only
+    rng = np.random.default_rng(73)
+    n = 40
+    dx = 1.0 / n
+    x = (np.arange(n) + 0.5) * dx
+    H = 0.9 + 0.1 * np.cos(2 * np.pi * x)
+    u = rng.standard_normal(n)
+    for bc in ("periodic", "wall", "transmissive"):
+        Vs = []
+        for datum in (-0.5, 0.0, 1.0):
+            zb = datum + 0.1 * np.sin(2 * np.pi * x)
+            V = (sv_rhs(H, H * u, zb, 9.81, 0.05, 0.0, 0.0, dx, bc).dq
+                 - sv_rhs(H, H * u, zb, 9.81, 0.0, 0.0, 0.0, dx, bc).dq)
+            assert (u * V).sum() * dx < 0.0
+            Vs.append(V)
+        scale = np.abs(Vs[0]).max()
+        assert max(np.abs(V - Vs[0]).max() for V in Vs) <= 1e-12 * scale

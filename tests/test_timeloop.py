@@ -50,6 +50,18 @@ def test_stable_dt_vertical_viscous_bound():
     assert np.isclose(dt, 0.5 * 0.25**2 / 4.0)
 
 
+def test_stable_dt_reads_heights_from_mid_column():
+    # dx = 0.1 leaves the dx^4 / (mu z^2) bound the smallest; z is measured
+    # from the middle of the unit column, so z_max = 0.5 at every datum
+    ctx = _ctx(dx=0.1, g=1e-6, mu=1.0, N=2)
+    H = np.ones(10)
+    u = np.zeros((2, 10))
+    for datum in (-3.0, 0.0, 7.0):
+        bed = make_bathymetry(np.full(10, datum), ctx.dx, "periodic")
+        dt = stable_dt(H, u, build_geometry(H, bed, ctx.part), ctx)
+        assert np.isclose(dt, 0.5 * 0.1**4 / 0.5**2)
+
+
 def test_stable_dt_friction_bound():
     ctx = _ctx(dx=50.0, g=1e-6, k_l=100.0, N=2)
     H = np.ones(10)
