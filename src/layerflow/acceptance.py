@@ -6,8 +6,9 @@ partition-refinement collapse, a closed-form dam-break profile, sign
 checks of the two dissipation channels and the work the applied viscous
 operator does against them, the layer-mean property of the reconstructed
 vertical velocity, a matrix-exponential oracle for vertical momentum
-diffusion, the standalone single-layer solver, and the energy optimality
-of the upwinded interface velocity.
+diffusion, the standalone single-layer solver, the energy optimality
+of the upwinded interface velocity, and the exact decaying mode of a
+shear column with a wall law, approached as the layer count grows.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import energy as energy_mod
 from .euler import euler_rhs
@@ -188,13 +188,12 @@ def criterion_6() -> CriterionResult:
         N = int(rng.integers(2, 6))
         n = int(rng.integers(12, 25))
         bc = "periodic" if trial % 2 == 0 else "transmissive"
-        placement = "interface" if trial % 3 else "layer"
         dx = 1.0 / n
         zb = 0.3 * rng.standard_normal(n) * 0.3
         H = rng.uniform(0.5, 2.0, n)
         u = rng.standard_normal((N, n))
         physics = PhysicsSpec(mu=10.0 ** rng.uniform(-3, 0), k_l=float(rng.uniform(0, 1)),
-                              k_t=float(rng.uniform(0, 1)), placement=placement)
+                              k_t=float(rng.uniform(0, 1)))
         geom = build_geometry(H, make_bathymetry(zb, dx, bc), LayerPartition.uniform(N))
         S = stress_closure(physics, H, u, geom)
         stress, fric = energy_mod.newtonian_dissipation(S, geom, physics.mu, u)
@@ -239,27 +238,34 @@ def criterion_7() -> CriterionResult:
 
 # --- 8: vertical shear relaxation against a matrix-exponential oracle ------
 
+def _shear_column(u: np.ndarray, mu: float, t_end: float, every: float,
+                  k_l: float = 0.0) -> Scenario:
+    """An x-uniform shear flow of len(u) equal layers over a flat periodic
+    bed, depth 1: vertical diffusion and the wall law alone act on it."""
+    return Scenario(
+        mesh=MeshSpec(0.0, 1.0, 8),
+        boundary="periodic",
+        layers=LayersSpec(n=len(u)),
+        bathymetry=BathymetrySpec(kind="flat", z0=-0.5),
+        init=InitSpec(kind="shear", eta0=0.5, u=tuple(u)),
+        physics=PhysicsSpec(g=9.81, mu=mu, k_l=k_l),
+        controls=ControlsSpec(t_end=t_end),
+        output=OutputSpec(snapshot_every=every),
+    )
+
+
 def criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
-    N, n = 8, 8
+    N = 8
     mu = 0.01
     u_amp = 0.3 * np.cos(np.pi * (np.arange(N) + 0.5) / N)
-    scn = Scenario(
-        mesh=MeshSpec(0.0, 1.0, n),
-        boundary="periodic",
-        layers=LayersSpec(n=N),
-        bathymetry=BathymetrySpec(kind="flat", z0=-0.5),
-        init=InitSpec(kind="shear", eta0=0.5, u=tuple(u_amp)),
-        physics=PhysicsSpec(g=9.81, mu=mu),
-        controls=ControlsSpec(t_end=6.0),
-        output=OutputSpec(snapshot_every=1e-12),  # a frame per step
-    )
-    frames = run(scn).snapshots
+    frames = run(_shear_column(u_amp, mu, 6.0, 1e-12)).snapshots  # a frame per step
     times = np.array([t for t, _, _ in frames])
     spreads = np.array([float(d.u.max() - d.u.min()) for _, d, _ in frames])
     monotone = bool((spreads[1:] <= spreads[:-1] * (1.0 + 1e-12) + 1e-15).all())
 
-    # oracle: the same initial profile under the tridiagonal diffusion ODE
+    # oracle: the same initial profile under the tridiagonal diffusion ODE,
+    # whose symmetric matrix L = V diag(lam) V^T gives expm(L t) = V diag(e^(lam t)) V^T
     h = 1.0 / N
     L = np.zeros((N, N))
     for a in range(N):
@@ -269,12 +275,13 @@ def criterion_8() -> CriterionResult:
         if a - 1 >= 0:
             L[a, a - 1] += mu / (h * h)
             L[a, a] -= mu / (h * h)
+    lam, vecs = np.linalg.eigh(L)
     i1 = int(np.searchsorted(times, 1.5))
     i2 = int(np.searchsorted(times, 5.5))
     t1, t2 = times[i1], times[i2]
 
     def ode_spread(tt: float) -> float:
-        v = scipy.linalg.expm(L * tt) @ u_amp
+        v = vecs @ (np.exp(lam * tt) * (vecs.T @ u_amp))
         return float(v.max() - v.min())
 
     rate_pde = float(np.log(spreads[i1] / spreads[i2]) / (t2 - t1))
@@ -377,10 +384,47 @@ def criterion_10() -> CriterionResult:
                            f"form={form_ok}, anti-upwind witness={witness:.3f} (>0)")
 
 
+# --- 11: the layered shear column converges in N to the continuous mode ----
+
+def _mode_errors(N: int, lam: float, mu: float, k_l: float) -> tuple[float, float]:
+    """Relative errors of the decay rate and of the L2 profile at t = 2 of
+    the layer means of cos(lam (1 - z')), z' above the bed, which decays
+    at rate mu lam^2 under u_t = mu u_zz with mu u_z = k_l u at the bed."""
+    z = np.arange(N + 1) / N
+    mode = np.diff(-np.sin(lam * (1.0 - z))) * N / lam  # layer means
+    frames = run(_shear_column(0.3 * mode, mu, 2.0, 0.5, k_l)).snapshots
+    (t1, d1, _), (t2, d2, _) = frames[1], frames[-1]
+    amp1, amp2 = (float(d.u[:, 0] @ mode / (mode @ mode)) for d in (d1, d2))
+    rate = np.log(amp1 / amp2) / (t2 - t1)
+    exact = 0.3 * mode * np.exp(-mu * lam * lam * t2)
+    profile = np.linalg.norm(d2.u[:, 0] - exact) / np.linalg.norm(exact)
+    return abs(rate / (mu * lam * lam) - 1.0), float(profile)
+
+
+def criterion_11() -> CriterionResult:
+    t0 = time.perf_counter()
+    mu, Ns = 0.01, (4, 8, 16, 32)
+    ok, parts = True, []
+    # lam tan(lam) = k_l / mu on a depth of 1: the slowest decaying mode
+    # without friction (lam = pi), and the slowest mode for k_l = mu lam tan(lam)
+    for lam, k_l in ((np.pi, 0.0), (0.86, mu * 0.86 * float(np.tan(0.86)))):
+        rate, profile = np.array([_mode_errors(N, lam, mu, k_l) for N in Ns]).T
+        orders = np.log2(rate[-2] / rate[-1]), np.log2(profile[-2] / profile[-1])
+        ok = ok and min(orders) >= 1.8
+        parts.append(f"k_l={k_l:.3g}: rate error {rate[0]:.1e} -> {rate[-1]:.1e} "
+                     f"(order {orders[0]:.2f}), profile error {profile[0]:.1e} -> "
+                     f"{profile[-1]:.1e} (order {orders[1]:.2f})")
+    wall = time.perf_counter() - t0
+    ok = ok and wall < 10.0
+    return CriterionResult(11, "the shear column converges in N to the exact mode", ok,
+                           "; ".join(parts) + f" for N=4..32, orders from N=16 to 32 "
+                           f"(>=1.8), wall={wall:.1f}s (<10s)")
+
+
 ALL_CRITERIA: list[tuple[int, Callable[[], CriterionResult]]] = [
     (1, criterion_1), (2, criterion_2), (3, criterion_3), (4, criterion_4),
     (5, criterion_5), (6, criterion_6), (7, criterion_7), (8, criterion_8),
-    (9, criterion_9), (10, criterion_10),
+    (9, criterion_9), (10, criterion_10), (11, criterion_11),
 ]
 
 

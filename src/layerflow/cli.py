@@ -65,7 +65,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here: the suite pulls in scipy, which no other command needs
+    # imported here: no other command needs the suite
     from .acceptance import ALL_CRITERIA, run_acceptance
     ids = None
     if args.criteria:

@@ -7,8 +7,8 @@ tracked exactly from the scheme's own quantities:
     energy at rate (1/2) (u_above - u_below)^2 |G| because the upwinded
     interface velocity carries the donor layer's momentum;
   * viscous dissipation: the work sum(u V) dx of the stress terms is
-    -(weight/mu) (Sxx^2 + Szx^2) summed over the stress carriers, plus
-    the bottom friction drain -(kappa/cos^3) u_1^2, because V is the
+    -(h_half/mu) (Sxx^2 + Szx^2) summed over the interfaces, plus the
+    bottom friction drain -(kappa/cos^3) u_1^2, because V is the
     transpose of the closure's strain map (`rheology.viscous_rhs`).
 
 The budget residual compares the measured energy change per step with
@@ -55,15 +55,15 @@ def newtonian_dissipation(
 ) -> tuple[float, float]:
     """Compact dissipation (stress part, friction part), both <= 0.
 
-    The stress part sums weight (Sxx^2 + Szx^2) over the closure's
-    carrier and divides by mu, which is exact for the Newtonian closures;
-    the friction part reads the field's kappa.
+    The stress part sums h_half (Sxx^2 + Szx^2) over the interfaces and
+    divides by mu, which is exact for the Newtonian closure; the friction
+    part reads the field's kappa.
     """
     dx = geom.dx
     friction_part = float(-(S.kappa / geom.cos3_b * u[0] * u[0]).sum() * dx)
     if mu <= 0.0:
         return 0.0, friction_part
-    quad = S.weight * (S.xx * S.xx + S.zx * S.zx)
+    quad = geom.h_half * (S.xx_if * S.xx_if + S.zx_if * S.zx_if)
     return float(-(quad.sum() / mu) * dx), friction_part
 
 

@@ -25,8 +25,6 @@ INIT_KINDS = ("lake_at_rest", "dam_break", "shear", "table")
 FORWARD_EULER = "forward-euler"
 SSP_RK2 = "ssp-rk2"
 INTEGRATORS = (FORWARD_EULER, SSP_RK2)
-INTERFACE = "interface"
-LAYER = "layer"
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class PhysicsSpec:
     mu: float = 0.0
     k_l: float = 0.0
     k_t: float = 0.0
-    placement: str = INTERFACE
 
 
 @dataclass(frozen=True)
@@ -145,6 +142,14 @@ def _derive_registry() -> dict:
 _REGISTRY = _derive_registry()
 
 _REQUIRED = ("mesh.x_min", "mesh.x_max", "mesh.n_cells", "init.kind", "physics.g")
+_FIELD_KEYS = ("bathymetry.z0", "bathymetry.s", "bathymetry.a", "bathymetry.values",
+               "init.eta0", "init.eta_l", "init.eta_r", "init.H_values")
+
+
+def _value(scn: Scenario, key: str):
+    """The value of a config key in a scenario."""
+    _, section, attr = _REGISTRY[key]
+    return getattr(scn, attr) if section is None else getattr(getattr(scn, section), attr)
 
 
 def _parse_value(kind: str, raw: str):
@@ -224,8 +229,8 @@ def _fmt(value) -> str:
 def format_scenario(scn: Scenario) -> str:
     """Emit a config document that parses back to an equal Scenario."""
     lines = []
-    for key, (kind, section, attr) in _REGISTRY.items():
-        value = scn.boundary if section is None else getattr(getattr(scn, section), attr)
+    for key in _REGISTRY:
+        value = _value(scn, key)
         if value is None:
             continue
         lines.append(f"{key} = {_fmt(value)}")
@@ -243,9 +248,9 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
         problems.append(f"{key}: {message}{where}")
 
     nonfinite = set()
-    for key, (kind, section, attr) in _REGISTRY.items():
+    for key, (kind, _, _) in _REGISTRY.items():
         if kind in ("float", "floats"):
-            value = getattr(getattr(scn, section), attr)
+            value = _value(scn, key)
             values = (value,) if kind == "float" else value
             if values is not None and not all(map(math.isfinite, values)):
                 bad(key, f"must be finite, got {_fmt(value)}")
@@ -323,9 +328,6 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     for key, value in (("physics.k_l", p.k_l), ("physics.k_t", p.k_t)):
         if value < 0:
             out_of_range(key, f"friction coefficient must be nonnegative, got {value:g}")
-    if p.placement not in (INTERFACE, LAYER):
-        bad("physics.placement",
-            f"unknown placement {p.placement!r}, expected one of {(INTERFACE, LAYER)}")
 
     c = scn.controls
     if c.cfl <= 0.0 or c.cfl > 1.0:
@@ -338,6 +340,14 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
 
     if scn.output.snapshot_every < 0:
         out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")
+    if not problems:  # the HLL flux and energy of the initial state, which
+        with np.errstate(over="ignore", invalid="ignore"):  # are O(sqrt(g H) g H (H + |z_b|))
+            zb = bathymetry_values(scn)
+            H = initial_fields(scn, scn.partition(), zb)[0]
+            finite = np.isfinite(np.sqrt(p.g * H) * p.g * H * (H + np.abs(zb))).all()
+        if not finite:  # name the largest of the values the bed and depth are built from
+            key = max(_FIELD_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
+            bad(key, "puts the initial sqrt(g H) g H (H + |z_b|) beyond the float range")
     return problems
 
 

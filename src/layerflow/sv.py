@@ -12,9 +12,11 @@ Depth-averaged closure:
     w   = -1/2 d(Hu)/dx + u dz/dx,        z = z_b + H/2,
     Sxx = 2 mu du/dx,
     Szx = mu (dw/dx + dz/dx du/dx),
+    kappa = k / (1 + k H / (2 mu)),   k = k_l + k_t H |u|  (kappa = k if mu = 0),
 
-and the transpose of the strain map under the work, with D^T the
-transposed derivative matrix and r = D^T(H Szx),
+the Navier wall law with the bed velocity eliminated across H/2, and the
+transpose of the strain map under the work, with D^T the transposed
+derivative matrix and r = D^T(H Szx),
 
     V = -D^T(2 H Sxx + dz/dx H Szx - z r) - z_b D^T r - kappa u / cos_b^3.
 
@@ -128,6 +130,7 @@ def sv_rhs(
     kappa = k_l + k_t * H * np.abs(u)
 
     if mu > 0.0:
+        kappa = kappa / (1.0 + kappa * H / (2.0 * mu))
         r = ddx_adjoint(H * s_zx, dx, bc)
         dq = (dq - ddx_adjoint(2.0 * H * s_xx + dzdx * H * s_zx - z_mid * r, dx, bc)
               - zb * ddx_adjoint(r, dx, bc))

@@ -18,12 +18,16 @@ DETAILS = {
     3: "max|u_a-u|=1.42e-15, max|H4-H1|=8.88e-16 (<=1e-10)",
     4: "L1 errors 6.254e-02 -> 3.656e-02, order=0.77 (>=0.7), wall=…s (<30s)",
     5: "max relative step growth=-8.91e-05 (<=1e-12), max D_G=-0.00e+00 (<=0)",
-    6: "worst relative gap=8.46e-16 over 1000 states (<=1e-12), signs nonpositive=True",
+    6: "worst relative gap=6.90e-16 over 1000 states (<=1e-12), signs nonpositive=True",
     7: "worst |int(what) - h w|=9.31e-15 for N in 2,3,5 (<=1e-12)",
     8: "monotone=True, rate=0.09743 vs oracle 0.09743 (gap 0.0%, <=10%), wall=…s (<10s)",
-    9: "rhs gap=3.67e-16 (<=1e-14), trajectory gap after 100 steps=2.22e-16 (<=1e-12)",
+    9: "rhs gap=3.68e-16 (<=1e-14), trajectory gap after 100 steps=2.22e-16 (<=1e-12)",
     10: "upwind terms nonpositive=True, match closed form=True, "
         "anti-upwind witness=39.254 (>0)",
+    11: "k_l=0: rate error 5.0e-02 -> 8.0e-04 (order 2.00), profile error 1.0e-02 -> "
+        "1.6e-04 (order 2.00); k_l=0.00999: rate error 6.6e-03 -> 1.0e-04 (order 2.00), "
+        "profile error 1.2e-04 -> 2.2e-06 (order 1.99) for N=4..32, orders from N=16 "
+        "to 32 (>=1.8), wall=…s (<10s)",
 }
 
 
@@ -72,3 +76,7 @@ def test_criterion_09_single_layer_equivalence():
 
 def test_criterion_10_upwind_energy_optimality():
     _check(acceptance.criterion_10)
+
+
+def test_criterion_11_convergence_in_the_layer_count():
+    _check(acceptance.criterion_11)

@@ -15,21 +15,26 @@ flows out through the left end and leaves films on the slope behind
 it, was recorded before the stage updates, the clipping, the stable
 step and the audit were restricted to the wet window.  The viscous
 transmissive case is the one run whose audit reads an energy flux at an
-open end while interface-placed stresses act.
+open end while stresses act.
 
 Two changes were recorded together.  The viscous tendency became the
 transpose of the stress closure's strain map (its in-layer part had
 been a stress divergence), and the stable step's dx^4 bound reads
-heights from mid-column.  The two viscous cases on a bumpy bed,
-`viscous_friction_wall_layer_rk2` and
-`viscous_interface_transmissive_rk2`, now take 47 steps where they took
-56, and every file but the initial snapshot changed.  The audit books
-an energy influx at transmissive ends only, since no water crosses a
-wall: in the `energy.csv` of `inviscid_wall_rk2` and
-`inviscid_wall_dry_stretch_rk2` that moved the residual column alone.
-The periodic viscous case is an x-uniform shear over a flat bed, where
-both operators reduce to the traction jumps, and it kept its files
-byte for byte.
+heights from mid-column.  The two viscous cases on a bumpy bed, then
+run with layer-centred and interface-centred stresses, took 47 steps
+where they had taken 56.  The audit books an energy influx at
+transmissive ends only, since no water crosses a wall: in the
+`energy.csv` of `inviscid_wall_rk2` and `inviscid_wall_dry_stretch_rk2`
+that moved the residual column alone.
+
+The three viscous sets were last re-recorded when the stresses kept one
+placement, at the interfaces, and the wall law eliminated the bed
+velocity across the bottom half-layer (kappa / (1 + kappa h_1 / (2 mu))
+in place of kappa).  The wall case `viscous_friction_wall_rk2` is the
+former layer-placed case with interface-placed stresses.  Each case
+takes the steps it took before, since the stable step bounds the
+friction with the unreduced kappa; every file but the initial snapshot
+changed.
 
 The CSVs carry 17 significant digits, so any change to the arithmetic
 the stepper applies, to the audit or to the snapshot schedule shows up
@@ -37,6 +42,7 @@ here.  A change that alters them on purpose has to explain every
 changed digit and re-record them.
 """
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -101,7 +107,7 @@ controls.integrator = forward-euler
 output.snapshot_every = 0
 """
 
-VISCOUS_FRICTION_WALL_LAYER_RK2 = """mesh.x_min = 0
+VISCOUS_FRICTION_WALL_RK2 = """mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 40
 boundary.kind = wall
@@ -119,7 +125,6 @@ physics.g = 9.81
 physics.mu = 1e-3
 physics.k_l = 0.01
 physics.k_t = 0.01
-physics.placement = layer
 controls.t_end = 0.03
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
@@ -219,25 +224,25 @@ GOLDEN = {
         "snapshot_0004.csv": "b822e9a6005da9fab7f6d2944730239d125c8ee9b60675c679b134502ab69786",
     }),
     "viscous_friction_periodic_rk2": (VISCOUS_FRICTION_PERIODIC_RK2, {
-        "energy.csv": "e0217acc3504ef9fcd90bcc920052615ac3cac0212a3246a680300d5a7e90462",
+        "energy.csv": "c3f4c412a643e46893d3d00dc4c38431041de63545b2f6e2be56cee965f7ca94",
         "snapshot_0000.csv": "d0a148a569a5d162bd9a3c1d474e7e09097456cecfa11e0031890ad07a46d5d5",
-        "snapshot_0001.csv": "0a91a2ede09070bd033e66b0d3354b4d9c52d380ab117bd4dcd678d0c44a7a0b",
-        "snapshot_0002.csv": "3fbcbfc80450a5261560b8d8f735dfd71accdb9601cd43899446012026412751",
-        "snapshot_0003.csv": "db0068ec7d54dac5c29ac354656aacf71cae86ae5c24c47b06a74f3c27ef921a",
+        "snapshot_0001.csv": "75dc3960e371757340189770426395b419b4f340435b496934f323f48dfc2471",
+        "snapshot_0002.csv": "bbecaf1d207180354a27253e3730caef41161d139e0f6fecb476459f939cef49",
+        "snapshot_0003.csv": "54f1f4333f4c1ba4bbcc321e15c31eaa493c3d77f92628220961520f17612520",
     }),
-    "viscous_friction_wall_layer_rk2": (VISCOUS_FRICTION_WALL_LAYER_RK2, {
-        "energy.csv": "deb6263ca392d76081279c3354c2d2a7c13e311aaefed1e3a58934da9a3747d8",
+    "viscous_friction_wall_rk2": (VISCOUS_FRICTION_WALL_RK2, {
+        "energy.csv": "c7c42574d1e35cc958e0814f254aa7a218df61f2a98844b7d273f141e3188c00",
         "snapshot_0000.csv": "04021eca199e53ec51d6f387512d62d55838f2ad3f230a479b52ba6046c3b022",
-        "snapshot_0001.csv": "07de23537e8b53a4f714483ade3b57f5f0798de91e1912fb68e29373241e1bba",
-        "snapshot_0002.csv": "0f6a47e93a4cc5ad28292f982eca63748debc57a87edb6d94ee613432f15122c",
-        "snapshot_0003.csv": "e8f8f57031ac49d95c98f79df52f3121e536f1a61dc176ff97caa27b75e6ea70",
+        "snapshot_0001.csv": "460200f7b5a92cad25ade8b516ef3201abd88ee1828500f27b4181de1d70db0f",
+        "snapshot_0002.csv": "77967d88b5d0004e9607f85f1c3117207f64c39892a7e8f5897a3615e755672c",
+        "snapshot_0003.csv": "8ca9c9713551bb1d398a682281fc29c583c77623039f9c0fe09ff38711bbb0b2",
     }),
     "viscous_interface_transmissive_rk2": (VISCOUS_INTERFACE_TRANSMISSIVE_RK2, {
-        "energy.csv": "c926d9e763b546c16c67a0fb585320ca251246d5cb2d9f92966f7c83dbcee100",
+        "energy.csv": "696a0bd7717a9584d61ceb6e56fa0205ca843888d0aa7e515bf23b9211929f81",
         "snapshot_0000.csv": "285bd51e3f3fbfdebf444dea89b0cb796197dff5291599bb427f1531bac28fec",
-        "snapshot_0001.csv": "497bfc8315f827cb8a3e9fe016f366293729e38c1daf5b67734aeb39785766a0",
-        "snapshot_0002.csv": "3502a01ab9840dab6ce5fba9453d55dad3eede50f387007d0d7357bb29aad684",
-        "snapshot_0003.csv": "e6e28c47ba305f60b2169b30d12f60bf6e674a823b98275a123875aa13f7d67e",
+        "snapshot_0001.csv": "9c88c03403aca7002d1afe3788c2b3223daf2ed9655327b3c5cd07204f8e318a",
+        "snapshot_0002.csv": "d4f8d2e7621240ad7971f172161c597a0b0260385ebbb91c9823897d6bf05914",
+        "snapshot_0003.csv": "4b80a6d8b4dc880b604b3039bf640a135a6c95de9649050670316b5961a53c8a",
     }),
     "inviscid_periodic_bump_rk2": (INVISCID_PERIODIC_BUMP_RK2, {
         "energy.csv": "f5890d9d62b8a7826a375f4de511d7ed04bfd3512a8b400164f55d5c900d7cbb",
@@ -283,11 +288,30 @@ def test_run_reproduces_golden_files(name, tmp_path, capsys):
 
 def test_raising_the_viscous_wall_case_changes_nothing():
     # bed and surfaces one unit higher: the same steps to the same state
-    raised = (VISCOUS_FRICTION_WALL_LAYER_RK2.replace("z0 = -0.5", "z0 = 0.5")
+    raised = (VISCOUS_FRICTION_WALL_RK2.replace("z0 = -0.5", "z0 = 0.5")
               .replace("eta_l = 0.6", "eta_l = 1.6").replace("eta_r = 0.4", "eta_r = 1.4"))
     assert raised.count("= 1.") == 2 and "z0 = 0.5" in raised
-    a, b = run(parse_scenario(VISCOUS_FRICTION_WALL_LAYER_RK2)), run(parse_scenario(raised))
+    a, b = run(parse_scenario(VISCOUS_FRICTION_WALL_RK2)), run(parse_scenario(raised))
     assert a.summary["steps"] == b.summary["steps"] == 47
     assert np.abs(a.times - b.times).max() <= 1e-12 * a.times[-1]
     for x, y in ((a.final.H, b.final.H), (a.final.q, b.final.q)):
         assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("old, new, key, line", [
+    ("init.eta_l = 1.0", "init.eta_l = 1e300", "init.eta_l", 11),
+    ("bathymetry.kind = bump", "bathymetry.kind = bump\nbathymetry.z0 = -1e300", "bathymetry.z0", 7),
+], ids=["eta_l", "z0"])
+def test_a_state_beyond_the_float_range_fails_check_without_warnings(
+        old, new, key, line, tmp_path, capsys):
+    # a depth of 1e300 overflows the flux g H^2 and the energy g H |z_b|:
+    # check and run name the key and stop before any arithmetic overflows
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(INVISCID_WALL_RK2.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for args in (["check", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
+            assert cli.main(args) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+            assert err[0].endswith(f"beyond the float range (line {line})")

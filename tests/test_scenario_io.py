@@ -36,7 +36,6 @@ init.x0 = 0.5
 physics.g = 9.81
 physics.mu = 0.003
 physics.k_l = 0.02
-physics.placement = layer
 controls.cfl = 0.45
 controls.t_end = 0.8
 controls.integrator = forward-euler
@@ -52,7 +51,6 @@ def test_parse_golden_config():
     assert scn.layers.fractions == (0.3, 0.7)
     assert scn.bathymetry.kind == "slope"
     assert scn.init.eta_l == 0.4
-    assert scn.physics.placement == "layer"
     assert scn.physics.mu == 0.003
     assert scn.controls.integrator == "forward-euler"
     assert scn.output.directory == "results"
@@ -106,6 +104,17 @@ controls.viscous_safety = 0.5
     assert "line 4: unknown key 'controls.viscous_safety'" in str(err.value)
 
 
+def test_the_removed_placement_key_is_unknown(tmp_path, capsys):
+    # the stresses have one placement, at the interfaces, so the key that
+    # chose between two is gone
+    cfg = tmp_path / "placement.cfg"
+    cfg.write_text(CLI_CFG + "physics.placement = layer\n")
+    assert cli.main(["check", str(cfg)]) == 1
+    line = len(CLI_CFG.splitlines()) + 1
+    assert (f"line {line}: unknown key 'physics.placement'"
+            in capsys.readouterr().err)
+
+
 def test_validation_catches_semantic_errors():
     text = """mesh.x_min = 0
 mesh.x_max = 1
@@ -117,7 +126,6 @@ init.kind = shear
 physics.g = -9.81
 controls.cfl = 1.5
 physics.mu = -0.1
-physics.placement = edge
 """
     with pytest.raises(ConfigError) as err:
         parse_scenario(text)
@@ -132,8 +140,6 @@ physics.placement = edge
     assert "(line 9)" in msg
     # the closure's rules, which validation alone owns
     assert "physics.mu: viscosity must be nonnegative (line 10)" in err.value.problems
-    assert ("physics.placement: unknown placement 'edge', expected one of "
-            "('interface', 'layer') (line 11)") in err.value.problems
 
 
 def test_check_rejects_fractions_the_partition_rejects(tmp_path, capsys):
@@ -162,8 +168,7 @@ def _random_scenario(rng) -> Scenario:
         init=InitSpec(kind="lake_at_rest", eta0=float(rng.uniform(0.5, 2.0))),
         physics=PhysicsSpec(g=float(rng.uniform(1, 20)),
                             mu=float(10.0 ** rng.uniform(-4, -1)),
-                            k_l=float(rng.uniform(0, 1)),
-                            placement=str(rng.choice(["interface", "layer"]))),
+                            k_l=float(rng.uniform(0, 1))),
         controls=ControlsSpec(cfl=float(rng.uniform(0.1, 1.0)),
                               t_end=float(rng.uniform(0.01, 5.0))),
     )
@@ -207,7 +212,6 @@ HAND_WRITTEN_REGISTRY = {
     "physics.mu": ("float", "physics", "mu"),
     "physics.k_l": ("float", "physics", "k_l"),
     "physics.k_t": ("float", "physics", "k_t"),
-    "physics.placement": ("str", "physics", "placement"),
     "controls.cfl": ("float", "controls", "cfl"),
     "controls.t_end": ("float", "controls", "t_end"),
     "controls.integrator": ("str", "controls", "integrator"),
@@ -243,7 +247,6 @@ physics.g = 9.8100000000000005
 physics.mu = 0.0030000000000000001
 physics.k_l = 0.02
 physics.k_t = 0
-physics.placement = layer
 controls.cfl = 0.45000000000000001
 controls.t_end = 0.80000000000000004
 controls.integrator = forward-euler
@@ -253,7 +256,8 @@ output.snapshot_every = 0.20000000000000001
 
 # Seed-0 configs of the three benchmark workloads, and the sha256 of the
 # text format_scenario wrote for each when the key table was hand-written,
-# less its `controls.viscous_safety = 0.5` line since that key was removed.
+# less its `controls.viscous_safety = 0.5` and `physics.placement = interface`
+# lines since those keys were removed.
 BENCHMARK_CONFIGS = {
     "dam_bump_wall": ("""mesh.x_min = 0
 mesh.x_max = 1
@@ -272,7 +276,7 @@ physics.g = 9.81
 controls.t_end = 0.12
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.006
-""", "65202d135d01a06e30b097921f7ef82d722e63f1555dd54eef82d3bcbe8578cd"),
+""", "f37a37e58d8af5ac07f630952c2263f8c200ae075d995321cc1df8159af2c005"),
     "viscous_shear": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 100
@@ -290,7 +294,7 @@ physics.k_t = 0.01
 controls.t_end = 0.012
 controls.integrator = ssp-rk2
 output.snapshot_every = 0
-""", "49f749c136f64fe30ff7f96eb011264a36535187d58d13f881b85e91267ac88b"),
+""", "82b00d2d09f39b9f47653c139907019cc59f8dd08bc979ac753da89e94627177"),
     "dry_slope_deep": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 2000
@@ -307,7 +311,7 @@ physics.g = 9.81
 controls.t_end = 0.012
 controls.integrator = forward-euler
 output.snapshot_every = 0
-""", "aadba52426b3b878d263e5bd9c3da985cca51d5e1b2b4caf17fd719e3ba42931"),
+""", "8a761c80109c8eea7f23c213c1f94527b743fe0ca0ce82ffab1ae05209d98d18"),
 }
 
 
@@ -499,15 +503,19 @@ def test_check_names_the_negative_friction_key(key, tmp_path, capsys):
     assert err.count("friction coefficient") == 1
 
 
-def test_importing_the_cli_loads_no_scipy(capsys):
-    # only `verify` needs scipy; `run` and `check` must not pay its import
+def test_importing_the_cli_loads_no_scipy():
+    # no command pays for scipy's import, and layerflow does not need it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, layerflow.cli; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
-    # criterion 8, the scipy user, still runs from the command line
-    assert cli.main(["verify", "--criteria", "8"]) == 0
-    assert "1/1 criteria passed" in capsys.readouterr().out
+    # the oracle of criterion 8 and the sweep of criterion 11 run with
+    # every scipy import failing
+    code = ("import sys; sys.modules['scipy'] = None; from layerflow import cli; "
+            "sys.exit(cli.main(['verify', '--criteria', '8,11']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "2/2 criteria passed" in out
 
 
 def test_cli_missing_file_is_a_usage_error(capsys):
