@@ -83,7 +83,7 @@ class PhysicsSpec:
 
 @dataclass(frozen=True)
 class ControlsSpec:
-    cfl: float = 0.5
+    cfl: float = 0.9
     t_end: float = 1.0
     integrator: str = SSP_RK2
 
@@ -143,7 +143,8 @@ _REGISTRY = _derive_registry()
 
 _REQUIRED = ("mesh.x_min", "mesh.x_max", "mesh.n_cells", "init.kind", "physics.g")
 _FIELD_KEYS = ("bathymetry.z0", "bathymetry.s", "bathymetry.a", "bathymetry.values",
-               "init.eta0", "init.eta_l", "init.eta_r", "init.H_values")
+               "init.eta0", "init.eta_l", "init.eta_r", "init.H_values",
+               "init.u", "init.u_values")
 
 
 def _value(scn: Scenario, key: str):
@@ -340,14 +341,19 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
 
     if scn.output.snapshot_every < 0:
         out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")
-    if not problems:  # the HLL flux and energy of the initial state, which
-        with np.errstate(over="ignore", invalid="ignore"):  # are O(sqrt(g H) g H (H + |z_b|))
+    if not problems:  # the HLL flux and energy of the initial state, which are
+        with np.errstate(over="ignore", invalid="ignore"):  # O(speed (H u^2 + g H (H + |z_b|)))
             zb = bathymetry_values(scn)
-            H = initial_fields(scn, scn.partition(), zb)[0]
-            finite = np.isfinite(np.sqrt(p.g * H) * p.g * H * (H + np.abs(zb))).all()
-        if not finite:  # name the largest of the values the bed and depth are built from
+            part = scn.partition()
+            H, q = initial_fields(scn, part, zb)
+            h = layer_thicknesses(H, part)
+            u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
+            flux = (u + np.sqrt(p.g * H)) * (H * u * u + p.g * H * (H + np.abs(zb)))
+            finite = np.isfinite(flux).all()
+        if not finite:  # name the largest of the values the bed and fields are built from
             key = max(_FIELD_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
-            bad(key, "puts the initial sqrt(g H) g H (H + |z_b|) beyond the float range")
+            bad(key, "puts the initial (max|u| + sqrt(g H)) (H u^2 + g H (H + |z_b|)) "
+                "beyond the float range")
     return problems
 
 

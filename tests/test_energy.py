@@ -1,5 +1,6 @@
 """Energy bookkeeping: densities, dissipation channels, budget closure."""
 import numpy as np
+import pytest
 
 from layerflow.energy import (boundary_influx, budget_residuals,
                               exchange_dissipation, interface_energy_term,
@@ -221,3 +222,59 @@ def test_a_viscous_lake_at_rest_loses_energy_at_every_datum():
         assert (np.diff(above_rest) < 0.0).all(), datum
         steps.add(result.summary["steps"])
     assert len(steps) == 1
+
+
+def _bump_shear(boundary, u, fractions=None):
+    # x-uniform layer velocities over a Gaussian bump: smooth waves, no shocks
+    return Scenario(
+        mesh=MeshSpec(0.0, 1.0, 100),
+        boundary=boundary,
+        layers=LayersSpec(n=len(u), fractions=fractions),
+        bathymetry=BathymetrySpec(kind="bump", z0=-0.5, a=0.1, x0=0.5, width=0.1),
+        init=InitSpec(kind="shear", eta0=0.5, u=tuple(u)),
+        physics=PhysicsSpec(g=9.81),
+        controls=ControlsSpec(t_end=0.3),
+    )
+
+
+ENERGY_CASES = {
+    "N1_periodic": _bump_shear("periodic", [0.3]),
+    "N3_periodic": _bump_shear("periodic", [0.5] * 3),
+    "N20_periodic_shear": _bump_shear("periodic", [0.025 * a for a in range(20)]),
+    "N8_periodic_shear": _bump_shear("periodic", [0.05 * a for a in range(8)]),
+    "N8_wall_shear": _bump_shear("wall", [0.05 * a for a in range(8)]),
+    "N4_thin_top": _bump_shear("periodic", [0.1, 0.2, 0.3, 0.4],
+                               fractions=(0.45, 0.45, 0.05, 0.05)),
+    # the advective and the viscous step bounds compete; the bed sits at the
+    # datum, so the energy stays positive and its relative growth is defined
+    "N3_viscous_wall_dam_break": Scenario(
+        mesh=MeshSpec(0.0, 1.0, 100),
+        boundary="wall",
+        layers=LayersSpec(n=3),
+        init=InitSpec(kind="dam_break", eta_l=1.1, eta_r=0.9, x0=0.5),
+        physics=PhysicsSpec(g=9.81, mu=1e-5),
+        controls=ControlsSpec(t_end=0.3),
+    ),
+}
+
+# Once the waves reach the walls, the bottom layer's velocity grows in the
+# last cells before the wall, where the one-sided end rows of the viscous
+# operator are stiffer than the step bounds allow for; the energy grows
+# there at any CFL from 0.5 up (by up to 1.3e-4 of the total in one step
+# at 0.5, 6.5e-2 at 0.9).
+_END_CELL_INSTABILITY = pytest.mark.xfail(
+    strict=True, reason="the viscous step bounds do not cover the end cells of a wall domain")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_END_CELL_INSTABILITY) if "wall_dam_break" in name else name
+    for name in sorted(ENERGY_CASES)])
+def test_energy_falls_at_every_step_at_the_default_controls(name):
+    # the default integrator, SSP-RK2, at the default CFL keeps the energy
+    # of a smooth closed flow falling step by step; forward Euler's
+    # anti-dissipative time error grows it on the N1 and N3 flows at any
+    # CFL from 0.5 up
+    result = run(ENERGY_CASES[name])
+    E = result.E_total
+    assert result.summary["steps"] > 30
+    assert (np.diff(E) / np.abs(E[:-1])).max() <= 1e-12

@@ -36,6 +36,13 @@ takes the steps it took before, since the stable step bounds the
 friction with the unreduced kappa; every file but the initial snapshot
 changed.
 
+Every case but one names `controls.cfl = 0.5`, the default CFL when its
+digests were recorded.  The key was added when the default rose to 0.9:
+the digests, unchanged, show that the kernels did not move with the
+default.  The one case that names no CFL, `inviscid_wall_default_cfl_rk2`,
+is `inviscid_wall_rk2` without the key.  It was recorded after the
+default rose, and it takes 19 steps where the pinned case takes 34.
+
 The CSVs carry 17 significant digits, so any change to the arithmetic
 the stepper applies, to the audit or to the snapshot schedule shows up
 here.  A change that alters them on purpose has to explain every
@@ -65,6 +72,7 @@ init.eta_l = 1.0
 init.eta_r = 0.5
 init.x0 = 0.5
 physics.g = 9.81
+controls.cfl = 0.5
 controls.t_end = 0.04
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
@@ -84,6 +92,7 @@ physics.g = 9.81
 physics.mu = 1e-3
 physics.k_l = 0.01
 physics.k_t = 0.01
+controls.cfl = 0.5
 controls.t_end = 0.05
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.02
@@ -102,6 +111,7 @@ init.eta_l = 1.0
 init.eta_r = 0.0
 init.x0 = 0.3
 physics.g = 9.81
+controls.cfl = 0.5
 controls.t_end = 0.02
 controls.integrator = forward-euler
 output.snapshot_every = 0
@@ -125,6 +135,7 @@ physics.g = 9.81
 physics.mu = 1e-3
 physics.k_l = 0.01
 physics.k_t = 0.01
+controls.cfl = 0.5
 controls.t_end = 0.03
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
@@ -149,6 +160,7 @@ physics.g = 9.81
 physics.mu = 1e-3
 physics.k_l = 0.01
 physics.k_t = 0.01
+controls.cfl = 0.5
 controls.t_end = 0.03
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
@@ -170,6 +182,7 @@ init.eta_r = 0.6
 init.x0 = 0.5
 init.u = 0.1, 0.2, 0.3
 physics.g = 9.81
+controls.cfl = 0.5
 controls.t_end = 0.04
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.01
@@ -189,6 +202,7 @@ init.eta_l = 0.1
 init.eta_r = -0.5
 init.x0 = 0.35
 physics.g = 9.81
+controls.cfl = 0.5
 controls.t_end = 0.06
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.02
@@ -209,10 +223,14 @@ init.eta_r = -1.0
 init.x0 = 0.8
 init.u = -1.6, -1.4, -1.2
 physics.g = 9.81
+controls.cfl = 0.5
 controls.t_end = 0.3
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.075
 """
+
+# the CFL a config gets when it names none
+INVISCID_WALL_DEFAULT_CFL_RK2 = INVISCID_WALL_RK2.replace("controls.cfl = 0.5\n", "")
 
 GOLDEN = {
     "inviscid_wall_rk2": (INVISCID_WALL_RK2, {
@@ -222,6 +240,14 @@ GOLDEN = {
         "snapshot_0002.csv": "e971b8812b0450b7932a1f9e4502a4b992e50f0db623a453e22f6a20c0be6b3c",
         "snapshot_0003.csv": "f7e587c7bae12a9df0ffa0f6a517feb9c32a77fca8a380283f88af28932c5221",
         "snapshot_0004.csv": "b822e9a6005da9fab7f6d2944730239d125c8ee9b60675c679b134502ab69786",
+    }),
+    "inviscid_wall_default_cfl_rk2": (INVISCID_WALL_DEFAULT_CFL_RK2, {
+        "energy.csv": "0eefe958f9e4bc693b1660cfacb1af3ae592bbd7a1be62608746a07c7c113a63",
+        "snapshot_0000.csv": "34cba07e2bc77c49b5174c02a9e6cb358830fc68eabd255114341bef19d0005d",
+        "snapshot_0001.csv": "9e5a3f34c0a4e73ed7a393a221d150d28d46afeff2094446659e72ca8acb1df9",
+        "snapshot_0002.csv": "e82c8bb2fc7f0aed69a5f0d0cebf393d8a211467ef485054c0ff023cbc99606c",
+        "snapshot_0003.csv": "671b5236098c0a81d9045c37269d988ea0f9cad0ed39def5c3708beeb6bba3d3",
+        "snapshot_0004.csv": "49a75583c74d004f24c325c8b821d542e8434f8c57adbd32f01ca4dbf6ab26d4",
     }),
     "viscous_friction_periodic_rk2": (VISCOUS_FRICTION_PERIODIC_RK2, {
         "energy.csv": "c3f4c412a643e46893d3d00dc4c38431041de63545b2f6e2be56cee965f7ca94",
@@ -301,11 +327,13 @@ def test_raising_the_viscous_wall_case_changes_nothing():
 @pytest.mark.parametrize("old, new, key, line", [
     ("init.eta_l = 1.0", "init.eta_l = 1e300", "init.eta_l", 11),
     ("bathymetry.kind = bump", "bathymetry.kind = bump\nbathymetry.z0 = -1e300", "bathymetry.z0", 7),
-], ids=["eta_l", "z0"])
+    ("init.x0 = 0.5", "init.x0 = 0.5\ninit.u = 1e150, 0, 0", "init.u", 14),
+], ids=["eta_l", "z0", "u"])
 def test_a_state_beyond_the_float_range_fails_check_without_warnings(
         old, new, key, line, tmp_path, capsys):
-    # a depth of 1e300 overflows the flux g H^2 and the energy g H |z_b|:
-    # check and run name the key and stop before any arithmetic overflows
+    # a depth of 1e300 overflows the flux g H^2 and the energy g H |z_b|, a
+    # velocity of 1e150 the flux u H u^2: check and run name the key and
+    # stop before any arithmetic overflows
     cfg = tmp_path / "case.cfg"
     cfg.write_text(INVISCID_WALL_RK2.replace(old, new))
     with warnings.catch_warnings():
@@ -315,3 +343,16 @@ def test_a_state_beyond_the_float_range_fails_check_without_warnings(
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
             assert err[0].endswith(f"beyond the float range (line {line})")
+
+
+def test_a_fast_state_within_the_float_range_runs_or_aborts_located(tmp_path, capsys):
+    # u = 1e100 keeps the initial flux finite: check accepts it, and the
+    # run stops at the collapsed first step without a warning
+    cfg = tmp_path / "case.cfg"
+    fast = INVISCID_WALL_RK2.replace("init.x0 = 0.5", "init.x0 = 0.5\ninit.u = 1e100, 0, 0")
+    cfg.write_text(fast)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["check", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    assert "time step collapsed" in capsys.readouterr().err

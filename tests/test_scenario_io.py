@@ -257,7 +257,8 @@ output.snapshot_every = 0.20000000000000001
 # Seed-0 configs of the three benchmark workloads, and the sha256 of the
 # text format_scenario wrote for each when the key table was hand-written,
 # less its `controls.viscous_safety = 0.5` and `physics.placement = interface`
-# lines since those keys were removed.
+# lines since those keys were removed, and with the default CFL echoed as
+# `controls.cfl = 0.90000000000000002` since it was raised from 0.5.
 BENCHMARK_CONFIGS = {
     "dam_bump_wall": ("""mesh.x_min = 0
 mesh.x_max = 1
@@ -276,7 +277,7 @@ physics.g = 9.81
 controls.t_end = 0.12
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.006
-""", "f37a37e58d8af5ac07f630952c2263f8c200ae075d995321cc1df8159af2c005"),
+""", "431435366de4915c7b7971e4b4ab5b6647927b05993322045129077764728071"),
     "viscous_shear": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 100
@@ -294,7 +295,7 @@ physics.k_t = 0.01
 controls.t_end = 0.012
 controls.integrator = ssp-rk2
 output.snapshot_every = 0
-""", "82b00d2d09f39b9f47653c139907019cc59f8dd08bc979ac753da89e94627177"),
+""", "c75793276705c8ece42640bad25738efc2e3c138e1903174b3bfed8718bb28eb"),
     "dry_slope_deep": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 2000
@@ -311,7 +312,7 @@ physics.g = 9.81
 controls.t_end = 0.012
 controls.integrator = forward-euler
 output.snapshot_every = 0
-""", "8a761c80109c8eea7f23c213c1f94527b743fe0ca0ce82ffab1ae05209d98d18"),
+""", "99bd5e9438292de0fd3524ccce8f1ae22ada9251dded0eea8a77ae564267cab1"),
 }
 
 
