@@ -83,7 +83,7 @@ class PhysicsSpec:
 
 @dataclass(frozen=True)
 class ControlsSpec:
-    cfl: float = 0.9
+    cfl: float = 0.8
     t_end: float = 1.0
     integrator: str = SSP_RK2
 

@@ -14,8 +14,8 @@ aborts with the offending cell.
 SSP-RK2 is the default integrator: on smooth closed flows it keeps the
 energy falling at every step.  Forward Euler's first-order time error is
 anti-dissipative, so on periodic flows of uniform velocity the energy
-grows at every CFL from 0.5 up (by up to 2.1e-6 of the total in one step
-at CFL 0.9, with three layers at u = 0.5 over a bump).  On dam breaks
+grows at every CFL from 0.5 up (by up to 1.6e-6 of the total in one step
+at CFL 0.8, with three layers at u = 0.5 over a bump).  On dam breaks
 and dry fronts the same error partly cancels the flux's diffusion, and
 forward Euler, one evaluation per step, is the cheaper choice.
 

@@ -13,11 +13,11 @@ import re
 from layerflow import acceptance
 
 DETAILS = {
-    1: "max|u|=1.83e-15 (<=1e-12), max|eta-eta0|=6.66e-16 (<=1e-12), wall=…s (<5s)",
-    2: "relative drift=1.48e-16 over 498 steps (<=1e-12)",
-    3: "max|u_a-u|=1.23e-15, max|H4-H1|=4.44e-16 (<=1e-10)",
+    1: "max|u|=1.85e-15 (<=1e-12), max|eta-eta0|=6.66e-16 (<=1e-12), wall=…s (<5s)",
+    2: "relative drift=4.44e-16 over 560 steps (<=1e-12)",
+    3: "max|u_a-u|=1.55e-15, max|H4-H1|=8.88e-16 (<=1e-10)",
     4: "L1 errors 6.254e-02 -> 3.656e-02, order=0.77 (>=0.7), wall=…s (<30s)",
-    5: "max relative step growth=-1.60e-04 (<=1e-12), max D_G=-0.00e+00 (<=0)",
+    5: "max relative step growth=-1.39e-04 (<=1e-12), max D_G=-0.00e+00 (<=0)",
     6: "worst relative gap=6.90e-16 over 1000 states (<=1e-12), signs nonpositive=True",
     7: "worst |int(what) - h w|=9.31e-15 for N in 2,3,5 (<=1e-12)",
     8: "monotone=True, rate=0.09743 vs oracle 0.09743 (gap 0.0%, <=10%), wall=…s (<10s)",

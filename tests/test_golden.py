@@ -37,11 +37,11 @@ friction with the unreduced kappa; every file but the initial snapshot
 changed.
 
 Every case but one names `controls.cfl = 0.5`, the default CFL when its
-digests were recorded.  The key was added when the default rose to 0.9:
+digests were recorded.  The key was added when the default rose to 0.8:
 the digests, unchanged, show that the kernels did not move with the
 default.  The one case that names no CFL, `inviscid_wall_default_cfl_rk2`,
 is `inviscid_wall_rk2` without the key.  It was recorded after the
-default rose, and it takes 19 steps where the pinned case takes 34.
+default rose, and it takes 22 steps where the pinned case takes 34.
 
 The CSVs carry 17 significant digits, so any change to the arithmetic
 the stepper applies, to the audit or to the snapshot schedule shows up
@@ -242,12 +242,12 @@ GOLDEN = {
         "snapshot_0004.csv": "b822e9a6005da9fab7f6d2944730239d125c8ee9b60675c679b134502ab69786",
     }),
     "inviscid_wall_default_cfl_rk2": (INVISCID_WALL_DEFAULT_CFL_RK2, {
-        "energy.csv": "0eefe958f9e4bc693b1660cfacb1af3ae592bbd7a1be62608746a07c7c113a63",
+        "energy.csv": "f718aa0ac2c74b871cd34653d8fa864186a33973901f68236c66ea5cf304eaec",
         "snapshot_0000.csv": "34cba07e2bc77c49b5174c02a9e6cb358830fc68eabd255114341bef19d0005d",
-        "snapshot_0001.csv": "9e5a3f34c0a4e73ed7a393a221d150d28d46afeff2094446659e72ca8acb1df9",
-        "snapshot_0002.csv": "e82c8bb2fc7f0aed69a5f0d0cebf393d8a211467ef485054c0ff023cbc99606c",
-        "snapshot_0003.csv": "671b5236098c0a81d9045c37269d988ea0f9cad0ed39def5c3708beeb6bba3d3",
-        "snapshot_0004.csv": "49a75583c74d004f24c325c8b821d542e8434f8c57adbd32f01ca4dbf6ab26d4",
+        "snapshot_0001.csv": "27c6d56171eaddd475a958dffb07c980d331a4a08addb72ef34de69bacbad923",
+        "snapshot_0002.csv": "5c62ffd6fa2899226fdbee57954e9df255009dd4ef6a08db44e4617109876128",
+        "snapshot_0003.csv": "8214eed810914e615c1346560f12f270a5d0fcce3ad440311a37aa3d3331b8e9",
+        "snapshot_0004.csv": "d909bd657247a6ca951e92bd773b779bc0ede21460c5463dc021c5ec8a336d94",
     }),
     "viscous_friction_periodic_rk2": (VISCOUS_FRICTION_PERIODIC_RK2, {
         "energy.csv": "c3f4c412a643e46893d3d00dc4c38431041de63545b2f6e2be56cee965f7ca94",
