@@ -26,8 +26,8 @@ from .rheology import stress_closure, viscous_rhs
 from .scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
                        MeshSpec, OutputSpec, PhysicsSpec, Scenario)
 from .state import LayerState, velocities
-from .sv import sv_rhs
-from .timeloop import RhsEval, make_rhs, run, step
+from .sv import sv_rhs, sv_velocity, sv_viscous
+from .timeloop import RhsEval, make_rhs, run, step, trapezoidal_increment, viscous_stage
 
 
 @dataclass
@@ -266,15 +266,9 @@ def criterion_8() -> CriterionResult:
 
     # oracle: the same initial profile under the tridiagonal diffusion ODE,
     # whose symmetric matrix L = V diag(lam) V^T gives expm(L t) = V diag(e^(lam t)) V^T
-    h = 1.0 / N
-    L = np.zeros((N, N))
-    for a in range(N):
-        if a + 1 < N:
-            L[a, a + 1] += mu / (h * h)
-            L[a, a] -= mu / (h * h)
-        if a - 1 >= 0:
-            L[a, a - 1] += mu / (h * h)
-            L[a, a] -= mu / (h * h)
+    ones = np.ones(N - 1)
+    L = (mu * N * N) * (np.diag(ones, 1) + np.diag(ones, -1)
+                        - np.diag(np.r_[1.0, 2.0 * ones[1:], 1.0]))
     lam, vecs = np.linalg.eigh(L)
     i1 = int(np.searchsorted(times, 1.5))
     i2 = int(np.searchsorted(times, 5.5))
@@ -326,8 +320,9 @@ def criterion_9() -> CriterionResult:
     gap_rhs = max(float(np.abs(ev.dH - ref.dH).max()) / scale_H,
                   float(np.abs(dq_ml[0] - ref.dq).max()) / scale_q)
 
-    # 100-step trajectories through the shared stepper: the multilayer
-    # scenario picks each step size and the reference takes the same one
+    # 100-step trajectories through the shared stepper and viscous stage:
+    # the multilayer scenario picks each step size and the reference takes
+    # the same one, its transport from sv_rhs and its stage on sv_viscous
     scn = Scenario(
         mesh=MeshSpec(0.0, 1.0, n),
         boundary=bc,
@@ -336,20 +331,29 @@ def criterion_9() -> CriterionResult:
         physics=PhysicsSpec(**phys),
         controls=ControlsSpec(t_end=1e9),
     )
-    sA, rhsA, _ = make_rhs(scn)
+    sA, rhsA, ctx = make_rhs(scn)
     sB = sA.copy()
 
     def rhsB(s: LayerState) -> RhsEval:
-        ev = sv_rhs(s.H, s.q[0], zb, phys["g"], phys["mu"], phys["k_l"],
-                    phys["k_t"], dx, bc)
+        ev = sv_rhs(s.H, s.q[0], zb, phys["g"], 0.0, 0.0, 0.0, dx, bc)
         return RhsEval(ev.dH, ev.dq[None])
+
+    def stageB(s: LayerState, dt: float):  # the wall law frozen at u*, as in viscous_stage
+        u = sv_velocity(s.H, s.q[0])
+        k = phys["k_l"] + phys["k_t"] * s.H * np.abs(u)
+        V, drag = sv_viscous(s.H, u, zb, phys["mu"], k, dx, bc)
+        s.q += s.H * trapezoidal_increment(
+            s.H, dt * V[None], lambda v: sv_viscous(s.H, v[0], zb, phys["mu"], k, dx, bc)[0][None],
+            (s.H + 0.5 * dt * drag)[None], np.empty((0, n)), dt)
 
     rA = rhsA(sA)
     for k in range(100):
         dt = rA.diag.dt
         sA = step(sA, dt, rhsA, first_stage=rA, step_no=k)
+        geom, _, _ = viscous_stage(sA, dt, ctx, k)
         sB = step(sB, dt, rhsB, step_no=k)
-        rA = rhsA(sA)
+        stageB(sB, dt)
+        rA = rhsA(sA, geom)
     scale = max(1.0, float(np.abs(sA.H).max()), float(np.abs(sA.q).max()))
     gap_traj = max(float(np.abs(sA.H - sB.H).max()),
                    float(np.abs(sA.q - sB.q).max())) / scale

@@ -6,9 +6,11 @@ tracked exactly from the scheme's own quantities:
   * exchange dissipation: every interface transfer G destroys kinetic
     energy at rate (1/2) (u_above - u_below)^2 |G| because the upwinded
     interface velocity carries the donor layer's momentum;
-  * viscous dissipation: the work sum(u V) dx of the stress terms is
-    -(h_half/mu) (Sxx^2 + Szx^2) summed over the interfaces, plus the
-    bottom friction drain -(kappa/cos^3) u_1^2, because V is the
+  * viscous dissipation: the work of the implicit viscous stage, split
+    into the friction drain -(kappa/cos^3) u_1^2 at the stage's mean
+    velocity and the stresses' rest.  The work sum(u V) dx of the applied
+    operator is the compact -(h_half/mu) (Sxx^2 + Szx^2) summed over the
+    interfaces plus that drain (`newtonian_dissipation`), because V is the
     transpose of the closure's strain map (`rheology.viscous_rhs`).
 
 The budget residual compares the measured energy change per step with

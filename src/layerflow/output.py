@@ -91,16 +91,6 @@ def write_snapshot(path, snap: Snapshot) -> None:
         _write_rows(f, table.T)
 
 
-def read_snapshot(path) -> tuple[float, list[str], np.ndarray]:
-    """Inverse of write_snapshot: (t, column names, table (n, n_cols))."""
-    with open(path) as f:
-        first = f.readline().strip()
-        t = float(first.split("=", 1)[1])
-        names = f.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
-    return t, names, np.array(rows)
-
-
 ENERGY_COLUMNS = ["t", "E_total", "D_G", "R_E", "friction", "residual", "mass"]
 
 
@@ -112,10 +102,3 @@ def write_energy_series(path, result: RunResult) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(",".join(ENERGY_COLUMNS) + "\n")
         _write_rows(f, table)
-
-
-def read_energy_series(path) -> tuple[list[str], np.ndarray]:
-    with open(path) as f:
-        names = f.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
-    return names, np.array(rows)

@@ -51,11 +51,6 @@ class StressField:
     kappa: np.ndarray       # the wall law's coefficient (n,) in sigma[0], kappa_eff if mu > 0
 
 
-def friction_kappa(physics: PhysicsSpec, H: np.ndarray, u_bottom: np.ndarray) -> np.ndarray:
-    """Coefficient kappa = k_l + k_t H |u_1| of the Navier-type wall law."""
-    return physics.k_l + physics.k_t * H * np.abs(u_bottom)
-
-
 def _mean(f: np.ndarray) -> np.ndarray:
     """Average of adjacent rows: interfaces to midpoints."""
     return 0.5 * (f[:-1] + f[1:])
@@ -63,8 +58,10 @@ def _mean(f: np.ndarray) -> np.ndarray:
 
 def stress_closure(
     physics: PhysicsSpec, H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry,
+    kappa: np.ndarray | None = None,
 ) -> StressField:
-    """The closed stress field of one state, from the w it reconstructs."""
+    """The closed stress field of one state, from the w it reconstructs;
+    a given `kappa` is the applied wall-law coefficient, held fixed."""
     w, dudx = reconstruct_w(u, geom)
     h, gap, s, mu = geom.h, geom.h_half, geom.dz_if_dx, physics.mu
     N, n = h.shape
@@ -78,9 +75,10 @@ def stress_closure(
     num = (2.0 * mu * (_mean(hd) - s * du), mu * (_mean(hphi) + du * (1.0 - s * s)))
     xx_if, zx_if = (np.divide(f, gap, out=np.zeros_like(f), where=gap > 0.0) for f in num)
 
-    kappa = friction_kappa(physics, H, u[0])
-    if mu > 0.0:  # the bed velocity eliminated from the wall law
-        kappa = kappa / (1.0 + kappa * h[0] / (2.0 * mu))
+    if kappa is None:
+        kappa = physics.k_l + physics.k_t * H * np.abs(u[0])
+        if mu > 0.0:  # the bed velocity eliminated from the wall law
+            kappa = kappa / (1.0 + kappa * h[0] / (2.0 * mu))
     sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
     sigma[-1] = 0.0
     sigma[0] = kappa * u[0] / geom.cos3_b

@@ -116,8 +116,13 @@ def sv_rhs(
 
     dH = -(f_mass[1:] - f_mass[:-1]) / dx
     dq = -((f_mom[1:] + corr_l[1:]) - (f_mom[:-1] + corr_r[:-1])) / dx
+    return SvRhs(dH=dH, dq=dq + sv_viscous(H, u, zb, mu, k_l + k_t * H * np.abs(u), dx, bc)[0])
 
-    # depth-averaged viscous terms and wall friction
+
+def sv_viscous(H: np.ndarray, u: np.ndarray, zb: np.ndarray, mu: float, k: np.ndarray,
+               dx: float, bc: str) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-averaged viscous and wall-law tendency of u for the wall-law
+    coefficient k = k_l + k_t H |u|, and the drag kappa / cos_b^3 in it."""
     eta = zb + H
     z_mid = 0.5 * (zb + eta)
     dudx = ddx(u, dx, bc)
@@ -127,13 +132,11 @@ def sv_rhs(
     s_zx = mu * (ddx(w, dx, bc) + dzdx * dudx)
     slope_b = ddx(zb, dx, bc)
     cos3_b = (1.0 / np.sqrt(1.0 + slope_b * slope_b)) ** 3
-    kappa = k_l + k_t * H * np.abs(u)
-
+    drag = (k / (1.0 + k * H / (2.0 * mu)) if mu > 0.0 else k) / cos3_b
+    V = -drag * u
     if mu > 0.0:
-        kappa = kappa / (1.0 + kappa * H / (2.0 * mu))
         r = ddx_adjoint(H * s_zx, dx, bc)
-        dq = (dq - ddx_adjoint(2.0 * H * s_xx + dzdx * H * s_zx - z_mid * r, dx, bc)
-              - zb * ddx_adjoint(r, dx, bc))
-    dq = dq - kappa * u / cos3_b
-    return SvRhs(dH=dH, dq=dq)
+        V -= ddx_adjoint(2.0 * H * s_xx + dzdx * H * s_zx - z_mid * r, dx, bc)
+        V -= zb * ddx_adjoint(r, dx, bc)
+    return V, drag
 

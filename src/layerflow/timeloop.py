@@ -1,41 +1,34 @@
-"""Explicit time integration with adaptive stable steps.
+"""Time integration: explicit transport, then an implicit viscous stage.
 
-The step size satisfies the advective CFL condition and, for viscous
-runs, explicit-diffusion bounds for the vertical shear stencil
-(0.25 gap^2 / mu), the horizontal stresses (dx^2 / (8 mu)) and the
-fourth-order cross terms weighted by interface heights measured from
-mid-column, which a datum shift leaves alone (dx^4 / (2 mu z_max^2)).
-Friction, with or without viscosity, adds a relaxation bound
-0.5 h_1 cos^3 / kappa.  After every stage
-the depth is clipped: small negatives (round-off from drying fronts)
-snap to zero and the momentum of dry columns is dropped; anything worse
-aborts with the offending cell.
+Each step advances the transport with forward Euler or SSP-RK2 at the
+advective CFL step, the only bound on it, and clips the depth after each
+stage: round-off negatives snap to zero, dry columns drop their momentum
+and anything worse aborts naming the cell.  Viscous and friction runs
+then take one trapezoidal stage, which freezes the geometry and the wall
+law at its start and solves (h - dt/2 A) delta = dt A u* for the velocity
+increment, A u = viscous_rhs(stress_closure(physics, H, u, geom), geom),
+by preconditioned conjugate gradients (Hestenes & Stiefel, J. Res. NBS
+49, 1952).  A is symmetric and negative semidefinite under sum(u V) dx,
+end rows included, so the stage cannot gain energy at any step; the
+audit books its work, 1/2 sum h (u_new^2 - u*^2) dx.  Transport and stage
+follow one another, a first-order IMEX splitting (Ascher, Ruuth &
+Spiteri, Appl. Numer. Math. 25, 1997).
 
-SSP-RK2 is the default integrator: on smooth closed flows it keeps the
-energy falling at every step.  Forward Euler's first-order time error is
-anti-dissipative, so on periodic flows of uniform velocity the energy
-grows at every CFL from 0.5 up (by up to 1.6e-6 of the total in one step
-at CFL 0.8, with three layers at u = 0.5 over a bump).  On dam breaks
-and dry fronts the same error partly cancels the flux's diffusion, and
-forward Euler, one evaluation per step, is the cheaper choice.
+SSP-RK2, the default, keeps the energy of smooth closed flows falling at
+every step.  Forward Euler's time error is anti-dissipative: on periodic
+flows of uniform velocity the energy grows at every CFL from 0.5 up (by
+up to 1.6e-6 of the total in a step at CFL 0.8, three layers at u = 0.5
+over a bump); on dam breaks and dry fronts it partly cancels the flux's
+diffusion, at one evaluation a step.
 
-Each right-hand-side evaluation computes velocities, layer thicknesses
-and fluxes once and returns the tendencies at once.  The diagnostics of
-a state (energy and dissipation sums, velocities and the stable step
-from it) are built only when first asked for, which happens at accepted
-states: there `run`, the one stepping loop, audits energy, takes
-snapshots and takes the step the diagnostics sized.  An evaluation the
-stepper only advances through, such as the second SSP-RK2 stage,
-therefore computes tendencies only.  Inviscid tendencies need no
-geometry; viscous ones build it, and the closed stress field, at every
-stage.
-
-Every evaluation works on its window of cells and on the window's bed
-(`Bathymetry.cells`).  An inviscid window is the wet one (`wet_window`),
-outside which the state is a dry bed at rest: the tendencies, each
-stage's update and clip, the stable step and the audit's fields cover
-the window's cells only, and snapshot_frame widens the fields it writes.
-Viscous evaluations take the whole domain as their window.
+An evaluation computes velocities, layer thicknesses and fluxes once, on
+its wet window (`wet_window`) and the window's bed (`Bathymetry.cells`),
+outside which the state is a dry bed at rest.  Its diagnostics, the
+audit's sums and the stable step, are built when first read, at the
+accepted states where `run`, the one stepping loop, audits and steps.
+The viscous stage covers the whole domain, whose derivatives a window
+edge would change, and holds the dry columns; the next audit reuses its
+geometry when its window is the whole domain.
 """
 from __future__ import annotations
 
@@ -53,7 +46,7 @@ from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
                        build_geometry, layer_thicknesses, make_bathymetry)
 from .gridops import TRANSMISSIVE, widen
-from .rheology import StressField, friction_kappa, stress_closure, viscous_rhs
+from .rheology import stress_closure, viscous_rhs
 from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec,
                        Scenario, bathymetry_values, initial_fields)
 from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
@@ -73,19 +66,13 @@ class Diagnostics:
     energy: float                   # total mechanical energy
     influx: float                   # net boundary energy inflow
     diss_exchange: float
-    diss_stress: float
-    diss_friction: float
 
 
 class RhsEval:
     """Tendencies of one state on its cells [a, b) = `window`, by default
-    all of them; its diagnostics are built on first access.
-
-    Outside the window the state is a dry bed at rest, which keeps it.
-    `diagnose` builds the diagnostics from what the evaluation already
-    computed, so an evaluation whose diagnostics nobody reads never pays
-    for them.
-    """
+    all of them, outside which the state is a dry bed at rest.  `diagnose`
+    builds the diagnostics from what the evaluation computed, on first
+    access, so an evaluation whose diagnostics nobody reads pays nothing."""
 
     def __init__(self, dH: np.ndarray, dq: np.ndarray,
                  window: Optional[tuple[int, int]] = None,
@@ -126,45 +113,14 @@ class SimContext:
         return self.physics.g
 
 
-def stable_dt(
-    H: np.ndarray,
-    u: np.ndarray,
-    geom: InterfaceGeometry,
-    ctx: SimContext,
-) -> float:
-    """Largest step honoring the advective, viscous and friction bounds.
-
-    H, u and `geom` hold the cells of an evaluation's window: the bounds
-    are over wet cells, and only the viscous and friction ones read `geom`.
-    """
-    c, p = ctx.controls, ctx.physics
-    dx = ctx.dx
-    wet = H > H_DRY
-    if not np.any(wet):
-        return c.cfl * dx / np.sqrt(ctx.g * H_DRY)
+def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, ctx: SimContext) -> float:
+    """The advective CFL step over the wet cells of an evaluation's window;
+    `geom` is not read, since the viscous stage is stable at any step."""
+    c = ctx.controls
+    if not np.any(H > H_DRY):
+        return c.cfl * ctx.dx / np.sqrt(ctx.g * H_DRY)
     speed = max_wave_speed(H, u, ctx.g)
-    dt = c.cfl * dx / speed if speed > 0.0 else np.inf
-
-    bounds = []
-    mu = p.mu
-    if mu > 0.0:
-        gap = float(geom.h_half[:, wet].min())
-        bounds.append(gap * gap / (2.0 * mu))
-        bounds.append(dx * dx / (4.0 * mu))
-        zmax = float(np.abs(geom.z_if[:, wet] - (geom.z_if[0, wet] + 0.5 * H[wet])).max())
-        if zmax > 0.0:
-            with np.errstate(over="ignore"):  # a dx^4 beyond the float range bounds nothing
-                bounds.append(float(np.float64(dx) ** 4 / (mu * zmax * zmax)))
-    if p.k_l > 0.0 or p.k_t > 0.0:
-        kappa = friction_kappa(p, H, u[0])[wet]
-        cos3 = geom.cos3_b[wet]
-        h1 = geom.h[0, wet]
-        pos = kappa > 0.0
-        if np.any(pos):
-            with np.errstate(over="ignore"):  # a subnormal kappa bounds nothing
-                bounds.append(float((h1[pos] * cos3[pos] / kappa[pos]).min()))
-    if bounds:
-        dt = min(dt, 0.5 * min(bounds))
+    dt = c.cfl * ctx.dx / speed if speed > 0.0 else np.inf
     if not (dt > 0.0):
         raise SolverAbort(f"nonpositive stable step dt={dt:g}")
     return float(dt)
@@ -190,16 +146,9 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
     return state
 
 
-def step(
-    state: LayerState,
-    dt: float,
-    rhs: Callable[[LayerState], RhsEval],
-    integrator: str = SSP_RK2,
-    neg_tol: float = 1e-10,
-    first_stage: Optional[RhsEval] = None,
-    step_no: int = 0,
-    t: float = 0.0,
-) -> LayerState:
+def step(state: LayerState, dt: float, rhs: Callable[[LayerState], RhsEval],
+         integrator: str = SSP_RK2, neg_tol: float = 1e-10,
+         first_stage: Optional[RhsEval] = None, step_no: int = 0, t: float = 0.0) -> LayerState:
     """Advance one step with forward Euler or two-stage SSP Runge-Kutta;
     each stage updates and clips the cells of its evaluation's window."""
     r1 = first_stage if first_stage is not None else rhs(state)
@@ -224,6 +173,79 @@ def step(
     return _clip_dry(s1, a, b, neg_tol, step_no, t)
 
 
+CG_MAX_ITER = 1000  # conjugate-gradient iterations one viscous stage may take
+CG_TOL = 1e-6       # stop at |r| <= CG_TOL |dt A u*|, the stage's right-hand side
+
+
+def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.ndarray,
+                          c: np.ndarray, dt: float, step_no: int = 0,
+                          t: float = 0.0) -> Optional[np.ndarray]:
+    """delta with (h - dt/2 A) delta = b, A = `apply`, by conjugate gradients
+    from 0; None if |b|^2 rounds to zero.  Preconditioner: each column's
+    diag(w) + layer Laplacian of weights c (N-1, n), factored L D L^T from
+    its grounded parts G (Thomas), so no pivot falls below w, however large c."""
+    G, D, m = w.copy(), np.empty_like(w), np.empty_like(c)
+    for a in range(len(c)):
+        np.add(G[a], c[a], out=D[a])
+        np.divide(c[a], D[a], out=m[a])
+        G[a + 1] += m[a] * G[a]
+    D[-1] = G[-1]
+    r, rr, delta, rz = b, np.vdot(b, b), None, 1.0
+    tol2 = CG_TOL * CG_TOL * rr
+    for k in range(CG_MAX_ITER + 1):
+        if rr <= tol2 < np.inf:
+            return delta
+        if k == CG_MAX_ITER or not rr < np.inf:  # the cap, or beyond the float range
+            raise SolverAbort(f"the viscous stage did not converge: |r|^2 = {rr:.3g} after "
+                              f"{k} iterations", step=step_no, time=t)
+        z = r.copy()
+        for a in range(len(m)):
+            z[a + 1] += m[a] * z[a]
+        z /= D
+        for a in range(len(m) - 1, -1, -1):
+            z[a] += m[a] * z[a + 1]
+        rz_prev, rz = rz, np.vdot(r, z)
+        p = z if delta is None else z + (rz / rz_prev) * p
+        Ap = h * p - (0.5 * dt) * apply(p)
+        alpha = rz / np.vdot(p, Ap)
+        delta = alpha * p if delta is None else delta + alpha * p
+        r = r - alpha * Ap
+        rr = np.vdot(r, r)
+
+
+def viscous_stage(state: LayerState, dt: float, ctx: SimContext, step_no: int = 0,
+                  t: float = 0.0) -> tuple[InterfaceGeometry, float, float]:
+    """One trapezoidal stage of the stresses and the wall law on `state.q`,
+    in place, with the dry columns held.  Returns the geometry of the depth
+    and the stage's mean stress and friction power."""
+    H, part, p = state.H, ctx.part, ctx.physics
+    geom = build_geometry(H, ctx.bathy, part)
+    h, wet = geom.h, H > H_DRY
+    u, dry = velocities(H, state.q, part, h=h), (None if wet.all() else ~wet)
+
+    def masked(V):
+        if dry is not None:
+            V[:, dry] = 0.0
+        return V
+
+    S = stress_closure(p, H, u, geom)  # the wall law frozen at u*
+    drag = S.kappa / geom.cos3_b
+    hp = h if dry is None else np.where(wet, h, 1.0)  # a dry column's rows stay regular
+    cs = (dt * p.mu) / (hp[:-1] + hp[1:])  # dt/2 mu / gap, the shear across a gap
+    w = np.concatenate(((hp[0] + (0.5 * dt) * drag)[None], hp[1:]))  # the wall law grounds it
+    delta = trapezoidal_increment(
+        h, masked(dt * viscous_rhs(S, geom)),
+        lambda v: masked(viscous_rhs(stress_closure(p, H, v, geom, S.kappa), geom)),
+        w, cs, dt, step_no, t)
+    if delta is None:
+        return geom, 0.0, 0.0
+    hd, um = h * delta, u + 0.5 * delta
+    state.q += hd
+    power = float(np.vdot(hd, um)) * ctx.dx / dt
+    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * ctx.dx
+    return geom, power - fric, fric
+
+
 def make_context(scn: Scenario) -> SimContext:
     """Specs, partition and bed of a scenario; ConfigError if invalid."""
     scn.validate()
@@ -232,11 +254,11 @@ def make_context(scn: Scenario) -> SimContext:
                       physics=scn.physics, controls=scn.controls)
 
 
-def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval], SimContext]:
-    """Initial state plus the full right-hand-side closure for a scenario."""
+def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimContext]:
+    """Initial state plus the transport right-hand-side closure for a
+    scenario, which takes the whole-domain geometry of the depth if built."""
     ctx = make_context(scn)
-    bathy, part, g, p = ctx.bathy, ctx.part, ctx.g, ctx.physics
-    viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
+    bathy, part, g = ctx.bathy, ctx.part, ctx.g
     H0, q0 = initial_fields(scn, part, bathy.zb)
 
     n = H0.size
@@ -244,30 +266,27 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[[LayerState], RhsEval]
     Z = np.zeros_like(q0)
     E_dry = energy_mod.layer_energies(Z, build_geometry(Z[0], bathy, part, Z), g)
 
-    def rhs(state: LayerState) -> RhsEval:
-        # only the wet window's cells change on an inviscid run; the
-        # stresses' derivatives need the whole domain
-        a, b = (0, n) if viscous else wet_window(state.H, state.q, bathy.bc)
+    def rhs(state: LayerState, geom: Optional[InterfaceGeometry] = None) -> RhsEval:
+        # only the wet window's cells change
+        a, b = wet_window(state.H, state.q, bathy.bc)
+        if (a, b) != (0, n):
+            geom = None
         bed = bathy.cells(a, b)
         H, q = state.H[a:b], state.q[:, a:b]
-        h = layer_thicknesses(H, part)
+        h = layer_thicknesses(H, part) if geom is None else geom.h
         u = velocities(H, q, part, h=h)
         ev = euler_rhs(H, q, bed, part, g, u=u)
-        if not viscous:  # the geometry is built for the diagnostics, if read
-            return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
-                ctx, H, u, ev.G, (a, b), E_dry, build_geometry(H, bed, part, h)))
-        geom = build_geometry(H, bed, part, h)
-        S = stress_closure(p, H, u, geom)
-        dq = ev.dq + viscous_rhs(S, geom)
-        return RhsEval(ev.dH, dq, (a, b),
-                       lambda: _diagnostics(ctx, H, u, ev.G, (a, b), E_dry, geom, S))
+        # the geometry is built for the diagnostics, if read
+        return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
+            ctx, H, u, ev.G, (a, b), E_dry,
+            geom if geom is not None else build_geometry(H, bed, part, h)))
 
     return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
-                 window: tuple[int, int], E_dry: np.ndarray, geom: InterfaceGeometry,
-                 S: Optional[StressField] = None) -> Diagnostics:
+                 window: tuple[int, int], E_dry: np.ndarray,
+                 geom: InterfaceGeometry) -> Diagnostics:
     """Stable step and audit sums of one evaluation on its window [a, b).
 
     The layer energies and the exchange dissipation are widened with the
@@ -276,10 +295,6 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     """
     a, b = window
     n = ctx.mesh.n_cells
-    if S is not None:
-        d_stress, d_fric = energy_mod.newtonian_dissipation(S, geom, ctx.physics.mu, u)
-    else:
-        d_stress, d_fric = 0.0, 0.0
     E = energy_mod.layer_energies(u, geom, ctx.g)
     influx = 0.0
     # water crosses transmissive ends only: the mirrored traces at a wall
@@ -291,8 +306,7 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
                                              flux[-1] if b == n else 0.0))
     return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),
                        energy=float(widen(E, a, n, E_dry).sum() * ctx.dx), influx=influx,
-                       diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n),
-                       diss_stress=d_stress, diss_friction=d_fric)
+                       diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n))
 
 
 @dataclass
@@ -336,30 +350,29 @@ def run(
     progress_every: int = 0,
     max_steps: int = 10_000_000,
 ) -> RunResult:
-    """Integrate a scenario to t_end, auditing energy and mass each step."""
+    """Integrate a scenario to t_end, auditing energy and mass each step;
+    a state books the stress and friction power of its step's viscous
+    stage, the last state none."""
     state, rhs, ctx = make_rhs(scn)
-    controls = ctx.controls
-    dx = ctx.dx
-    t_end = controls.t_end
+    p, controls = ctx.physics, ctx.controls
+    viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
+    dx, t_end = ctx.dx, controls.t_end
     every = scn.output.snapshot_every
     neg_tol = 1e-10 * max(1.0, float(state.H.max()))
 
     times = [0.0]
-    cols = {name: [] for name in ("E", "DG", "RE", "fric", "influx", "mass")}
-    snapshots = []
+    cols = {name: [] for name in ("E", "DG", "influx", "mass")}
+    stage, snapshots = [], []
     wall0 = time.perf_counter()
 
     def audit(r: RhsEval):
         d = r.diag
         cols["E"].append(d.energy)
         cols["DG"].append(d.diss_exchange)
-        cols["RE"].append(d.diss_stress)
-        cols["fric"].append(d.diss_friction)
         cols["influx"].append(d.influx)
         cols["mass"].append(float(state.H.sum() * dx))
 
-    t = 0.0
-    step_no = 0
+    t, step_no = 0.0, 0
     r = rhs(state)
     audit(r)
     snapshots.append((t, r.diag, state))
@@ -375,11 +388,13 @@ def run(
         dt = min(dt, t_end - t)
         state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
                      first_stage=r, step_no=step_no, t=t)
+        geom, *power = viscous_stage(state, dt, ctx, step_no, t) if viscous else (None, 0.0, 0.0)
+        stage.append(power)
         t += dt
         step_no += 1
         if step_no > max_steps:
             raise SolverAbort("step budget exhausted", step=step_no, time=t)
-        r = rhs(state)
+        r = rhs(state, geom)
         times.append(t)
         audit(r)
         if t >= next_snap * (1.0 - 1e-12):
@@ -394,7 +409,8 @@ def run(
         snapshots.append((t, r.diag, state))
 
     times = np.array(times)
-    E, DG, RE, fric, influx, mass = (np.array(v) for v in cols.values())
+    E, DG, influx, mass = (np.array(v) for v in cols.values())
+    RE, fric = np.array(stage + [[0.0, 0.0]]).T
     residuals = (energy_mod.budget_residuals(times, E, influx, DG, RE, fric)
                  if len(times) > 1 else np.zeros(0))
 

@@ -21,7 +21,9 @@ DETAILS = {
     6: "worst relative gap=6.90e-16 over 1000 states (<=1e-12), signs nonpositive=True",
     7: "worst |int(what) - h w|=9.31e-15 for N in 2,3,5 (<=1e-12)",
     8: "monotone=True, rate=0.09743 vs oracle 0.09743 (gap 0.0%, <=10%), wall=…s (<10s)",
-    9: "rhs gap=3.68e-16 (<=1e-14), trajectory gap after 100 steps=2.22e-16 (<=1e-12)",
+    # both trajectories now pass their viscous operators through the implicit
+    # stage, whose conjugate-gradient sums round differently: 2.22e-16 before
+    9: "rhs gap=3.68e-16 (<=1e-14), trajectory gap after 100 steps=4.16e-16 (<=1e-12)",
     10: "upwind terms nonpositive=True, match closed form=True, "
         "anti-upwind witness=39.254 (>0)",
     11: "k_l=0: rate error 5.0e-02 -> 8.0e-04 (order 2.00), profile error 1.0e-02 -> "

@@ -258,26 +258,16 @@ ENERGY_CASES = {
     "N8_wall_shear": _bump_shear("wall", [0.05 * a for a in range(8)]),
     "N4_thin_top": _bump_shear("periodic", [0.1, 0.2, 0.3, 0.4],
                                fractions=(0.45, 0.45, 0.05, 0.05)),
-    # the advective and the viscous step bounds compete.  At mu = 3e-6 the
-    # energy keeps falling up to CFL 0.88 and grows from 0.9 (+4.2e-4 of the
-    # total in one step), so this case bounds the default CFL from above
+    # weakly viscous wall dam breaks, whose energy grew once the waves
+    # reached the walls while explicit step bounds missed the viscous
+    # operator's end rows; the implicit stage keeps it falling (largest step
+    # growth -5.9e-6 and -6.1e-6 of the total)
     "N3_wall_dam_break_mu3e-6": _wall_dam_break(3e-6),
     "N3_wall_dam_break_mu1e-5": _wall_dam_break(1e-5),
 }
 
-# Once the waves reach the walls, the bottom layer's velocity grows in the
-# last cells before the wall, where the one-sided end rows of the viscous
-# operator are stiffer than the step bounds allow for.  At mu = 1e-5 the
-# energy grows there at any CFL from 0.5 up (by up to 1.3e-4 of the total
-# in one step at 0.5, 2.4e-2 at 0.8), so this case records the defect
-# rather than guarding the default.
-_END_CELL_INSTABILITY = pytest.mark.xfail(
-    strict=True, reason="the viscous step bounds do not cover the end cells of a wall domain")
 
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_END_CELL_INSTABILITY) if name.endswith("mu1e-5") else name
-    for name in sorted(ENERGY_CASES)])
+@pytest.mark.parametrize("name", sorted(ENERGY_CASES))
 def test_energy_falls_at_every_step_at_the_default_controls(name):
     # the default integrator, SSP-RK2, at the default CFL keeps the energy
     # of a smooth closed flow and of a weakly viscous wall dam break falling

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
-from layerflow.rheology import friction_kappa, stress_closure, viscous_rhs
+from layerflow.rheology import stress_closure, viscous_rhs
 from layerflow.scenario import PhysicsSpec
 
 
@@ -216,7 +216,7 @@ def test_the_stress_field_reproduces_its_digests_bitwise(bc, N):
         sha.update(np.ascontiguousarray(getattr(S, name)).tobytes())
     sha.update(S.sigma[1:].tobytes())
     assert sha.hexdigest() == STRESS_DIGESTS[bc, N]
-    kappa = friction_kappa(physics, H, u[0])
+    kappa = physics.k_l + physics.k_t * H * np.abs(u[0])
     kappa_eff = kappa / (1.0 + kappa * geom.h[0] / (2.0 * physics.mu))
     assert S.kappa.tobytes() == kappa_eff.tobytes()
     assert S.sigma[0].tobytes() == (kappa_eff * u[0] / geom.cos3_b).tobytes()

@@ -10,13 +10,29 @@ import pytest
 from layerflow import cli, timeloop
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition
-from layerflow.output import (ENERGY_COLUMNS, Snapshot, read_energy_series,
-                              read_snapshot, snapshot_header, write_energy_series,
-                              write_snapshot)
+from layerflow.output import (ENERGY_COLUMNS, Snapshot, snapshot_header,
+                              write_energy_series, write_snapshot)
 from layerflow.scenario import (_REGISTRY, ControlsSpec, InitSpec, LayersSpec,
                                 MeshSpec, PhysicsSpec, Scenario, bathymetry_values,
                                 format_scenario, initial_fields, parse_scenario)
 from layerflow.timeloop import run
+
+
+def read_snapshot(path) -> tuple[float, list[str], np.ndarray]:
+    """Inverse of write_snapshot: (t, column names, table (n, n_cols))."""
+    with open(path) as f:
+        t = float(f.readline().split("=", 1)[1])
+        names = f.readline().strip().split(",")
+        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+    return t, names, np.array(rows)
+
+
+def read_energy_series(path) -> tuple[list[str], np.ndarray]:
+    """Inverse of write_energy_series: (column names, table)."""
+    with open(path) as f:
+        names = f.readline().strip().split(",")
+        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+    return names, np.array(rows)
 
 GOLDEN = """
 # layered dam break demo
