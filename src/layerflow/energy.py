@@ -91,8 +91,3 @@ def budget_residuals(
     dE = np.diff(E_total)
     sinks = boundary_influx + D_G + R_E_stress + R_E_friction
     return dE / dt - sinks[:-1]
-
-
-def boundary_influx(flux_density: np.ndarray) -> float:
-    """Net energy inflow across the two ends of a transmissive domain."""
-    return float(flux_density[0] - flux_density[-1])

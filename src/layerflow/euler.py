@@ -27,14 +27,6 @@ from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
 
 
 @dataclass
-class EdgeFluxes:
-    """Per-edge HLL mass and momentum fluxes."""
-
-    mass: np.ndarray      # (N, n_edges)
-    momentum: np.ndarray  # (N, n_edges)
-
-
-@dataclass
 class EulerRhs:
     """Inviscid tendencies plus the exchange diagnostics they imply."""
 
@@ -50,8 +42,8 @@ def hll_fluxes(
     u_r: np.ndarray,
     part: LayerPartition,
     g: float,
-) -> EdgeFluxes:
-    """HLL mass/momentum fluxes for left/right edge traces.
+) -> tuple[np.ndarray, np.ndarray]:
+    """HLL mass and momentum fluxes (N, n_edges) for left/right edge traces.
 
     Traces are total depths (n_edges,) and per-layer velocities
     (N, n_edges).  Dry sides get the standard rarefaction-front speed
@@ -110,7 +102,7 @@ def hll_fluxes(
     if both_dry.any():
         np.copyto(f_mass, 0.0, where=both_dry)
         np.copyto(f_mom, 0.0, where=both_dry)
-    return EdgeFluxes(mass=f_mass, momentum=f_mom)
+    return f_mass, f_mom
 
 
 # The helpers below take a scratch array `tmp` of the flux shape and
@@ -185,7 +177,7 @@ def euler_rhs(
     H_rs -= z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
 
-    fx = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)
+    f_mass, f_mom = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)
 
     # pressure seen by each adjacent cell, restoring the still-water
     # balance: cell j is the left side of edge j+1 and the right side of
@@ -193,14 +185,14 @@ def euler_rhs(
     HH = H * H
     g_frac = (0.5 * g) * part.fractions[:, None]
     dq = np.multiply(g_frac, HH - H_ls[1:] * H_ls[1:])
-    dq += fx.momentum[:, 1:]
+    dq += f_mom[:, 1:]
     tmp = np.multiply(g_frac, HH - H_rs[:-1] * H_rs[:-1])
-    tmp += fx.momentum[:, :-1]
+    tmp += f_mom[:, :-1]
     dq -= tmp
     np.negative(dq, out=dq)
     dq /= dx
 
-    div = np.subtract(fx.mass[:, 1:], fx.mass[:, :-1])
+    div = np.subtract(f_mass[:, 1:], f_mass[:, :-1])
     div /= dx
     dH = -div.sum(axis=0)
 

@@ -100,7 +100,7 @@ def pad_cells(f: np.ndarray, bc: str, sign: float = 1.0) -> np.ndarray:
 
 def widen(f: np.ndarray, a: int, n: int, fill=0.0) -> np.ndarray:
     """f if it has n columns, else an (..., n) array with f in the columns
-    from `a` on and `fill`, a number or an (..., n) array, in the others."""
+    from `a` on and the number `fill` in the others."""
     if f.shape[-1] == n:
         return f
     out = np.empty(f.shape[:-1] + (n,))

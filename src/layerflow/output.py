@@ -56,15 +56,10 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
     )
 
 
-def _num(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_rows(f, rows: np.ndarray) -> None:
-    """One CSV line per row of a 2-D table, every value as `_num` writes it.
-
-    "%.17g" formats a Python float exactly as format(v, ".17g") does,
-    including nan, inf and negative zero.
+    """One CSV line per row of a 2-D table, every value with 17 significant
+    digits: "%.17g" formats a Python float exactly as format(v, ".17g")
+    does, including nan, inf and negative zero.
     """
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for row in rows:
@@ -86,7 +81,7 @@ def write_snapshot(path, snap: Snapshot) -> None:
     table = np.vstack([snap.x, snap.zb, snap.H, snap.eta,
                        snap.u, snap.w, snap.G, snap.p, snap.E])
     with open(path, "w", newline="\n") as f:
-        f.write(f"# t = {_num(snap.t)}\n")
+        f.write(f"# t = {float(snap.t):.17g}\n")
         f.write(",".join(snapshot_header(N)) + "\n")
         _write_rows(f, table.T)
 

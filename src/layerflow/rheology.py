@@ -78,7 +78,8 @@ def stress_closure(
     if kappa is None:
         kappa = physics.k_l + physics.k_t * H * np.abs(u[0])
         if mu > 0.0:  # the bed velocity eliminated from the wall law
-            kappa = kappa / (1.0 + kappa * h[0] / (2.0 * mu))
+            with np.errstate(over="ignore"):  # a subnormal mu gives the limit 0
+                kappa = kappa / (1.0 + kappa * h[0] / (2.0 * mu))
     sigma = zx_if - s * ((xx_if + s * zx_if) + xx_if)
     sigma[-1] = 0.0
     sigma[0] = kappa * u[0] / geom.cos3_b

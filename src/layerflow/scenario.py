@@ -16,7 +16,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PARTITION_TOL, LayerPartition, layer_thicknesses
+from .geometry import LayerPartition, layer_thicknesses, make_bathymetry
 from .gridops import BOUNDARY_KINDS
 from .state import H_DRY
 
@@ -110,12 +110,6 @@ class Scenario:
             return LayerPartition.uniform(self.layers.n)
         return LayerPartition(np.array(self.layers.fractions))
 
-    def validate(self) -> "Scenario":
-        problems = validate_scenario(self)
-        if problems:
-            raise ConfigError(problems)
-        return self
-
 
 # --- config registry -------------------------------------------------------
 
@@ -145,6 +139,7 @@ _REQUIRED = ("mesh.x_min", "mesh.x_max", "mesh.n_cells", "init.kind", "physics.g
 _FIELD_KEYS = ("bathymetry.z0", "bathymetry.s", "bathymetry.a", "bathymetry.values",
                "init.eta0", "init.eta_l", "init.eta_r", "init.H_values",
                "init.u", "init.u_values")
+_SLOPE_KEYS = {"slope": "bathymetry.s", "bump": "bathymetry.a", "table": "bathymetry.values"}
 
 
 def _value(scn: Scenario, key: str):
@@ -209,9 +204,7 @@ def parse_scenario(text: str) -> Scenario:
     scn = Scenario()
     scn = replace(scn, **groups.pop(None, {}),
                   **{name: replace(getattr(scn, name), **kw) for name, kw in groups.items()})
-    problems = validate_scenario(scn, lines_seen)
-    if problems:
-        raise ConfigError(problems)
+    validate_scenario(scn, lines_seen)
     return scn
 
 
@@ -238,8 +231,8 @@ def format_scenario(scn: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
-    """All semantic problems of a scenario, formatted for reporting."""
+def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
+    """Raise ConfigError listing every semantic problem of a scenario."""
     problems: list[str] = []
     lines = lines or {}
 
@@ -280,11 +273,11 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     if lay.fractions is not None:
         if len(lay.fractions) != lay.n:
             bad("layers.fractions", f"{len(lay.fractions)} fractions for layers.n = {lay.n}")
-        elif any(f <= 0 for f in lay.fractions):
-            out_of_range("layers.fractions", "fractions must be strictly positive")
-        elif abs(np.sum(lay.fractions) - 1.0) > PARTITION_TOL:
-            out_of_range("layers.fractions", f"fractions sum to {np.sum(lay.fractions):.17g}, "
-                         f"expected 1 within {PARTITION_TOL}")
+        else:
+            try:  # the partition's own positivity and sum rules
+                scn.partition()
+            except ValueError as exc:
+                out_of_range("layers.fractions", str(exc))
 
     b = scn.bathymetry
     if b.kind not in BATHYMETRY_KINDS:
@@ -300,11 +293,8 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
     ini = scn.init
     if ini.kind not in INIT_KINDS:
         bad("init.kind", f"unknown kind {ini.kind!r}, expected one of {INIT_KINDS}")
-    elif ini.kind == "shear":
-        if ini.u is None:
-            bad("init.u", "required for init.kind = shear (one velocity per layer)")
-        elif lay.n >= 1 and len(ini.u) != lay.n:
-            bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
+    elif ini.kind == "shear" and ini.u is None:
+        bad("init.u", "required for init.kind = shear (one velocity per layer)")
     elif ini.kind == "table":
         if ini.H_values is None:
             bad("init.H_values", "required for init.kind = table")
@@ -317,9 +307,8 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
                 f"{len(ini.u_values)} values, expected layers.n * n_cells = {lay.n * m.n_cells}")
     if ini.kind == "table" and ini.H_values is not None and any(v < 0 for v in ini.H_values):
         out_of_range("init.H_values", "depths must be nonnegative")
-    if ini.u is not None and ini.kind != "shear" and ini.kind in INIT_KINDS:
-        if len(ini.u) != lay.n:
-            bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
+    if ini.u is not None and ini.kind in INIT_KINDS and lay.n >= 1 and len(ini.u) != lay.n:
+        bad("init.u", f"{len(ini.u)} velocities for {lay.n} layers")
 
     p = scn.physics
     if p.g <= 0.0:
@@ -350,11 +339,17 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> list[str]:
             u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
             flux = (u + np.sqrt(p.g * H)) * (H * u * u + p.g * H * (H + np.abs(zb)))
             finite = np.isfinite(flux).all()
+            # the wall law divides by the cube of the bed slope's cosine
+            steep = finite and not (make_bathymetry(zb, m.dx, scn.boundary).cos3 > 0.0).all()
         if not finite:  # name the largest of the values the bed and fields are built from
             key = max(_FIELD_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
             bad(key, "puts the initial (max|u| + sqrt(g H)) (H u^2 + g H (H + |z_b|)) "
                 "beyond the float range")
-    return problems
+        elif steep:
+            bad(_SLOPE_KEYS[b.kind], "makes the bed so steep that the cube of its slope's "
+                "cosine is 0")
+    if problems:
+        raise ConfigError(problems)
 
 
 # --- field construction ----------------------------------------------------
@@ -368,7 +363,8 @@ def bathymetry_values(scn: Scenario) -> np.ndarray:
     if b.kind == "slope":
         return b.z0 + b.s * x
     if b.kind == "bump":
-        return b.z0 + b.a * np.exp(-(((x - b.x0) / b.width) ** 2))
+        with np.errstate(over="ignore"):  # far from the bump, in widths, it is exp(-inf) = 0
+            return b.z0 + b.a * np.exp(-(((x - b.x0) / b.width) ** 2))
     return np.asarray(b.values, dtype=float)
 
 

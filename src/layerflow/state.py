@@ -59,15 +59,6 @@ def velocities(
     return u
 
 
-def max_wave_speed(H: np.ndarray, u: np.ndarray, g: float) -> float:
-    """Fastest |u_a| + sqrt(g H) over the wet columns, 0 when all are dry."""
-    wet = H > H_DRY
-    if not np.any(wet):
-        return 0.0
-    speed = np.abs(u).max(axis=0) + np.sqrt(g * np.maximum(H, 0.0))
-    return float(speed[wet].max())
-
-
 def hydrostatic_pressures(h: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:
     """Pressures (divided by density) at layer midpoints and interfaces.
 

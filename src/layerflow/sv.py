@@ -132,7 +132,8 @@ def sv_viscous(H: np.ndarray, u: np.ndarray, zb: np.ndarray, mu: float, k: np.nd
     s_zx = mu * (ddx(w, dx, bc) + dzdx * dudx)
     slope_b = ddx(zb, dx, bc)
     cos3_b = (1.0 / np.sqrt(1.0 + slope_b * slope_b)) ** 3
-    drag = (k / (1.0 + k * H / (2.0 * mu)) if mu > 0.0 else k) / cos3_b
+    with np.errstate(over="ignore"):  # a subnormal mu gives the limit kappa = 0
+        drag = (k / (1.0 + k * H / (2.0 * mu)) if mu > 0.0 else k) / cos3_b
     V = -drag * u
     if mu > 0.0:
         r = ddx_adjoint(H * s_zx, dx, bc)

@@ -48,9 +48,8 @@ from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
 from .gridops import TRANSMISSIVE, widen
 from .rheology import stress_closure, viscous_rhs
 from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec,
-                       Scenario, bathymetry_values, initial_fields)
-from .state import (H_DRY, LayerState, hydrostatic_pressures, max_wave_speed,
-                    velocities)
+                       Scenario, bathymetry_values, initial_fields, validate_scenario)
+from .state import H_DRY, LayerState, hydrostatic_pressures, velocities
 
 
 @dataclass
@@ -115,11 +114,11 @@ class SimContext:
 
 def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, ctx: SimContext) -> float:
     """The advective CFL step over the wet cells of an evaluation's window;
-    `geom` is not read, since the viscous stage is stable at any step."""
-    c = ctx.controls
-    if not np.any(H > H_DRY):
-        return c.cfl * ctx.dx / np.sqrt(ctx.g * H_DRY)
-    speed = max_wave_speed(H, u, ctx.g)
+    `geom` is not read, since the viscous stage is stable at any step.  The
+    fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry."""
+    c, wet = ctx.controls, H > H_DRY
+    speed = float((np.abs(u).max(axis=0) + np.sqrt(ctx.g * np.maximum(H, 0.0)))[wet].max()
+                  if wet.any() else np.sqrt(ctx.g * H_DRY))
     dt = c.cfl * ctx.dx / speed if speed > 0.0 else np.inf
     if not (dt > 0.0):
         raise SolverAbort(f"nonpositive stable step dt={dt:g}")
@@ -248,7 +247,7 @@ def viscous_stage(state: LayerState, dt: float, ctx: SimContext, step_no: int = 
 
 def make_context(scn: Scenario) -> SimContext:
     """Specs, partition and bed of a scenario; ConfigError if invalid."""
-    scn.validate()
+    validate_scenario(scn)
     bathy = make_bathymetry(bathymetry_values(scn), scn.mesh.dx, scn.boundary)
     return SimContext(mesh=scn.mesh, part=scn.partition(), bathy=bathy,
                       physics=scn.physics, controls=scn.controls)
@@ -260,11 +259,7 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimCont
     ctx = make_context(scn)
     bathy, part, g = ctx.bathy, ctx.part, ctx.g
     H0, q0 = initial_fields(scn, part, bathy.zb)
-
     n = H0.size
-    # the layer energies of a dry bed, which cells outside a wet window keep
-    Z = np.zeros_like(q0)
-    E_dry = energy_mod.layer_energies(Z, build_geometry(Z[0], bathy, part, Z), g)
 
     def rhs(state: LayerState, geom: Optional[InterfaceGeometry] = None) -> RhsEval:
         # only the wet window's cells change
@@ -278,20 +273,19 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimCont
         ev = euler_rhs(H, q, bed, part, g, u=u)
         # the geometry is built for the diagnostics, if read
         return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
-            ctx, H, u, ev.G, (a, b), E_dry,
+            ctx, H, u, ev.G, (a, b),
             geom if geom is not None else build_geometry(H, bed, part, h)))
 
     return LayerState(H0, q0), rhs, ctx
 
 
 def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
-                 window: tuple[int, int], E_dry: np.ndarray,
-                 geom: InterfaceGeometry) -> Diagnostics:
+                 window: tuple[int, int], geom: InterfaceGeometry) -> Diagnostics:
     """Stable step and audit sums of one evaluation on its window [a, b).
 
     The layer energies and the exchange dissipation are widened with the
-    dry bed's (`E_dry`, zero) before their sums: a sum over the window
-    would round differently.  Only u and G outlive the call.
+    dry bed's zeros before their sums: a sum over the window would round
+    differently.  Only u and G outlive the call.
     """
     a, b = window
     n = ctx.mesh.n_cells
@@ -302,10 +296,9 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     if ctx.bathy.bc == TRANSMISSIVE and (a == 0 or b == n):  # the window's ends
         p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
         flux = energy_mod.energy_flux_density(u, geom, E, p_mid)
-        influx = energy_mod.boundary_influx((flux[0] if a == 0 else 0.0,
-                                             flux[-1] if b == n else 0.0))
+        influx = float((flux[0] if a == 0 else 0.0) - (flux[-1] if b == n else 0.0))
     return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),
-                       energy=float(widen(E, a, n, E_dry).sum() * ctx.dx), influx=influx,
+                       energy=float(widen(E, a, n).sum() * ctx.dx), influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n))
 
 

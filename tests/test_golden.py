@@ -61,6 +61,7 @@ here.  A change that alters them on purpose has to explain every
 changed digit and re-record them.
 """
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -368,3 +369,50 @@ def test_a_fast_state_within_the_float_range_runs_or_aborts_located(tmp_path, ca
         assert cli.main(["check", str(cfg)]) == 0
         assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 2
     assert "time step collapsed" in capsys.readouterr().err
+
+
+def _with(config, values):
+    """The config with each key of `values` set to its value, in place or
+    appended."""
+    for key, value in values.items():
+        line = re.compile(rf"^{re.escape(key)} = .*$", re.M)
+        config = (line.sub(f"{key} = {value}", config) if line.search(config)
+                  else config + f"{key} = {value}\n")
+    return config
+
+
+@pytest.mark.parametrize("name, values", [
+    ("viscous_friction_periodic_rk2", {"physics.mu": "5e-324"}),
+    ("viscous_friction_wall_rk2", {"physics.mu": "5e-324"}),
+    ("viscous_interface_transmissive_rk2", {"physics.mu": "5e-324"}),
+    ("inviscid_periodic_bump_rk2", {"bathymetry.x0": "1e300"}),
+    ("inviscid_periodic_bump_rk2", {"bathymetry.width": "1e-300"}),
+    ("inviscid_periodic_bump_rk2", {"bathymetry.width": "5e-324"}),
+    ("inviscid_periodic_bump_rk2", {"mesh.x_max": "1e300"}),
+    ("viscous_friction_periodic_rk2", {"physics.g": "5e-324", "bathymetry.z0": "0.5"}),
+], ids=["mu_periodic", "mu_wall", "mu_transmissive", "bump_x0", "bump_width",
+        "bump_width_subnormal", "x_max", "g_all_dry"])
+def test_a_config_check_accepts_runs_without_warnings(name, values, tmp_path, capsys):
+    # limits the arithmetic reaches through an overflow or an underflow:
+    # kappa_eff = 0 for a subnormal mu, a bump of exp(-inf) = 0 far from
+    # its centre, and no wave speed, so no step bound, for a subnormal g
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(_with(GOLDEN[name][0], values))
+    assert cli.main(["check", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) in (0, 2)
+
+
+@pytest.mark.parametrize("values", [
+    {"bathymetry.a": "1e160"},                       # the slope squared overflows
+    {"bathymetry.a": "1e300", "bathymetry.x0": "3"},  # cos^3 underflows
+], ids=["overflow", "underflow"])
+def test_a_bed_too_steep_for_the_wall_law_fails_check(values, tmp_path, capsys):
+    # the wall law divides by the cube of the bed slope's cosine
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(_with(VISCOUS_FRICTION_WALL_RK2, values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["check", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bathymetry.a: makes the bed so steep that the cube of its slope's cosine "
+        "is 0 (line 8)"]

@@ -7,6 +7,7 @@ import pytest
 from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
 from layerflow.rheology import stress_closure, viscous_rhs
 from layerflow.scenario import PhysicsSpec
+from layerflow.sv import sv_viscous
 
 
 def _flat_geom(H0, N, n, dx, bc):
@@ -80,6 +81,17 @@ def test_traction_closures():
     S0 = stress_closure(PhysicsSpec(k_l=0.3, k_t=0.2), H, u, geom)
     assert S0.kappa.tobytes() == kappa.tobytes()
     assert np.allclose(S0.sigma[0], kappa * u[0], atol=1e-14)
+
+
+def test_a_subnormal_viscosity_gives_the_wall_law_its_limit_without_warnings():
+    # kappa h_1 / (2 mu) overflows to inf, so kappa_eff = 0, in the closure
+    # and in the single-layer oracle alike
+    n, dx, mu = 12, 0.1, 5e-324
+    geom, H = _flat_geom(1.0, 2, n, dx, "wall")
+    u = np.vstack([np.full(n, 0.8), np.full(n, 1.4)])
+    assert (stress_closure(PhysicsSpec(mu=mu, k_l=0.3, k_t=0.2), H, u, geom).kappa == 0.0).all()
+    _, drag = sv_viscous(H, u[0], np.zeros(n), mu, np.full(n, 0.3), dx, "wall")
+    assert (drag == 0.0).all()
 
 
 def _random_sloped_state(seed, n=20, N=3, bc="transmissive"):

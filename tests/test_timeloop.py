@@ -1,6 +1,7 @@
 """Adaptive stepping, stage clipping and the audited run loop."""
 import gc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from layerflow.gridops import ddx
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
                                 Scenario, parse_scenario)
-from layerflow.state import H_DRY, LayerState, max_wave_speed, velocities
+from layerflow.state import H_DRY, LayerState, velocities
 from layerflow import cli, output, rheology, timeloop
 from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
                                 next_snapshot_time, run, stable_dt, step)
@@ -47,6 +48,46 @@ def test_stable_dt_survives_a_dry_domain():
     u = np.zeros((2, 10))
     dt = stable_dt(H, u, _geom(ctx, H), ctx)
     assert np.isfinite(dt) and dt > 0.0
+
+
+def _max_wave_speed(H, u, g):
+    """The fastest |u_a| + sqrt(g H) over the wet columns, 0 when all are
+    dry: the formula that stable_dt evaluates, kept as its reference."""
+    wet = H > H_DRY
+    if not np.any(wet):
+        return 0.0
+    speed = np.abs(u).max(axis=0) + np.sqrt(g * np.maximum(H, 0.0))
+    return float(speed[wet].max())
+
+
+def test_stable_dt_is_the_step_of_the_fastest_wet_wave_bitwise():
+    # windows with films (0 < H <= H_DRY), which bound nothing whatever
+    # their velocity, exactly dry cells, and no wet cell at all
+    rng = np.random.default_rng(31)
+    seen = set()  # (a wet cell, a film) per window
+    for trial in range(60):
+        m = int(rng.integers(3, 30))
+        ctx = _ctx(n=m, g=9.81, cfl=0.8)
+        H = rng.uniform(0.0, 2.0, m)
+        kind = rng.integers(0, 4, m) if trial % 10 else np.zeros(m, dtype=int)
+        H[kind == 0] = 0.0
+        H[kind == 1] = rng.uniform(0.0, H_DRY, m)[kind == 1]
+        H[kind == 2] = H_DRY
+        u = 3.0 * rng.standard_normal((2, m))
+        dt = stable_dt(H, u, _geom(ctx, H), ctx)
+        speed = _max_wave_speed(H, u, ctx.g) if (H > H_DRY).any() else np.sqrt(ctx.g * H_DRY)
+        assert dt == ctx.controls.cfl * ctx.dx / speed, trial
+        seen.add(((H > H_DRY).any(), ((H > 0.0) & (H <= H_DRY)).any()))
+    assert (True, True) in seen and (False, False) in seen
+
+
+def test_stable_dt_of_a_dry_window_is_unbounded_where_its_wave_speed_underflows():
+    # sqrt(g H_DRY) rounds to 0 for a subnormal g: no wave, no bound, no warning
+    ctx = _ctx(g=5e-324)
+    H = np.zeros(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert stable_dt(H, np.zeros((2, 10)), _geom(ctx, H), ctx) == np.inf
 
 
 @pytest.mark.parametrize("key, kappa", [("k_l", 5e-324), ("k_t", 1e-310)])
@@ -515,7 +556,7 @@ def test_windowed_step_matches_the_whole_domain_bitwise(bc, N, integrator):
     for trial in range(20):
         H, q = _stretch_state(rng, N, bc)
         state = LayerState(H, q)
-        speed = max_wave_speed(H, velocities(H, q, ctx.part), ctx.g)
+        speed = _max_wave_speed(H, velocities(H, q, ctx.part), ctx.g)
         dt = 0.45 * ctx.dx / speed if speed > 0.0 else 1e-3
         windows = []
         got = step(state, dt, _recording(rhs, windows), integrator)
