@@ -83,7 +83,7 @@ class PhysicsSpec:
 
 @dataclass(frozen=True)
 class ControlsSpec:
-    cfl: float = 0.8
+    cfl: float = 0.9
     t_end: float = 1.0
     integrator: str = SSP_RK2
 
@@ -136,8 +136,8 @@ def _derive_registry() -> dict:
 _REGISTRY = _derive_registry()
 
 _REQUIRED = ("mesh.x_min", "mesh.x_max", "mesh.n_cells", "init.kind", "physics.g")
-_FIELD_KEYS = ("bathymetry.z0", "bathymetry.s", "bathymetry.a", "bathymetry.values",
-               "init.eta0", "init.eta_l", "init.eta_r", "init.H_values",
+_RANGE_KEYS = ("physics.g", "physics.mu", "bathymetry.z0", "bathymetry.s", "bathymetry.a",
+               "bathymetry.values", "init.eta0", "init.eta_l", "init.eta_r", "init.H_values",
                "init.u", "init.u_values")
 _SLOPE_KEYS = {"slope": "bathymetry.s", "bump": "bathymetry.a", "table": "bathymetry.values"}
 
@@ -330,20 +330,24 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
 
     if scn.output.snapshot_every < 0:
         out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")
-    if not problems:  # the HLL flux and energy of the initial state, which are
-        with np.errstate(over="ignore", invalid="ignore"):  # O(speed (H u^2 + g H (H + |z_b|)))
+    if not problems:  # the initial state's HLL flux speed (H u^2 + g H (H + |z_b|)), its
+        # pressure H^2, its potential g (H + |z_b|), even where dry, and the stress
+        # mu speed / h that its speed drives across a film's thinnest layer
+        with np.errstate(over="ignore", invalid="ignore"):
             zb = bathymetry_values(scn)
             part = scn.partition()
             H, q = initial_fields(scn, part, zb)
             h = layer_thicknesses(H, part)
             u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
-            flux = (u + np.sqrt(p.g * H)) * (H * u * u + p.g * H * (H + np.abs(zb)))
+            speed, z = u + np.sqrt(p.g * H), H + np.abs(zb)
+            flux = (speed * (H * u * u + p.g * H * z) + H * H + p.g * z
+                    + p.mu * speed / (H_DRY * part.fractions.min()))
             finite = np.isfinite(flux).all()
             # the wall law divides by the cube of the bed slope's cosine
             steep = finite and not (make_bathymetry(zb, m.dx, scn.boundary).cos3 > 0.0).all()
         if not finite:  # name the largest of the values the bed and fields are built from
-            key = max(_FIELD_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
-            bad(key, "puts the initial (max|u| + sqrt(g H)) (H u^2 + g H (H + |z_b|)) "
+            key = max(_RANGE_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
+            bad(key, "puts the initial state's flux, pressure, potential or film stress "
                 "beyond the float range")
         elif steep:
             bad(_SLOPE_KEYS[b.kind], "makes the bed so steep that the cube of its slope's "

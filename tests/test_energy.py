@@ -244,7 +244,8 @@ ENERGY_CASES = {
     # weakly viscous wall dam breaks, whose energy grew once the waves
     # reached the walls while explicit step bounds missed the viscous
     # operator's end rows; the implicit stage keeps it falling (largest step
-    # growth -5.9e-6 and -6.1e-6 of the total)
+    # growth -3.5e-6 and -3.7e-6 of the total at CFL 0.9, -5.9e-6 and -6.1e-6
+    # at 0.8)
     "N3_wall_dam_break_mu3e-6": _wall_dam_break(3e-6),
     "N3_wall_dam_break_mu1e-5": _wall_dam_break(1e-5),
 }

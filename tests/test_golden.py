@@ -49,26 +49,31 @@ work, split into the friction drain at the stage's mean velocity and
 the stresses' rest, with zeros in the closing row.
 
 Every case but one names `controls.cfl = 0.5`, the default CFL when its
-digests were recorded.  The key was added when the default rose to 0.8:
-the digests, unchanged, show that the kernels did not move with the
-default.  The one case that names no CFL, `inviscid_wall_default_cfl_rk2`,
-is `inviscid_wall_rk2` without the key.  It was recorded after the
-default rose, and it takes 22 steps where the pinned case takes 34.
+digests were recorded.  The key was added when the default rose to 0.8,
+and the default rose again to 0.9: the digests, unchanged both times,
+show that the kernels did not move with the default.  The one case that
+names no CFL, `inviscid_wall_default_cfl_rk2`, is `inviscid_wall_rk2`
+without the key.  It was re-recorded when the default rose to 0.9, and
+it takes 19 steps (22 at 0.8) where the pinned case takes 34; only its
+initial snapshot stayed the same.
 
 The CSVs carry 17 significant digits, so any change to the arithmetic
 the stepper applies, to the audit or to the snapshot schedule shows up
 here.  A change that alters them on purpose has to explain every
 changed digit and re-record them.
 """
+import functools
 import hashlib
+import random
 import re
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
-from layerflow import cli
-from layerflow.scenario import parse_scenario
+from layerflow import cli, timeloop
+from layerflow.scenario import _REGISTRY, parse_scenario
 from layerflow.timeloop import run
 
 INVISCID_WALL_RK2 = """mesh.x_min = 0
@@ -255,12 +260,12 @@ GOLDEN = {
         "snapshot_0004.csv": "b822e9a6005da9fab7f6d2944730239d125c8ee9b60675c679b134502ab69786",
     }),
     "inviscid_wall_default_cfl_rk2": (INVISCID_WALL_DEFAULT_CFL_RK2, {
-        "energy.csv": "f718aa0ac2c74b871cd34653d8fa864186a33973901f68236c66ea5cf304eaec",
+        "energy.csv": "0eefe958f9e4bc693b1660cfacb1af3ae592bbd7a1be62608746a07c7c113a63",
         "snapshot_0000.csv": "34cba07e2bc77c49b5174c02a9e6cb358830fc68eabd255114341bef19d0005d",
-        "snapshot_0001.csv": "27c6d56171eaddd475a958dffb07c980d331a4a08addb72ef34de69bacbad923",
-        "snapshot_0002.csv": "5c62ffd6fa2899226fdbee57954e9df255009dd4ef6a08db44e4617109876128",
-        "snapshot_0003.csv": "8214eed810914e615c1346560f12f270a5d0fcce3ad440311a37aa3d3331b8e9",
-        "snapshot_0004.csv": "d909bd657247a6ca951e92bd773b779bc0ede21460c5463dc021c5ec8a336d94",
+        "snapshot_0001.csv": "9e5a3f34c0a4e73ed7a393a221d150d28d46afeff2094446659e72ca8acb1df9",
+        "snapshot_0002.csv": "e82c8bb2fc7f0aed69a5f0d0cebf393d8a211467ef485054c0ff023cbc99606c",
+        "snapshot_0003.csv": "671b5236098c0a81d9045c37269d988ea0f9cad0ed39def5c3708beeb6bba3d3",
+        "snapshot_0004.csv": "49a75583c74d004f24c325c8b821d542e8434f8c57adbd32f01ca4dbf6ab26d4",
     }),
     "viscous_friction_periodic_rk2": (VISCOUS_FRICTION_PERIODIC_RK2, {
         "energy.csv": "422350d3e52eb467989271c9417b83e8967fa66193fc39acc0d46037501fa181",
@@ -390,12 +395,15 @@ def _with(config, values):
     ("inviscid_periodic_bump_rk2", {"bathymetry.width": "5e-324"}),
     ("inviscid_periodic_bump_rk2", {"mesh.x_max": "1e300"}),
     ("viscous_friction_periodic_rk2", {"physics.g": "5e-324", "bathymetry.z0": "0.5"}),
+    ("inviscid_wall_rk2", {"physics.g": "1e-300", "bathymetry.a": "0.5", "physics.mu": "1e300"}),
 ], ids=["mu_periodic", "mu_wall", "mu_transmissive", "bump_x0", "bump_width",
-        "bump_width_subnormal", "x_max", "g_all_dry"])
+        "bump_width_subnormal", "x_max", "g_all_dry", "stage_stress"])
 def test_a_config_check_accepts_runs_without_warnings(name, values, tmp_path, capsys):
     # limits the arithmetic reaches through an overflow or an underflow:
     # kappa_eff = 0 for a subnormal mu, a bump of exp(-inf) = 0 far from
-    # its centre, and no wave speed, so no step bound, for a subnormal g
+    # its centre, and no wave speed, so no step bound, for a subnormal g;
+    # g = 1e-300 keeps check's film stress tiny, but mu = 1e300 overflows
+    # the viscous stage's first search direction, which then aborts located
     cfg = tmp_path / "case.cfg"
     cfg.write_text(_with(GOLDEN[name][0], values))
     assert cli.main(["check", str(cfg)]) == 0
@@ -416,3 +424,79 @@ def test_a_bed_too_steep_for_the_wall_law_fails_check(values, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: bathymetry.a: makes the bed so steep that the cube of its slope's cosine "
         "is 0 (line 8)"]
+
+
+# each passed check once and then overflowed in run, in the energy's g z_mid
+# over a dry bed, the pressure's H^2 and the stresses of a steep wet bed
+FLOAT_RANGE_CASES = [
+    ("inviscid_receding_transmissive_rk2", {"physics.g": "1e300", "mesh.x_max": "1e300"}),
+    ("dry_front_transmissive_euler", {"physics.g": "1e-300", "init.eta_r": "1e300"}),
+    ("inviscid_periodic_bump_rk2",
+     {"physics.mu": "1e300", "bathymetry.a": "1e300", "bathymetry.x0": "3"}),
+]
+
+
+@pytest.mark.parametrize("case, key, line", [
+    (FLOAT_RANGE_CASES[0], "physics.g", 15),
+    (FLOAT_RANGE_CASES[1], "init.eta_r", 11),
+    (FLOAT_RANGE_CASES[2], "physics.mu", 21),
+], ids=["potential", "pressure", "stress"])
+def test_a_potential_pressure_or_stress_beyond_the_float_range_fails_check(
+        case, key, line, tmp_path, capsys):
+    name, values = case
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(_with(GOLDEN[name][0], values))
+    assert cli.main(["check", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {key}: puts the initial state's flux, pressure, potential or film stress "
+        f"beyond the float range (line {line})"]
+
+
+MUTATION_VALUES = ("0", "-1", "1e300", "5e-324", "1e-300", "nan", "inf", "3", "0.5", "word")
+MUTATION_STEPS = 100     # the step cap of each mutated run
+MUTATION_BUDGET = 20.0   # wall seconds each mutated config may take, check and run
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget
+
+
+def test_a_mutated_golden_config_fails_check_or_runs_to_an_exit(tmp_path, capsys, monkeypatch):
+    # check <=> run: one to three keys of a golden config set to values at
+    # and beyond the float range, non-finite or malformed; each config
+    # fails check with exit 1 or runs, capped in steps, to exit 0 or a
+    # located abort (exit 2), with RuntimeWarnings as errors and within
+    # a wall budget that an alarm enforces in this process
+    monkeypatch.setattr(cli, "run", functools.partial(timeloop.run, max_steps=MUTATION_STEPS))
+    rng = random.Random(0)
+    keys, names = sorted(_REGISTRY), sorted(GOLDEN)
+    cases = FLOAT_RANGE_CASES + [
+        (rng.choice(names), {k: rng.choice(MUTATION_VALUES)
+                             for k in rng.sample(keys, rng.randint(1, 3))})
+        for _ in range(400)]
+    cfg, out = tmp_path / "case.cfg", str(tmp_path / "out")
+    outcomes = []
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    try:
+        for name, values in cases:
+            cfg.write_text(_with(GOLDEN[name][0], values))
+            signal.setitimer(signal.ITIMER_REAL, MUTATION_BUDGET)
+            try:
+                outcome = ("check", cli.main(["check", str(cfg)]))
+                if outcome == ("check", 0):
+                    outcome = ("run", cli.main(["run", str(cfg), "--output", out]))
+            except _OverBudget:
+                pytest.fail(f"{name} with {values} took over {MUTATION_BUDGET} s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            assert outcome in (("check", 1), ("run", 0), ("run", 2)), (name, values, outcome)
+            outcomes.append(outcome)
+            capsys.readouterr()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes[:3] == [("check", 1)] * 3
+    assert len(set(outcomes)) == 3  # the mutations reach every outcome

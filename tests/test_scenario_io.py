@@ -274,7 +274,8 @@ output.snapshot_every = 0.20000000000000001
 # text format_scenario wrote for each when the key table was hand-written,
 # less its `controls.viscous_safety = 0.5` and `physics.placement = interface`
 # lines since those keys were removed, and with the default CFL echoed as
-# `controls.cfl = 0.80000000000000004` since it was raised from 0.5.
+# `controls.cfl = 0.90000000000000002` since it was raised from 0.5 to 0.8
+# and then to 0.9.
 BENCHMARK_CONFIGS = {
     "dam_bump_wall": ("""mesh.x_min = 0
 mesh.x_max = 1
@@ -293,7 +294,7 @@ physics.g = 9.81
 controls.t_end = 0.12
 controls.integrator = ssp-rk2
 output.snapshot_every = 0.006
-""", "92b4249105864fd26dd17294d387950bd9027d4a18e7c35cdcde2579bbf95940"),
+""", "431435366de4915c7b7971e4b4ab5b6647927b05993322045129077764728071"),
     "viscous_shear": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 100
@@ -311,7 +312,7 @@ physics.k_t = 0.01
 controls.t_end = 0.012
 controls.integrator = ssp-rk2
 output.snapshot_every = 0
-""", "5d8ce04e664f3dd3358d4fb40e03f3f1801925550ae29c821180ff6a195d07ee"),
+""", "c75793276705c8ece42640bad25738efc2e3c138e1903174b3bfed8718bb28eb"),
     "dry_slope_deep": ("""mesh.x_min = 0
 mesh.x_max = 1
 mesh.n_cells = 2000
@@ -328,7 +329,7 @@ physics.g = 9.81
 controls.t_end = 0.012
 controls.integrator = forward-euler
 output.snapshot_every = 0
-""", "4e904cb96dffeaa1ab4e5bf881924659e982124956a3199adfebe13e535d6428"),
+""", "99bd5e9438292de0fd3524ccce8f1ae22ada9251dded0eea8a77ae564267cab1"),
 }
 
 

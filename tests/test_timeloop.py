@@ -693,7 +693,7 @@ def test_a_step_clamped_to_t_end_is_not_a_collapse():
 
 
 def test_a_stable_step_below_the_floor_collapses():
-    # g = 1e21 gives a stable step of 3.16e-14 at the default CFL of 0.8,
+    # g = 1e21 gives a stable step of 3.56e-14 at the default CFL of 0.9,
     # below the 1e-13 floor at any CFL the config accepts
     with pytest.raises(SolverAbort, match="time step collapsed") as err:
         run(parse_scenario(DAM_BUMP_WALL.replace("physics.g = 9.81", "physics.g = 1e21")))
