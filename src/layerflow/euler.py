@@ -8,7 +8,8 @@ single-layer scheme.  Well-balancing uses hydrostatic reconstruction:
 edge depths are remeasured from the higher of the two bed elevations
 and the pressure imbalance is returned to each cell as a centered
 correction.  Interlayer mass exchange is rebuilt from the same flux
-divergences that update the depth and enters as a cell-centered source.
+divergences that update the depth and enters as a cell-centered source;
+in a dry cell it carries the velocities of the water flowing in.
 The cells outside the wet window (`wet_window`) hold a dry bed at rest
 and have both-dry edges, which carry no flux and no pressure correction:
 their tendencies are those of a dry bed (dH = -0.0, dq = G = 0), so
@@ -198,6 +199,14 @@ def euler_rhs(
 
     G = exchange_fluxes(div, part)
     u_if = interface_velocities(u, G)
+    # a dry column's water is all inflow, so its layers trade the velocity
+    # each brings in, dq / -div, not the column's zero: that would double a
+    # difference between layer velocities at every newly wetted cell
+    dry = np.flatnonzero(H <= H_DRY)
+    if dry.size:
+        inflow = div[:, dry]
+        u_in = np.divide(dq[:, dry], -inflow, out=np.zeros_like(inflow), where=inflow < 0.0)
+        u_if[:, dry] = interface_velocities(u_in, G[:, dry])
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp

@@ -291,6 +291,29 @@ def test_one_step_positivity_near_dry_fronts():
         assert (H + dt * ev.dH).min() > -1e-12
 
 
+
+@pytest.mark.parametrize("N", [2, 4, 12])
+@pytest.mark.parametrize("s", [0.0, 0.02])
+def test_a_newly_wetted_cell_keeps_the_spread_of_its_inflows_layer_velocities(s, N):
+    # a shallow supercritical column whose layers move at 4 -/+ 0.1 runs
+    # onto dry bed; one forward-Euler step at CFL 0.9 puts water in the
+    # first dry cell.  Traded between layers at that cell's zero velocity,
+    # it came out with twice the spread of the inflow
+    n = 8
+    dx = 1.0 / n
+    part = LayerPartition.uniform(N)
+    bathy = make_bathymetry(s * dx * np.arange(n), dx, "transmissive")
+    H = np.where(np.arange(n) < 4, 0.01, 0.0)
+    du = np.linspace(-0.1, 0.1, N)
+    q = part.fractions[:, None] * H * np.where(H > 0.0, 4.0 + du[:, None], 0.0)
+    ev = euler_rhs(H, q, bathy, part, 9.81)
+    dt = 0.9 * dx / (4.1 + np.sqrt(9.81 * 0.01))
+    u_new = ev.dq[:, 4] / (part.fractions * ev.dH[4])  # dt cancels
+    assert ev.dH[4] > 0.0
+    assert np.ptp(u_new) <= np.ptp(du) * (1.0 + 1e-12)
+    assert dt * ev.dH[4] < 0.01
+
+
 def _edge_fluxes(H, u, bathy, part, g):
     """Hydrostatically reconstructed depths on both sides of every edge,
     and the HLL mass and momentum fluxes between them."""
@@ -329,6 +352,9 @@ def _euler_rhs_whole_domain(H, q, bathy, part, g):
     div /= dx
     dH = -div.sum(axis=0)
     G = exchange_fluxes(div, part)
+    dry = H <= H_DRY
+    u[:, dry] = np.divide(dq[:, dry], -div[:, dry], out=np.zeros_like(div[:, dry]),
+                          where=div[:, dry] < 0.0)
     u_if = interface_velocities(u, G)
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]

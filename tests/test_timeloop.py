@@ -739,6 +739,28 @@ def test_a_viscous_dry_front_takes_about_the_steps_of_its_inviscid_twin(viscous,
     assert result.summary["steps"] <= 10 * twin.summary["steps"]
 
 
+
+@pytest.mark.parametrize("x0", [0.297, 0.3, 0.305])
+def test_the_layers_of_a_front_onto_a_dry_slope_move_together(x0):
+    # forward Euler at CFL 0.9 on 12 layers.  A newly wetted cell once
+    # traded its inflow between layers at its own zero velocity, which
+    # doubled a difference of layer velocities at each cell the front
+    # entered: from round-off it grew to a spread of 5.6 to 8.5 here (181
+    # steps), and on the benchmark's 2000 cells to films 8 times the bulk
+    # speed that set the step, so the step count varied with x0
+    scn = Scenario(mesh=MeshSpec(0.0, 1.0, 200), boundary="transmissive",
+                   layers=LayersSpec(n=12),
+                   bathymetry=BathymetrySpec(kind="slope", z0=0.0, s=0.1),
+                   init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=x0),
+                   physics=PhysicsSpec(g=9.81),
+                   controls=ControlsSpec(t_end=0.15, cfl=0.9, integrator="forward-euler"),
+                   output=OutputSpec(snapshot_every=0.005))
+    result = run(scn)
+    spread = max(float(np.ptp(d.u, axis=0).max()) for _, d, _ in result.snapshots)
+    assert spread < 1e-10
+    assert result.summary["steps"] == 176
+
+
 def _refinement_errors(make):
     """Largest |H| and |q| gaps at t_end of runs at CFL 0.8, 0.4, 0.2 and
     0.1 against a run at CFL 0.0125 on the same mesh."""
