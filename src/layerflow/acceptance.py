@@ -92,7 +92,6 @@ def _collapse_scenario(n_layers: int) -> Scenario:
     n = 100
     x = (np.arange(n) + 0.5) / n
     H = 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
-    u = np.full(n_layers, 0.2)
     return Scenario(
         mesh=MeshSpec(0.0, 1.0, n),
         boundary="periodic",

@@ -70,12 +70,13 @@ def newtonian_dissipation(
 
 
 def energy_flux_density(
-    u: np.ndarray, geom: InterfaceGeometry, E: np.ndarray, p_mid: np.ndarray,
+    u: np.ndarray, h: np.ndarray, E: np.ndarray, p_mid: np.ndarray,
 ) -> np.ndarray:
-    """Horizontal energy flux u (E + h p) per cell (n,), summed over the
-    layers, for the budget at transmissive ends.  The viscous terms do
-    no boundary work: their work is the dissipation."""
-    return (u * (E + geom.h * p_mid)).sum(axis=0)
+    """Horizontal energy flux u (E + h p) per cell (n,), its layers added in
+    row order, from +0.0, as numpy sums many cells over axis 0 (one column
+    it sums pairwise); for the budget at transmissive ends.  The viscous
+    terms do no boundary work: their work is the dissipation."""
+    return np.cumsum(u * (E + h * p_mid), axis=0)[-1] + 0.0  # a -0.0 sum is +0.0
 
 
 def budget_residuals(

@@ -104,18 +104,26 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
 class InterfaceGeometry:
     """All per-column geometric fields for one (H, z_b, partition) triple.
 
-    Shapes: layer fields (N, n), interface fields (N+1, n).  The slope
-    fields are computed on first access, with the bed's `dx` and `bc`;
-    only the stresses read them.  The friction reads the bed's cosine cubed.
+    Shapes: layer fields (N, n), interface fields (N+1, n).  The midpoint
+    gaps and the slopes (with the bed's `dx` and `bc`) are computed on first
+    access: only the stresses read them.  The friction reads the bed's cos^3.
     """
 
     h: np.ndarray          # layer thicknesses
     z_if: np.ndarray       # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
     z_mid: np.ndarray      # layer midpoints
-    h_half: np.ndarray     # midpoint gaps across each interface
     cos3_b: np.ndarray     # cube of the bed slope cosine (n,), the bed's `cos3`
     dx: float
     bc: str
+
+    @cached_property
+    def h_half(self) -> np.ndarray:
+        """Midpoint gaps across each interface."""
+        h, out = self.h, np.empty(self.z_if.shape)
+        out[0], out[-1] = 0.5 * h[0], 0.5 * h[-1]
+        np.add(h[:-1], h[1:], out=out[1:-1])  # no rows when N = 1
+        out[1:-1] *= 0.5
+        return out
 
     @cached_property
     def dz_if_dx(self) -> np.ndarray:
@@ -178,12 +186,5 @@ def build_geometry(
     z_if[1:] += bathy.zb
     z_mid = z_if[:-1] + z_if[1:]
     z_mid *= 0.5
-
-    h_half = np.empty((N + 1, n))
-    h_half[0] = 0.5 * h[0]
-    h_half[-1] = 0.5 * h[-1]
-    if N > 1:
-        np.add(h[:-1], h[1:], out=h_half[1:-1])
-        h_half[1:-1] *= 0.5
-    return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, h_half=h_half,
-                             cos3_b=bathy.cos3, dx=bathy.dx, bc=bathy.bc)
+    return InterfaceGeometry(h=h, z_if=z_if, z_mid=z_mid, cos3_b=bathy.cos3,
+                             dx=bathy.dx, bc=bathy.bc)

@@ -28,14 +28,13 @@ def ddx(f: np.ndarray, dx: float, bc: str) -> np.ndarray:
     Periodic domains wrap; otherwise the two boundary cells fall back to
     one-sided first-order differences.
     """
-    out = np.empty_like(f, dtype=float)
-    if bc == PERIODIC:
-        np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-        np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
-        np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
+    if bc == PERIODIC:  # one difference of a copy wrapped by a cell each side
+        f = np.concatenate((f[..., -1:], f, f[..., :1]), -1)
+        out = np.subtract(f[..., 2:], f[..., :-2], dtype=float)
         out /= 2.0 * dx
         return out
     check_boundary(bc)
+    out = np.empty_like(f, dtype=float)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
     out[..., 0] = (f[..., 1] - f[..., 0]) / dx
     out[..., -1] = (f[..., -1] - f[..., -2]) / dx

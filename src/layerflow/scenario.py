@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, is_dataclass, replace
+from functools import cached_property
 from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import LayerPartition, layer_thicknesses, make_bathymetry
+from .geometry import Bathymetry, LayerPartition, layer_thicknesses, make_bathymetry
 from .gridops import BOUNDARY_KINDS
 from .state import H_DRY
 
@@ -105,10 +106,17 @@ class Scenario:
     controls: ControlsSpec = field(default_factory=ControlsSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
 
+    @cached_property
     def partition(self) -> LayerPartition:
         if self.layers.fractions is None:
             return LayerPartition.uniform(self.layers.n)
         return LayerPartition(np.array(self.layers.fractions))
+
+    @cached_property
+    def built(self) -> tuple[LayerPartition, Bathymetry, np.ndarray, np.ndarray]:
+        """A frozen scenario keeps `validate_scenario`'s pass, its partition,
+        bed and initial (H, q); ConfigError while the scenario is invalid."""
+        return validate_scenario(self)
 
 
 # --- config registry -------------------------------------------------------
@@ -148,17 +156,9 @@ def _value(scn: Scenario, key: str):
     return getattr(scn, attr) if section is None else getattr(getattr(scn, section), attr)
 
 
-def _parse_value(kind: str, raw: str):
-    if kind == "str":
-        return raw
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "floats":
-        parts = [p.strip() for p in raw.split(",")]
-        return tuple(float(p) for p in parts if p != "")
-    raise AssertionError(kind)
+# kind of a config value -> its parser; a list of floats skips empty entries
+_PARSERS = {"str": str, "int": int, "float": float,
+            "floats": lambda raw: tuple(float(p) for p in raw.split(",") if p.strip())}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -187,7 +187,7 @@ def parse_scenario(text: str) -> Scenario:
         kind = _REGISTRY[key][0]
         lines_seen[key] = lineno  # a malformed value is not also a missing one
         try:
-            values[key] = _parse_value(kind, val)
+            values[key] = _PARSERS[kind](val)
         except ValueError:
             problems.append(f"line {lineno}: {key}: malformed {kind} value {val!r}")
 
@@ -204,7 +204,11 @@ def parse_scenario(text: str) -> Scenario:
     scn = Scenario()
     scn = replace(scn, **groups.pop(None, {}),
                   **{name: replace(getattr(scn, name), **kw) for name, kw in groups.items()})
-    validate_scenario(scn, lines_seen)
+    try:
+        scn.built
+    except ConfigError as exc:  # each problem starts with its key: add the key's line
+        raise ConfigError([f"{p} (line {lines_seen[k]})" if (k := p.split(":")[0]) in lines_seen
+                           else p for p in exc.problems]) from None
     return scn
 
 
@@ -222,24 +226,17 @@ def _fmt(value) -> str:
 
 def format_scenario(scn: Scenario) -> str:
     """Emit a config document that parses back to an equal Scenario."""
-    lines = []
-    for key in _REGISTRY:
-        value = _value(scn, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(value)}\n" for key in _REGISTRY
+                   if (value := _value(scn, key)) is not None)
 
 
-def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
-    """Raise ConfigError listing every semantic problem of a scenario."""
+def validate_scenario(scn: Scenario) -> tuple:
+    """Raise ConfigError listing every problem of a scenario, each `key: ...`;
+    else return the partition, bed and read-only initial (H, q) it built."""
     problems: list[str] = []
-    lines = lines or {}
 
     def bad(key: str, message: str):
-        ln = lines.get(key)
-        where = f" (line {ln})" if ln else ""
-        problems.append(f"{key}: {message}{where}")
+        problems.append(f"{key}: {message}")
 
     nonfinite = set()
     for key, (kind, _, _) in _REGISTRY.items():
@@ -275,7 +272,7 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
             bad("layers.fractions", f"{len(lay.fractions)} fractions for layers.n = {lay.n}")
         else:
             try:  # the partition's own positivity and sum rules
-                scn.partition()
+                scn.partition
             except ValueError as exc:
                 out_of_range("layers.fractions", str(exc))
 
@@ -335,7 +332,7 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
         # mu speed / h that its speed drives across a film's thinnest layer
         with np.errstate(over="ignore", invalid="ignore"):
             zb = bathymetry_values(scn)
-            part = scn.partition()
+            part = scn.partition
             H, q = initial_fields(scn, part, zb)
             h = layer_thicknesses(H, part)
             u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
@@ -344,7 +341,8 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
                     + p.mu * speed / (H_DRY * part.fractions.min()))
             finite = np.isfinite(flux).all()
             # the wall law divides by the cube of the bed slope's cosine
-            steep = finite and not (make_bathymetry(zb, m.dx, scn.boundary).cos3 > 0.0).all()
+            bathy = finite and make_bathymetry(zb, m.dx, scn.boundary)
+            steep = finite and not (bathy.cos3 > 0.0).all()
         if not finite:  # name the largest of the values the bed and fields are built from
             key = max(_RANGE_KEYS, key=lambda k: np.abs(_value(scn, k) or 0.0).max())
             bad(key, "puts the initial state's flux, pressure, potential or film stress "
@@ -354,6 +352,8 @@ def validate_scenario(scn: Scenario, lines: Optional[dict] = None) -> None:
                 "cosine is 0")
     if problems:
         raise ConfigError(problems)
+    H.flags.writeable = q.flags.writeable = False
+    return part, bathy, H, q
 
 
 # --- field construction ----------------------------------------------------

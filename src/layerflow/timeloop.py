@@ -44,11 +44,10 @@ from . import energy as energy_mod
 from .errors import SolverAbort
 from .euler import euler_rhs, wet_window
 from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
-                       build_geometry, layer_thicknesses, make_bathymetry)
+                       build_geometry, layer_thicknesses)
 from .gridops import TRANSMISSIVE, widen
 from .rheology import stress_closure, viscous_rhs
-from .scenario import (FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec,
-                       Scenario, bathymetry_values, initial_fields, validate_scenario)
+from .scenario import FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec, Scenario
 from .state import H_DRY, LayerState, hydrostatic_pressures, velocities
 
 
@@ -90,7 +89,7 @@ class RhsEval:
 @dataclass
 class SimContext:
     """A validated scenario's own mesh, physics and controls specs, plus
-    the layer partition and the bed that make_context derived from them.
+    the layer partition and the bed that it keeps (`Scenario.built`).
 
     The bed holds the boundary kind; `dx` and `g` read the specs, and
     `h_dry` is H_DRY, for perfbench's tracer.
@@ -248,19 +247,19 @@ def viscous_stage(state: LayerState, dt: float, ctx: SimContext, step_no: int = 
 
 
 def make_context(scn: Scenario) -> SimContext:
-    """Specs, partition and bed of a scenario; ConfigError if invalid."""
-    validate_scenario(scn)
-    bathy = make_bathymetry(bathymetry_values(scn), scn.mesh.dx, scn.boundary)
-    return SimContext(mesh=scn.mesh, part=scn.partition(), bathy=bathy,
+    """The specs, partition and bed that a scenario keeps; ConfigError if it
+    is invalid, which a scenario checks once (`Scenario.built`)."""
+    part, bathy, _, _ = scn.built
+    return SimContext(mesh=scn.mesh, part=part, bathy=bathy,
                       physics=scn.physics, controls=scn.controls)
 
 
 def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimContext]:
-    """Initial state plus the transport right-hand-side closure for a
-    scenario, which takes the whole-domain geometry of the depth if built."""
+    """A copy of a scenario's initial state plus the transport right-hand-side
+    closure, which takes the whole-domain geometry of the depth if built."""
     ctx = make_context(scn)
     bathy, part, g = ctx.bathy, ctx.part, ctx.g
-    H0, q0 = initial_fields(scn, part, bathy.zb)
+    H0, q0 = (f.copy() for f in scn.built[2:])
     n = H0.size
 
     def rhs(state: LayerState, geom: Optional[InterfaceGeometry] = None) -> RhsEval:
@@ -295,9 +294,10 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     influx = 0.0
     # water crosses transmissive ends only: the mirrored traces at a wall
     # carry no mass flux
-    if ctx.bathy.bc == TRANSMISSIVE and (a == 0 or b == n):  # the window's ends
-        p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
-        flux = energy_mod.energy_flux_density(u, geom, E, p_mid)
+    if ctx.bathy.bc == TRANSMISSIVE and (a == 0 or b == n):
+        e, h = [0, -1], geom.h[:, [0, -1]]  # the window's end columns
+        flux = energy_mod.energy_flux_density(u[:, e], h, E[:, e],
+                                              hydrostatic_pressures(h, ctx.g)[0])
         influx = float((flux[0] if a == 0 else 0.0) - (flux[-1] if b == n else 0.0))
     return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),
                        energy=float(widen(E, a, n).sum() * ctx.dx), influx=influx,

@@ -26,6 +26,19 @@ def test_ddx_periodic_second_order():
     assert order > 1.9
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3), (100,), (4, 100), (2, 4, 100)])
+def test_periodic_ddx_and_its_adjoint_are_the_wrapped_stencil_bitwise(shape):
+    # (f[i+1] - f[i-1]) / (2 dx) with the neighbours wrapped, one subtraction
+    # and one division a cell, along the last axis behind any leading axes
+    rng = np.random.default_rng(shape)
+    f = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    dx = 0.37
+    want = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+    got = ddx(f, dx, "periodic")
+    assert got.shape == f.shape and got.tobytes() == want.tobytes()
+    assert ddx_adjoint(f, dx, "periodic").tobytes() == (-want).tobytes()
+
+
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_ddx_adjoint_is_the_transpose_of_ddx(n, bc):

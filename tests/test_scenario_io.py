@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,7 +353,7 @@ def test_initial_fields_clip_dry_columns():
         physics=PhysicsSpec(g=9.81),
     )
     zb = bathymetry_values(scn)
-    H, q = initial_fields(scn, scn.partition(), zb)
+    H, q = initial_fields(scn, scn.partition, zb)
     assert (H >= 0.0).all()
     dry = zb >= 1.0
     assert dry.any()
@@ -370,7 +371,7 @@ def test_initial_fields_table_layout():
                       u_values=(1.0, 2.0, 3.0, 10.0, 20.0, 30.0)),
         physics=PhysicsSpec(g=9.81),
     )
-    H, q = initial_fields(scn, scn.partition(), np.zeros(3))
+    H, q = initial_fields(scn, scn.partition, np.zeros(3))
     part = LayerPartition.uniform(2)
     assert np.allclose(q[0], 0.5 * H * np.array([1.0, 2.0, 3.0]))
     assert np.allclose(q[1], 0.5 * H * np.array([10.0, 20.0, 30.0]))
@@ -454,20 +455,73 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "finished" in text and "mass drift" in text
 
 
+BUILDERS = ("make_context", "validate_scenario", "bathymetry_values", "make_bathymetry",
+            "initial_fields")
+
+
+def _count_builders(monkeypatch) -> dict:
+    """Calls of each of BUILDERS, under every name a layerflow module binds it to."""
+    calls = dict.fromkeys(BUILDERS, 0)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("layerflow")]:
+        for name in BUILDERS:
+            real = getattr(mod, name, None)
+            if callable(real):
+                def counted(*args, name=name, real=real):
+                    calls[name] += 1
+                    return real(*args)
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def test_cli_run_makes_the_context_once(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = timeloop.make_context
-
-    def counted(scn):
-        calls.append(scn)
-        return real(scn)
-
-    monkeypatch.setattr(timeloop, "make_context", counted)
-    monkeypatch.setattr(cli, "make_context", counted)
+    # a scenario is checked once, by parse_scenario, and its bed, partition
+    # and initial state are built there once; run and make_context reuse them
+    calls = _count_builders(monkeypatch)
     cfg = tmp_path / "case.cfg"
     cfg.write_text(CLI_CFG)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o")]) == 0
-    assert len(calls) == 1
+    assert calls == dict.fromkeys(BUILDERS, 1)
+
+
+def test_the_benchmarks_call_order_checks_and_builds_once(monkeypatch):
+    # parse_scenario, make_rhs, run, make_context: the calls `layerflow run`
+    # makes, with a make_rhs of its own before the run
+    calls = _count_builders(monkeypatch)
+    scn = cli.parse_scenario(CLI_CFG)
+    state, _, ctx = timeloop.make_rhs(scn)
+    result = cli.run(scn)
+    assert cli.make_context(scn).bathy is ctx.bathy is result.ctx.bathy
+    assert ctx.part is result.ctx.part is scn.partition
+    assert calls == dict(dict.fromkeys(BUILDERS, 1), make_context=3)
+    # each make_rhs starts from its own copy of the kept initial state
+    H0, q0 = scn.built[2:]
+    assert state.H is not H0 and state.q is not q0
+    assert np.array_equal(state.H, H0) and np.array_equal(state.q, q0)
+    assert np.array_equal(result.snapshots[0][2].H, H0)
+
+
+def test_make_context_refuses_a_parsed_scenario_replaced_into_an_invalid_one():
+    scn = parse_scenario(CLI_CFG)
+    timeloop.make_context(scn)
+    bad = replace(scn, controls=replace(scn.controls, cfl=1.5))
+    for _ in range(2):  # a failed check is not kept
+        with pytest.raises(ConfigError) as err:
+            timeloop.make_context(bad)
+        assert err.value.problems == ["controls.cfl: cfl must lie in (0, 1], got 1.5"]
+    assert timeloop.make_context(replace(bad, controls=scn.controls)).part.n_layers == 2
+
+
+def test_a_scenario_keeps_its_initial_state_read_only():
+    scn = parse_scenario(CLI_CFG)
+    part, bathy, H, q = scn.built
+    assert scn.built[2] is H and part is scn.partition
+    for field in (H, q):
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[..., 0] = 1.0
+    state, _, _ = timeloop.make_rhs(scn)
+    state.H[0] = 2.0  # the run's own copy
+    assert H[0] == 1.0 and state.H.flags.writeable and state.q.flags.writeable
 
 
 def test_cli_check_accepts_and_rejects(tmp_path, capsys):

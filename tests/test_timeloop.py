@@ -298,8 +298,9 @@ def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
 
 
 def _record_slope_reads(monkeypatch):
+    # the fields a geometry builds on first access
     reads = []
-    for name in ("dz_if_dx", "dz_mid_dx"):
+    for name in ("h_half", "dz_if_dx", "dz_mid_dx"):
         real = InterfaceGeometry.__dict__[name]
         monkeypatch.setattr(InterfaceGeometry, name, property(
             lambda self, name=name, real=real:
@@ -309,7 +310,7 @@ def _record_slope_reads(monkeypatch):
 
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
 def test_inviscid_run_and_snapshots_compute_no_slope_fields(monkeypatch, bc):
-    # only the stresses and the friction read interface or midpoint slopes
+    # only the stresses read interface or midpoint slopes or midpoint gaps
     reads = _record_slope_reads(monkeypatch)
     scn = _smooth_scenario(boundary=bc, bathymetry=BathymetrySpec(
         kind="bump", a=0.1, x0=0.3, width=0.1))
@@ -331,7 +332,7 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     assert reads == []
     geom, _, _ = timeloop.viscous_stage(state, dt, ctx)
     ((_, built_geom),) = built
-    assert built_geom is geom and set(reads) == {"dz_if_dx", "dz_mid_dx"}
+    assert built_geom is geom and set(reads) == {"h_half", "dz_if_dx", "dz_mid_dx"}
     slope = geom.dz_if_dx
     assert geom.dz_if_dx is slope
     assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bathy.bc))
