@@ -57,7 +57,7 @@ def criterion_1() -> CriterionResult:
     )
     result = run(scn)
     state = result.final
-    u = velocities(state.H, state.q, result.ctx.part)
+    u = velocities(state.H, state.q, scn.partition)
     du = float(np.abs(u).max())
     deta = float(np.abs(state.H - result.snapshots[0][2].H).max())
     wall = time.perf_counter() - t0
@@ -330,7 +330,7 @@ def criterion_9() -> CriterionResult:
         physics=PhysicsSpec(**phys),
         controls=ControlsSpec(t_end=1e9),
     )
-    sA, rhsA, ctx = make_rhs(scn)
+    sA, rhsA, _ = make_rhs(scn)
     sB = sA.copy()
 
     def rhsB(s: LayerState) -> RhsEval:
@@ -349,7 +349,7 @@ def criterion_9() -> CriterionResult:
     for k in range(100):
         dt = rA.diag.dt
         sA = step(sA, dt, rhsA, first_stage=rA, step_no=k)
-        geom, _, _ = viscous_stage(sA, dt, ctx, k)
+        geom, _, _ = viscous_stage(sA, dt, scn, k)
         sB = step(sB, dt, rhsB, step_no=k)
         stageB(sB, dt)
         rA = rhsA(sA, geom)

@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     result = run(scn, progress_every=args.progress)
     for i, (t, diag, state) in enumerate(result.snapshots):
-        snap = snapshot_frame(t, state.H, diag, result.ctx)
+        snap = snapshot_frame(t, state.H, diag, scn)
         write_snapshot(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), snap)
     write_energy_series(os.path.join(out_dir, "energy.csv"), result)
     s = result.summary

@@ -14,7 +14,8 @@ from .geometry import build_geometry
 from .gridops import widen
 from .kinematics import reconstruct_w
 from .state import hydrostatic_pressures
-from .timeloop import Diagnostics, RunResult, SimContext
+from .scenario import Scenario
+from .timeloop import Diagnostics, RunResult
 
 
 @dataclass
@@ -34,25 +35,25 @@ class Snapshot:
 
 
 def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
-                   ctx: SimContext) -> Snapshot:
+                   scn: Scenario) -> Snapshot:
     """The frame of depth H: the window's u and G widened with a dry bed at
     rest, and the geometry, w, pressures and energies derived over the domain."""
     a, n = diag.window[0], H.size
-    geom = build_geometry(H, ctx.bathy, ctx.part)
+    geom = build_geometry(H, scn.bed, scn.partition)
     u = widen(diag.u, a, n)
     w, _ = reconstruct_w(u, geom)
-    p_mid, _ = hydrostatic_pressures(geom.h, ctx.g)
+    p_mid, _ = hydrostatic_pressures(geom.h, scn.g)
     return Snapshot(
         t=t,
-        x=ctx.mesh.x,
-        zb=ctx.bathy.zb,
+        x=scn.mesh.x,
+        zb=scn.bed.zb,
         H=H.copy(),
         eta=geom.z_if[-1],
         u=u,
         w=w,
         G=widen(diag.G[1:-1], a, n),
         p=p_mid,
-        E=layer_energies(u, geom, ctx.g),
+        E=layer_energies(u, geom, scn.g),
     )
 
 

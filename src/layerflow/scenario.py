@@ -97,6 +97,8 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run's specs; once checked (`built`), the context the whole run reads."""
+
     mesh: MeshSpec = field(default_factory=MeshSpec)
     boundary: str = "periodic"
     layers: LayersSpec = field(default_factory=LayersSpec)
@@ -106,6 +108,16 @@ class Scenario:
     controls: ControlsSpec = field(default_factory=ControlsSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
 
+    h_dry = H_DRY  # read by perfbench's tracer
+
+    @property
+    def dx(self) -> float:
+        return self.mesh.dx
+
+    @property
+    def g(self) -> float:
+        return self.physics.g
+
     @cached_property
     def partition(self) -> LayerPartition:
         if self.layers.fractions is None:
@@ -113,10 +125,14 @@ class Scenario:
         return LayerPartition(np.array(self.layers.fractions))
 
     @cached_property
-    def built(self) -> tuple[LayerPartition, Bathymetry, np.ndarray, np.ndarray]:
-        """A frozen scenario keeps `validate_scenario`'s pass, its partition,
-        bed and initial (H, q); ConfigError while the scenario is invalid."""
+    def built(self) -> tuple[Bathymetry, np.ndarray, np.ndarray]:
+        """A frozen scenario keeps `validate_scenario`'s pass, its bed and
+        initial (H, q); ConfigError while the scenario is invalid."""
         return validate_scenario(self)
+
+    @property
+    def bed(self) -> Bathymetry:
+        return self.built[0]
 
 
 # --- config registry -------------------------------------------------------
@@ -232,7 +248,7 @@ def format_scenario(scn: Scenario) -> str:
 
 def validate_scenario(scn: Scenario) -> tuple:
     """Raise ConfigError listing every problem of a scenario, each `key: ...`;
-    else return the partition, bed and read-only initial (H, q) it built."""
+    else return the bed and read-only initial (H, q) it built."""
     problems: list[str] = []
 
     def bad(key: str, message: str):
@@ -327,9 +343,10 @@ def validate_scenario(scn: Scenario) -> tuple:
 
     if scn.output.snapshot_every < 0:
         out_of_range("output.snapshot_every", "snapshot cadence must be nonnegative")
-    if not problems:  # the initial state's HLL flux speed (H u^2 + g H (H + |z_b|)), its
-        # pressure H^2, its potential g (H + |z_b|), even where dry, and the stress
-        # mu speed / h that its speed drives across a film's thinnest layer
+    if not problems:  # the initial state's HLL flux speed (H u^2 + g H (H + |z_b|)) and
+        # pressure H^2 over the cell width, as its first tendencies take them, its
+        # potential g (H + |z_b|), even where dry, and the stress mu speed / h that
+        # its speed drives across a film's thinnest layer
         with np.errstate(over="ignore", invalid="ignore"):
             zb = bathymetry_values(scn)
             part = scn.partition
@@ -337,7 +354,7 @@ def validate_scenario(scn: Scenario) -> tuple:
             h = layer_thicknesses(H, part)
             u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
             speed, z = u + np.sqrt(p.g * H), H + np.abs(zb)
-            flux = (speed * (H * u * u + p.g * H * z) + H * H + p.g * z
+            flux = ((speed * (H * u * u + p.g * H * z) + H * H) / m.dx + p.g * z
                     + p.mu * speed / (H_DRY * part.fractions.min()))
             finite = np.isfinite(flux).all()
             # the wall law divides by the cube of the bed slope's cosine
@@ -353,7 +370,7 @@ def validate_scenario(scn: Scenario) -> tuple:
     if problems:
         raise ConfigError(problems)
     H.flags.writeable = q.flags.writeable = False
-    return part, bathy, H, q
+    return bathy, H, q
 
 
 # --- field construction ----------------------------------------------------
@@ -378,13 +395,11 @@ def initial_fields(scn: Scenario, part: LayerPartition,
     ini = scn.init
     n = scn.mesh.n_cells
     N = part.n_layers
-    if ini.kind == "lake_at_rest":
+    if ini.kind in ("lake_at_rest", "shear"):
         H = np.maximum(ini.eta0 - zb, 0.0)
     elif ini.kind == "dam_break":
         eta = np.where(scn.mesh.x < ini.x0, ini.eta_l, ini.eta_r)
         H = np.maximum(eta - zb, 0.0)
-    elif ini.kind == "shear":
-        H = np.maximum(ini.eta0 - zb, 0.0)
     else:  # table
         H = np.asarray(ini.H_values, dtype=float)
 

@@ -43,11 +43,10 @@ import numpy as np
 from . import energy as energy_mod
 from .errors import SolverAbort
 from .euler import euler_rhs, wet_window
-from .geometry import (Bathymetry, InterfaceGeometry, LayerPartition,
-                       build_geometry, layer_thicknesses)
+from .geometry import InterfaceGeometry, build_geometry, layer_thicknesses
 from .gridops import TRANSMISSIVE, widen
 from .rheology import stress_closure, viscous_rhs
-from .scenario import FORWARD_EULER, SSP_RK2, ControlsSpec, MeshSpec, PhysicsSpec, Scenario
+from .scenario import FORWARD_EULER, SSP_RK2, Scenario
 from .state import H_DRY, LayerState, hydrostatic_pressures, velocities
 
 
@@ -86,42 +85,15 @@ class RhsEval:
         return diagnose() if diagnose is not None else None
 
 
-@dataclass
-class SimContext:
-    """A validated scenario's own mesh, physics and controls specs, plus
-    the layer partition and the bed that it keeps (`Scenario.built`).
-
-    The bed holds the boundary kind; `dx` and `g` read the specs, and
-    `h_dry` is H_DRY, for perfbench's tracer.
-    """
-
-    mesh: MeshSpec
-    part: LayerPartition
-    bathy: Bathymetry
-    physics: PhysicsSpec
-    controls: ControlsSpec
-    h_dry = H_DRY
-
-    @property
-    def dx(self) -> float:
-        return self.mesh.dx
-
-    @property
-    def g(self) -> float:
-        return self.physics.g
-
-
-def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, ctx: SimContext) -> float:
+def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenario) -> float:
     """The advective CFL step over the wet cells of an evaluation's window;
     `geom` is not read, since the viscous stage is stable at any step.  The
-    fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry."""
-    c, wet = ctx.controls, H > H_DRY
-    speed = float((np.abs(u).max(axis=0) + np.sqrt(ctx.g * np.maximum(H, 0.0)))[wet].max()
-                  if wet.any() else np.sqrt(ctx.g * H_DRY))
-    dt = c.cfl * ctx.dx / speed if speed > 0.0 else np.inf
-    if not (dt > 0.0):
-        raise SolverAbort(f"nonpositive stable step dt={dt:g}")
-    return float(dt)
+    fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry.
+    A step that underflows to 0 is left to `run`'s located collapse check."""
+    wet = H > H_DRY
+    speed = float((np.abs(u).max(axis=0) + np.sqrt(scn.g * np.maximum(H, 0.0)))[wet].max()
+                  if wet.any() else np.sqrt(scn.g * H_DRY))
+    return float(scn.controls.cfl * scn.dx / speed if speed > 0.0 else np.inf)
 
 
 def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
@@ -211,13 +183,13 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         rr = np.vdot(r, r)
 
 
-def viscous_stage(state: LayerState, dt: float, ctx: SimContext, step_no: int = 0,
+def viscous_stage(state: LayerState, dt: float, scn: Scenario, step_no: int = 0,
                   t: float = 0.0) -> tuple[InterfaceGeometry, float, float]:
     """One trapezoidal stage of the stresses and the wall law on `state.q`,
     in place, with the dry columns held.  Returns the geometry of the depth
     and the stage's mean stress and friction power."""
-    H, part, p = state.H, ctx.part, ctx.physics
-    geom = build_geometry(H, ctx.bathy, part)
+    H, part, p = state.H, scn.partition, scn.physics
+    geom = build_geometry(H, scn.bed, part)
     h, wet = geom.h, H > H_DRY
     u, dry = velocities(H, state.q, part, h=h), (None if wet.all() else ~wet)
 
@@ -241,26 +213,23 @@ def viscous_stage(state: LayerState, dt: float, ctx: SimContext, step_no: int = 
         return geom, 0.0, 0.0
     hd, um = h * delta, u + 0.5 * delta
     state.q += hd
-    power = float(np.vdot(hd, um)) * ctx.dx / dt
-    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * ctx.dx
+    power = float(np.vdot(hd, um)) * scn.dx / dt
+    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * scn.dx
     return geom, power - fric, fric
 
 
-def make_context(scn: Scenario) -> SimContext:
-    """The specs, partition and bed that a scenario keeps; ConfigError if it
-    is invalid, which a scenario checks once (`Scenario.built`)."""
-    part, bathy, _, _ = scn.built
-    return SimContext(mesh=scn.mesh, part=part, bathy=bathy,
-                      physics=scn.physics, controls=scn.controls)
+def make_context(scn: Scenario) -> Scenario:
+    """The scenario itself, once checked: ConfigError if it is invalid,
+    which a scenario checks once (`Scenario.built`)."""
+    scn.built
+    return scn
 
 
-def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimContext]:
+def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], Scenario]:
     """A copy of a scenario's initial state plus the transport right-hand-side
     closure, which takes the whole-domain geometry of the depth if built."""
-    ctx = make_context(scn)
-    bathy, part, g = ctx.bathy, ctx.part, ctx.g
-    H0, q0 = (f.copy() for f in scn.built[2:])
-    n = H0.size
+    bathy, H0, q0 = make_context(scn).built
+    part, g, n = scn.partition, scn.g, H0.size
 
     def rhs(state: LayerState, geom: Optional[InterfaceGeometry] = None) -> RhsEval:
         # only the wet window's cells change
@@ -274,13 +243,13 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], SimCont
         ev = euler_rhs(H, q, bed, part, g, u=u)
         # the geometry is built for the diagnostics, if read
         return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
-            ctx, H, u, ev.G, (a, b),
+            scn, H, u, ev.G, (a, b),
             geom if geom is not None else build_geometry(H, bed, part, h)))
 
-    return LayerState(H0, q0), rhs, ctx
+    return LayerState(H0.copy(), q0.copy()), rhs, scn
 
 
-def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
+def _diagnostics(scn: Scenario, H: np.ndarray, u: np.ndarray, G: np.ndarray,
                  window: tuple[int, int], geom: InterfaceGeometry) -> Diagnostics:
     """Stable step and audit sums of one evaluation on its window [a, b).
 
@@ -289,19 +258,19 @@ def _diagnostics(ctx: SimContext, H: np.ndarray, u: np.ndarray, G: np.ndarray,
     differently.  Only u and G outlive the call.
     """
     a, b = window
-    n = ctx.mesh.n_cells
-    E = energy_mod.layer_energies(u, geom, ctx.g)
+    n = scn.mesh.n_cells
+    E = energy_mod.layer_energies(u, geom, scn.g)
     influx = 0.0
     # water crosses transmissive ends only: the mirrored traces at a wall
     # carry no mass flux
-    if ctx.bathy.bc == TRANSMISSIVE and (a == 0 or b == n):
+    if scn.bed.bc == TRANSMISSIVE and (a == 0 or b == n):
         e, h = [0, -1], geom.h[:, [0, -1]]  # the window's end columns
         flux = energy_mod.energy_flux_density(u[:, e], h, E[:, e],
-                                              hydrostatic_pressures(h, ctx.g)[0])
+                                              hydrostatic_pressures(h, scn.g)[0])
         influx = float((flux[0] if a == 0 else 0.0) - (flux[-1] if b == n else 0.0))
-    return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, ctx),
-                       energy=float(widen(E, a, n).sum() * ctx.dx), influx=influx,
-                       diss_exchange=energy_mod.exchange_dissipation(u, G, ctx.dx, a, n))
+    return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, scn),
+                       energy=float(widen(E, a, n).sum() * scn.dx), influx=influx,
+                       diss_exchange=energy_mod.exchange_dissipation(u, G, scn.dx, a, n))
 
 
 @dataclass
@@ -319,7 +288,6 @@ class RunResult:
     snapshots: list                 # [(t, Diagnostics, LayerState), ...]
     summary: dict
     final: LayerState
-    ctx: SimContext                 # what the run was made from
 
 
 def next_snapshot_time(t: float, every: float) -> float:
@@ -348,10 +316,10 @@ def run(
     """Integrate a scenario to t_end, auditing energy and mass each step;
     a state books the stress and friction power of its step's viscous
     stage, the last state none."""
-    state, rhs, ctx = make_rhs(scn)
-    p, controls = ctx.physics, ctx.controls
+    state, rhs, _ = make_rhs(scn)
+    p, controls = scn.physics, scn.controls
     viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
-    dx, t_end = ctx.dx, controls.t_end
+    dx, t_end = scn.dx, controls.t_end
     every = scn.output.snapshot_every
     neg_tol = 1e-10 * max(1.0, float(state.H.max()))
 
@@ -383,7 +351,7 @@ def run(
         dt = min(dt, t_end - t)
         state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
                      first_stage=r, step_no=step_no, t=t)
-        geom, *power = viscous_stage(state, dt, ctx, step_no, t) if viscous else (None, 0.0, 0.0)
+        geom, *power = viscous_stage(state, dt, scn, step_no, t) if viscous else (None, 0.0, 0.0)
         stage.append(power)
         t += dt
         step_no += 1
@@ -406,8 +374,7 @@ def run(
     times = np.array(times)
     E, DG, influx, mass = (np.array(v) for v in cols.values())
     RE, fric = np.array(stage + [[0.0, 0.0]]).T
-    residuals = (energy_mod.budget_residuals(times, E, influx, DG, RE, fric)
-                 if len(times) > 1 else np.zeros(0))
+    residuals = energy_mod.budget_residuals(times, E, influx, DG, RE, fric)
 
     m0 = mass[0] if mass[0] != 0.0 else 1.0
     summary = {
@@ -420,4 +387,4 @@ def run(
     }
     return RunResult(times=times, E_total=E, D_G=DG, R_E=RE, friction=fric,
                      influx=influx, mass=mass, residuals=residuals,
-                     snapshots=snapshots, summary=summary, final=state, ctx=ctx)
+                     snapshots=snapshots, summary=summary, final=state)

@@ -195,7 +195,7 @@ def test_a_viscous_lake_at_rest_loses_energy_at_every_datum():
             output=OutputSpec(snapshot_every=1e-12),  # a frame per step
         )
         result = run(scn)
-        part = result.ctx.part
+        part = scn.partition
         above_rest = []
         for _, _, s in result.snapshots:
             h = layer_thicknesses(s.H, part)

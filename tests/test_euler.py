@@ -453,15 +453,15 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
     # both signs of zero
     rng = np.random.default_rng([N, len(kind), len(bc), 1])
     _, rhs, ctx = timeloop.make_rhs(_window_scenario(bc, N, 0.2 * rng.standard_normal(WINDOW_N)))
-    g, part = ctx.g, ctx.part
+    g, part = ctx.g, ctx.partition
     for trial in range(15):
         H, q = _dry_stretch_state(rng, N, kind)
         d = rhs(LayerState(H, q)).diag
         snap = output.snapshot_frame(0.0, H, d, ctx)
         # the same fields evaluated over every cell
         u = velocities(H, q, part)
-        geom = build_geometry(H, ctx.bathy, part)
-        G = _euler_rhs_whole_domain(H, q, ctx.bathy, part, g).G
+        geom = build_geometry(H, ctx.bed, part)
+        G = _euler_rhs_whole_domain(H, q, ctx.bed, part, g).G
         E = layer_energies(u, geom, g)
         p_mid, _ = hydrostatic_pressures(geom.h, g)
         influx = 0.0

@@ -73,6 +73,7 @@ changed digit and re-record them.
 """
 import functools
 import hashlib
+import itertools
 import random
 import re
 import signal
@@ -82,7 +83,10 @@ import numpy as np
 import pytest
 
 from layerflow import cli, timeloop
-from layerflow.scenario import _REGISTRY, parse_scenario
+from layerflow.errors import ConfigError, SolverAbort
+from layerflow.gridops import BOUNDARY_KINDS
+from layerflow.scenario import (_REGISTRY, ControlsSpec, InitSpec, LayersSpec, MeshSpec,
+                                PhysicsSpec, Scenario, parse_scenario)
 from layerflow.timeloop import run
 
 INVISCID_WALL_RK2 = """mesh.x_min = 0
@@ -509,3 +513,37 @@ def test_a_mutated_golden_config_fails_check_or_runs_to_an_exit(tmp_path, capsys
         signal.signal(signal.SIGALRM, previous)
     assert outcomes[:3] == [("check", 1)] * 3
     assert len(set(outcomes)) == 3  # the mutations reach every outcome
+
+
+def _tiny_cell_dam_break(x_max, g, u, mu, bc, n=40):
+    return Scenario(mesh=MeshSpec(0.0, x_max, n), boundary=bc, layers=LayersSpec(n=2),
+                    init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.5, x0=x_max / 2,
+                                  u=(u, 0.0)),
+                    physics=PhysicsSpec(g=g, mu=mu), controls=ControlsSpec(t_end=1e-3 * x_max))
+
+
+def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located():
+    # the first tendencies divide the initial flux and pressure by the cell
+    # width, before run's located checks see the state: check bounds the
+    # quotients, so an accepted config runs or aborts at a named step, with
+    # RuntimeWarnings as errors
+    with pytest.raises(ConfigError) as err:
+        _tiny_cell_dam_break(1e-228, 1e200, 0.0, 0.0, "wall", n=100).built
+    assert err.value.problems[0].startswith("physics.g: puts the initial state's flux")
+    outcomes = {"check": 0, "ran": 0, "aborted": 0}
+    for case in itertools.product((1e-100, 1e-200, 1e-250, 1e-290, 1e-305),
+                                  (1.0, 1e50, 1e100, 1e150, 1e200, 1e250),
+                                  (0.0, 1e10, 1e60), (0.0, 1.0), BOUNDARY_KINDS):
+        scn = _tiny_cell_dam_break(*case)
+        try:
+            scn.built
+        except ConfigError:
+            outcomes["check"] += 1
+            continue
+        try:
+            run(scn, max_steps=50)
+            outcomes["ran"] += 1
+        except SolverAbort as exc:
+            assert exc.step is not None, (case, str(exc))
+            outcomes["aborted"] += 1
+    assert sum(outcomes.values()) == 540 and outcomes["check"] < 540, outcomes

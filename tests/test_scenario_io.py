@@ -490,11 +490,10 @@ def test_the_benchmarks_call_order_checks_and_builds_once(monkeypatch):
     scn = cli.parse_scenario(CLI_CFG)
     state, _, ctx = timeloop.make_rhs(scn)
     result = cli.run(scn)
-    assert cli.make_context(scn).bathy is ctx.bathy is result.ctx.bathy
-    assert ctx.part is result.ctx.part is scn.partition
+    assert cli.make_context(scn) is ctx is scn
     assert calls == dict(dict.fromkeys(BUILDERS, 1), make_context=3)
     # each make_rhs starts from its own copy of the kept initial state
-    H0, q0 = scn.built[2:]
+    H0, q0 = scn.built[1:]
     assert state.H is not H0 and state.q is not q0
     assert np.array_equal(state.H, H0) and np.array_equal(state.q, q0)
     assert np.array_equal(result.snapshots[0][2].H, H0)
@@ -508,13 +507,13 @@ def test_make_context_refuses_a_parsed_scenario_replaced_into_an_invalid_one():
         with pytest.raises(ConfigError) as err:
             timeloop.make_context(bad)
         assert err.value.problems == ["controls.cfl: cfl must lie in (0, 1], got 1.5"]
-    assert timeloop.make_context(replace(bad, controls=scn.controls)).part.n_layers == 2
+    assert timeloop.make_context(replace(bad, controls=scn.controls)).partition.n_layers == 2
 
 
 def test_a_scenario_keeps_its_initial_state_read_only():
     scn = parse_scenario(CLI_CFG)
-    part, bathy, H, q = scn.built
-    assert scn.built[2] is H and part is scn.partition
+    bathy, H, q = scn.built
+    assert scn.built[1] is H and bathy is scn.bed
     for field in (H, q):
         assert not field.flags.writeable
         with pytest.raises(ValueError):

@@ -8,29 +8,28 @@ import pytest
 
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.euler import euler_rhs, wet_window
-from layerflow.geometry import (InterfaceGeometry, LayerPartition,
-                                build_geometry, make_bathymetry)
+from layerflow.geometry import InterfaceGeometry, LayerPartition, build_geometry
 from layerflow.gridops import ddx
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
                                 Scenario, parse_scenario)
 from layerflow.state import H_DRY, LayerState, velocities
 from layerflow import cli, output, rheology, timeloop
-from layerflow.timeloop import (RhsEval, SimContext, make_context, make_rhs,
+from layerflow.timeloop import (RhsEval, make_context, make_rhs,
                                 next_snapshot_time, run, stable_dt, step)
 
 
 def _ctx(n=10, dx=0.5, g=1.0, mu=0.0, k_l=0.0, k_t=0.0, N=2,
          cfl=0.5):
-    part = LayerPartition.uniform(N)
-    bathy = make_bathymetry(np.zeros(n), dx, "periodic")
-    return SimContext(mesh=MeshSpec(0.0, n * dx, n), part=part, bathy=bathy,
-                      physics=PhysicsSpec(g=g, mu=mu, k_l=k_l, k_t=k_t),
-                      controls=ControlsSpec(t_end=1.0, cfl=cfl))
+    # a flat periodic lake, whose checked scenario is the kernels' context
+    return Scenario(mesh=MeshSpec(0.0, n * dx, n), layers=LayersSpec(n=N),
+                    init=InitSpec(kind="lake_at_rest", eta0=1.0),
+                    physics=PhysicsSpec(g=g, mu=mu, k_l=k_l, k_t=k_t),
+                    controls=ControlsSpec(t_end=1.0, cfl=cfl))
 
 
 def _geom(ctx, H):
-    return build_geometry(H, ctx.bathy, ctx.part)
+    return build_geometry(H, ctx.bed, ctx.partition)
 
 
 def test_stable_dt_advective_bound():
@@ -90,6 +89,16 @@ def test_stable_dt_of_a_dry_window_is_unbounded_where_its_wave_speed_underflows(
         assert stable_dt(H, np.zeros((2, 10)), _geom(ctx, H), ctx) == np.inf
 
 
+def test_stable_dt_of_an_underflowing_step_is_zero():
+    # cfl dx / speed rounds to 0; run's collapse check, which names the
+    # step and the time, aborts on it
+    ctx = _ctx(dx=1e-300)
+    H = np.ones(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert stable_dt(H, np.full((2, 10), 1e300), _geom(ctx, H), ctx) == 0.0
+
+
 @pytest.mark.parametrize("key, kappa", [("k_l", 5e-324), ("k_t", 1e-310)])
 def test_a_subnormal_friction_coefficient_bounds_nothing(key, kappa):
     # the squared norm of the viscous stage's right-hand side rounds to zero,
@@ -115,12 +124,12 @@ def test_make_context_validates_the_scenario():
 
 
 def test_make_context_holds_the_scenarios_own_specs():
+    # the checked scenario is the context: make_context and make_rhs hand it back
     scn = _smooth_scenario(physics=PhysicsSpec(g=9.81, mu=1e-3, k_l=0.01))
-    ctx = make_context(scn)
-    assert ctx.mesh is scn.mesh
-    assert ctx.physics is scn.physics
-    assert ctx.controls is scn.controls
-    assert (ctx.dx, ctx.g) == (scn.mesh.dx, scn.physics.g)
+    assert make_context(scn) is scn
+    assert make_rhs(scn)[2] is scn
+    assert (scn.dx, scn.g, scn.h_dry) == (scn.mesh.dx, scn.physics.g, H_DRY)
+    assert scn.bed is scn.built[0] and scn.bed.dx == scn.dx
 
 
 def test_step_forward_euler_and_rk2_on_linear_decay():
@@ -335,7 +344,7 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     assert built_geom is geom and set(reads) == {"h_half", "dz_if_dx", "dz_mid_dx"}
     slope = geom.dz_if_dx
     assert geom.dz_if_dx is slope
-    assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bathy.bc))
+    assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bed.bc))
     reads.clear()
     rhs(state, geom).diag
     assert len(built) == 1 and reads == []
@@ -421,9 +430,9 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
                        ("zb_l", b + 1), ("zb_r", b + 1), ("z_edge", b + 1)):
         field = getattr(bed, name)
         assert field.shape == (stop - a,), name
-        assert field.tobytes() == getattr(ctx.bathy, name)[a:stop].tobytes(), name
-    assert geom.cos3_b.tobytes() == ctx.bathy.cos3[a:b].tobytes()
-    assert (geom.z_if[0] == ctx.bathy.zb[a:b]).all()
+        assert field.tobytes() == getattr(ctx.bed, name)[a:stop].tobytes(), name
+    assert geom.cos3_b.tobytes() == ctx.bed.cos3[a:b].tobytes()
+    assert (geom.z_if[0] == ctx.bed.zb[a:b]).all()
 
 
 @pytest.mark.parametrize("physics,eta_r", [(PhysicsSpec(g=9.81), 0.0),
@@ -440,14 +449,13 @@ def test_each_step_is_the_stable_step_of_the_state_it_starts_from(monkeypatch, p
                            init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=eta_r, x0=0.5),
                            output=OutputSpec(snapshot_every=1e-12))
     result = run(scn)
-    ctx = result.ctx
     assert len(result.snapshots) == len(taken) + 1 == result.summary["steps"] + 1 > 2
     for k, ((t, d, state), (start, dt)) in enumerate(zip(result.snapshots, taken)):
         assert start is state
         a, b = d.window
         H = state.H[a:b]
-        geom = build_geometry(H, ctx.bathy.cells(a, b), ctx.part)
-        assert stable_dt(H, d.u, geom, ctx) == d.dt
+        geom = build_geometry(H, scn.bed.cells(a, b), scn.partition)
+        assert stable_dt(H, d.u, geom, scn) == d.dt
         if k + 1 < len(taken):
             assert dt == d.dt, k
         else:  # clamped to t_end
@@ -550,14 +558,14 @@ def test_windowed_step_matches_the_whole_domain_bitwise(bc, N, integrator):
     _, rhs, ctx = make_rhs(scn)
 
     def whole_rhs(state):
-        ev = euler_rhs(state.H, state.q, ctx.bathy, ctx.part, ctx.g)
+        ev = euler_rhs(state.H, state.q, ctx.bed, ctx.partition, ctx.g)
         return RhsEval(ev.dH, ev.dq)
 
     grew = 0
     for trial in range(20):
         H, q = _stretch_state(rng, N, bc)
         state = LayerState(H, q)
-        speed = _max_wave_speed(H, velocities(H, q, ctx.part), ctx.g)
+        speed = _max_wave_speed(H, velocities(H, q, ctx.partition), ctx.g)
         dt = 0.45 * ctx.dx / speed if speed > 0.0 else 1e-3
         windows = []
         got = step(state, dt, _recording(rhs, windows), integrator)
