@@ -71,16 +71,19 @@ def hll_fluxes(
     s_l = np.minimum(umin_l - c_l, umin_r - c_r)
     s_r = np.maximum(umax_l + c_l, umax_r + c_r)
 
-    dry_l = H_l <= H_DRY
-    dry_r = H_r <= H_DRY
-    wet_to_dry = dry_r & ~dry_l
-    if wet_to_dry.any():
-        s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
-        s_r = np.where(wet_to_dry, umax_l + 2.0 * c_l, s_r)
-    dry_to_wet = dry_l & ~dry_r
-    if dry_to_wet.any():
-        s_l = np.where(dry_to_wet, umin_r - 2.0 * c_r, s_l)
-        s_r = np.where(dry_to_wet, umax_r + c_r, s_r)
+    # the traces are finite, so their least depth tells exactly whether any
+    # is dry: a fully wet evaluation builds no dry-side or both-dry mask
+    dry = min(H_l.min(), H_r.min()) <= H_DRY
+    if dry:
+        dry_l, dry_r = H_l <= H_DRY, H_r <= H_DRY
+        wet_to_dry = dry_r > dry_l  # dry on the right only
+        if wet_to_dry.any():
+            s_l = np.where(wet_to_dry, umin_l - c_l, s_l)
+            s_r = np.where(wet_to_dry, umax_l + 2.0 * c_l, s_r)
+        dry_to_wet = dry_l > dry_r  # dry on the left only
+        if dry_to_wet.any():
+            s_l = np.where(dry_to_wet, umin_r - 2.0 * c_r, s_l)
+            s_r = np.where(dry_to_wet, umax_r + c_r, s_r)
 
     span = s_r - s_l
     safe = np.where(span > 0.0, span, 1.0)
@@ -88,21 +91,16 @@ def hll_fluxes(
     f_mass = _hll(q_l, q_r, h_l, h_r, s_l, s_r, s_lr, safe, tmp)
     f_mom = _hll(f_mom_l, f_mom_r, q_l, q_r, s_l, s_r, s_lr, safe, tmp)
 
-    # edges whose whole fan lies on one side take that side's flux; where
-    # both tests hold, the left side wins
-    for side, mass, mom in ((s_r <= 0.0, q_r, f_mom_r), (s_l >= 0.0, q_l, f_mom_l)):
-        if side.any():
-            np.copyto(f_mass, mass, where=side)
-            np.copyto(f_mom, mom, where=side)
-    same = h_l == h_r
-    same &= q_l == q_r
-    if same.any():
-        np.copyto(f_mass, q_l, where=same)
-        np.copyto(f_mom, f_mom_l, where=same)
-    both_dry = dry_l & dry_r
-    if both_dry.any():
-        np.copyto(f_mass, 0.0, where=both_dry)
-        np.copyto(f_mom, 0.0, where=both_dry)
+    # edges whose whole fan lies on one side take that side's flux, the left
+    # where both do, if the finite speeds' extremes show any; identical
+    # traces take the physical flux, and both-dry edges none
+    for pick, mass, mom in (((s_r <= 0.0) if s_r.min() <= 0.0 else None, q_r, f_mom_r),
+                            ((s_l >= 0.0) if s_l.max() >= 0.0 else None, q_l, f_mom_l),
+                            ((h_l == h_r) & (q_l == q_r), q_l, f_mom_l),
+                            ((dry_l & dry_r) if dry else None, 0.0, 0.0)):
+        if pick is not None and pick.any():
+            np.copyto(f_mass, mass, where=pick)
+            np.copyto(f_mom, mom, where=pick)
     return f_mass, f_mom
 
 
@@ -202,8 +200,8 @@ def euler_rhs(
     # a dry column's water is all inflow, so its layers trade the velocity
     # each brings in, dq / -div, not the column's zero: that would double a
     # difference between layer velocities at every newly wetted cell
-    dry = np.flatnonzero(H <= H_DRY)
-    if dry.size:
+    if H.min() <= H_DRY:  # exact, since the state is finite
+        dry = np.flatnonzero(H <= H_DRY)
         inflow = div[:, dry]
         u_in = np.divide(dq[:, dry], -inflow, out=np.zeros_like(inflow), where=inflow < 0.0)
         u_if[:, dry] = interface_velocities(u_in, G[:, dry])

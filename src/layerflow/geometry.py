@@ -167,9 +167,9 @@ def build_geometry(
     `h` is layer_thicknesses(H, part) when the caller already has it.
     """
     H = np.asarray(H, dtype=float)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise ValueError("depth field must be finite")
-    if np.any(H < 0.0):
+    if (H < 0.0).any():
         ix = int(np.argmin(H))
         raise ValueError(f"negative depth H={H[ix]:.6g} at cell {ix}")
     if H.shape != bathy.zb.shape:

@@ -54,9 +54,9 @@ def velocities(
         raise ValueError(f"{q.shape[0]} discharge rows for {part.n_layers} layers")
     if h is None:
         h = layer_thicknesses(H, part)
-    u = np.zeros_like(q)
-    np.divide(q, h, out=u, where=H > H_DRY)
-    return u
+    if H.min() > H_DRY:  # every column wet (a nan depth takes the masked divide)
+        return q / h
+    return np.divide(q, h, out=np.zeros_like(q), where=H > H_DRY)
 
 
 def hydrostatic_pressures(h: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:

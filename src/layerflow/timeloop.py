@@ -90,9 +90,11 @@ def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenar
     `geom` is not read, since the viscous stage is stable at any step.  The
     fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry.
     A step that underflows to 0 is left to `run`'s located collapse check."""
-    wet = H > H_DRY
-    speed = float((np.abs(u).max(axis=0) + np.sqrt(scn.g * np.maximum(H, 0.0)))[wet].max()
-                  if wet.any() else np.sqrt(scn.g * H_DRY))
+    speed = np.abs(u).max(axis=0) + np.sqrt(scn.g * np.maximum(H, 0.0))
+    if H.min() <= H_DRY:  # exact, since the clipped state is finite
+        wet = H > H_DRY
+        speed = speed[wet] if wet.any() else np.sqrt(scn.g * H_DRY)
+    speed = float(speed.max())
     return float(scn.controls.cfl * scn.dx / speed if speed > 0.0 else np.inf)
 
 
@@ -100,7 +102,7 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
               step_no: int, t: float) -> LayerState:
     """Clip the updated cells [a, b); a failing cell is named by its index."""
     H, q = state.H[a:b], state.q[:, a:b]
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(q))):
+    if not (np.isfinite(H).all() and np.isfinite(q).all()):
         cell = a + int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
         raise SolverAbort("non-finite state after update", step=step_no, time=t, cell=cell)
     hmin = H.min()
@@ -110,9 +112,8 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
                           step=step_no, time=t, cell=cell)
     if hmin < 0.0:
         np.maximum(H, 0.0, out=H)
-    dry = H <= H_DRY
-    if dry.any():
-        q[:, dry] = 0.0
+    if hmin <= H_DRY:  # a dry column, since H is finite
+        q[:, H <= H_DRY] = 0.0
     return state
 
 
@@ -190,8 +191,8 @@ def viscous_stage(state: LayerState, dt: float, scn: Scenario, step_no: int = 0,
     and the stage's mean stress and friction power."""
     H, part, p = state.H, scn.partition, scn.physics
     geom = build_geometry(H, scn.bed, part)
-    h, wet = geom.h, H > H_DRY
-    u, dry = velocities(H, state.q, part, h=h), (None if wet.all() else ~wet)
+    h, dry = geom.h, (None if H.min() > H_DRY else H <= H_DRY)
+    u = velocities(H, state.q, part, h=h)
 
     def masked(V):
         if dry is not None:
@@ -202,7 +203,7 @@ def viscous_stage(state: LayerState, dt: float, scn: Scenario, step_no: int = 0,
     with np.errstate(over="ignore", invalid="ignore"):
         S = stress_closure(p, H, u, geom)  # the wall law frozen at u*
         drag = S.kappa / geom.cos3_b
-        hp = h if dry is None else np.where(wet, h, 1.0)  # a dry column's rows stay regular
+        hp = h if dry is None else np.where(dry, 1.0, h)  # a dry column's rows stay regular
         cs = (dt * p.mu) / (hp[:-1] + hp[1:])  # dt/2 mu / gap, the shear across a gap
         w = np.concatenate(((hp[0] + (0.5 * dt) * drag)[None], hp[1:]))  # the wall law grounds it
         delta = trapezoidal_increment(
@@ -343,7 +344,7 @@ def run(
 
     while t < t_end * (1.0 - 1e-13):
         dt = r.diag.dt
-        if dt <= max(1e-13, 1e-13 * t_end):
+        if dt <= 1e-13 * t_end:
             raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
         if step_no == 0 and (t_end - t) / dt > max_steps:
             raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "

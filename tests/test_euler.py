@@ -179,20 +179,26 @@ def test_hll_matches_where_chains_bitwise(N):
     assert (u_l.min(axis=0) > 10.0).any() and (u_l.max(axis=0) < -10.0).any()
 
 
-@pytest.mark.parametrize("only", ["none", "upwind_left", "upwind_right", "subsonic"])
+@pytest.mark.parametrize("only", ["none", "upwind_left", "upwind_right", "subsonic",
+                                  "wet_mixed"])
 def test_hll_matches_where_chains_when_a_mask_is_empty(only):
-    # the kernel skips a selection no edge needs; the result must not care
+    # the kernel skips a selection no edge needs; the result must not care.
+    # Every trace is wet, so no dry-side or both-dry mask is built; under
+    # wet_mixed, edges supersonic each way sit next to subsonic ones
     rng = np.random.default_rng(7)
     N, m = 3, 50
     part = LayerPartition.uniform(N)
     H_l = rng.uniform(0.5, 1.0, m)
     H_r = rng.uniform(0.5, 1.0, m)
-    shift = {"none": 0.0, "upwind_left": 30.0, "upwind_right": -30.0,
-             "subsonic": 0.0}[only]
+    shift = {"none": 0.0, "upwind_left": 30.0, "upwind_right": -30.0, "subsonic": 0.0,
+             "wet_mixed": rng.choice([-30.0, 0.0, 30.0], m)}[only]
     u_l = 0.1 * rng.standard_normal((N, m)) + shift
     u_r = 0.1 * rng.standard_normal((N, m)) + shift
     if only == "none":
         H_r, u_r = H_l.copy(), u_l.copy()
+    if only == "wet_mixed":
+        assert (u_l.min(axis=0) > 10.0).any() and (u_l.max(axis=0) < -10.0).any()
+        assert (np.abs(u_l).max(axis=0) < 1.0).any()
     f_mass, f_mom = hll_fluxes(H_l, u_l, H_r, u_r, part, 9.81)
     ref_mass, ref_mom = _hll_where_chains(H_l, u_l, H_r, u_r, part, 9.81)
     assert f_mass.tobytes() == ref_mass.tobytes()

@@ -547,3 +547,6 @@ def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located():
             assert exc.step is not None, (case, str(exc))
             outcomes["aborted"] += 1
     assert sum(outcomes.values()) == 540 and outcomes["check"] < 540, outcomes
+    # the collapse floor is relative to t_end, so an accepted tiny cell can
+    # run to its end (15 of the 102 accepted configs do)
+    assert outcomes["ran"] > 0, outcomes

@@ -8,7 +8,8 @@ import pytest
 
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.euler import euler_rhs, wet_window
-from layerflow.geometry import InterfaceGeometry, LayerPartition, build_geometry
+from layerflow.geometry import (InterfaceGeometry, LayerPartition, build_geometry,
+                                layer_thicknesses)
 from layerflow.gridops import ddx
 from layerflow.scenario import (BathymetrySpec, ControlsSpec, InitSpec,
                                 LayersSpec, MeshSpec, OutputSpec, PhysicsSpec,
@@ -78,6 +79,26 @@ def test_stable_dt_is_the_step_of_the_fastest_wet_wave_bitwise():
         assert dt == ctx.controls.cfl * ctx.dx / speed, trial
         seen.add(((H > H_DRY).any(), ((H > 0.0) & (H <= H_DRY)).any()))
     assert (True, True) in seen and (False, False) in seen
+
+
+def test_a_fully_wet_window_takes_the_masked_velocities_and_wave_step_bitwise():
+    # with every column wet, velocities divides without a mask and stable_dt
+    # maximizes without a boolean index; both must agree with the masked
+    # formulas, down to windows of one cell and depths just above H_DRY
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        m, N = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        ctx = _ctx(g=9.81, N=N, cfl=0.9)  # its g, dx and CFL; stable_dt reads no geometry
+        H = rng.uniform(0.0, 2.0, m) + 2.0 * H_DRY
+        if trial % 4 == 0:
+            H[rng.integers(0, m)] = np.nextafter(H_DRY, 1.0)
+        q = rng.standard_normal((N, m))
+        h = layer_thicknesses(H, ctx.partition)
+        u = velocities(H, q, ctx.partition)
+        assert u.tobytes() == np.divide(q, h, out=np.zeros_like(q), where=H > H_DRY).tobytes()
+        dt = stable_dt(H, u, None, ctx)
+        ref = ctx.controls.cfl * ctx.dx / _max_wave_speed(H, u, ctx.g)
+        assert np.float64(dt).tobytes() == np.float64(ref).tobytes(), trial
 
 
 def test_stable_dt_of_a_dry_window_is_unbounded_where_its_wave_speed_underflows():
@@ -702,10 +723,10 @@ def test_a_step_clamped_to_t_end_is_not_a_collapse():
 
 
 def test_a_stable_step_below_the_floor_collapses():
-    # g = 1e21 gives a stable step of 3.56e-14 at the default CFL of 0.9,
-    # below the 1e-13 floor at any CFL the config accepts
+    # g = 1e23 gives a stable step of 3.56e-15 at the default CFL of 0.9,
+    # below the floor of 1e-13 t_end = 1.2e-14 at any CFL the config accepts
     with pytest.raises(SolverAbort, match="time step collapsed") as err:
-        run(parse_scenario(DAM_BUMP_WALL.replace("physics.g = 9.81", "physics.g = 1e21")))
+        run(parse_scenario(DAM_BUMP_WALL.replace("physics.g = 9.81", "physics.g = 1e23")))
     assert err.value.step == 0
 
 
