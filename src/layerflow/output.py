@@ -43,48 +43,45 @@ def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
     u = widen(diag.u, a, n)
     w, _ = reconstruct_w(u, geom)
     p_mid, _ = hydrostatic_pressures(geom.h, scn.g)
-    return Snapshot(
-        t=t,
-        x=scn.mesh.x,
-        zb=scn.bed.zb,
-        H=H.copy(),
-        eta=geom.z_if[-1],
-        u=u,
-        w=w,
-        G=widen(diag.G[1:-1], a, n),
-        p=p_mid,
-        E=layer_energies(u, geom, scn.g),
-    )
+    return Snapshot(t=t, x=scn.mesh.x, zb=scn.bed.zb, H=H.copy(), eta=geom.z_if[-1],
+                    u=u, w=w, G=widen(diag.G[1:-1], a, n), p=p_mid,
+                    E=layer_energies(u, geom, scn.g))
 
 
-def _write_rows(f, rows: np.ndarray) -> None:
+def _write_rows(f, rows: np.ndarray, tail: str = "\n") -> None:
     """One CSV line per row of a 2-D table, every value with 17 significant
-    digits: "%.17g" formats a Python float exactly as format(v, ".17g")
-    does, including nan, inf and negative zero.
+    digits, then `tail`: "%.17g" formats a Python float exactly as
+    format(v, ".17g") does, including nan, inf and negative zero.
     """
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    line = ",".join(["%.17g"] * rows.shape[1]) + tail
     for row in rows:
         f.write(line % tuple(row.tolist()))
 
 
 def snapshot_header(n_layers: int) -> list[str]:
-    cols = ["x", "zb", "H", "eta"]
-    cols += [f"u_{a + 1}" for a in range(n_layers)]
-    cols += [f"w_{a + 1}" for a in range(n_layers)]
-    cols += [f"G_{k}h" for k in range(1, n_layers)]
-    cols += [f"p_{a + 1}" for a in range(n_layers)]
-    cols += [f"E_{a + 1}" for a in range(n_layers)]
-    return cols
+    return (["x", "zb", "H", "eta"] + [f"{c}_{a + 1}" for c in "uw" for a in range(n_layers)]
+            + [f"G_{k}h" for k in range(1, n_layers)]
+            + [f"{c}_{a + 1}" for c in "pE" for a in range(n_layers)])
 
 
 def write_snapshot(path, snap: Snapshot) -> None:
-    N = snap.u.shape[0]
+    """A cell at rest, every value after eta +0.0 with all bits clear, is
+    written as its first four values and one fixed tail of ",0"s: "%.17g"
+    prints +0.0 as "0", and -0.0, subnormals, nan and inf fail the bit test."""
     table = np.vstack([snap.x, snap.zb, snap.H, snap.eta,
                        snap.u, snap.w, snap.G, snap.p, snap.E])
+    moving = table[4:].view(np.int64).any(axis=0)
     with open(path, "w", newline="\n") as f:
         f.write(f"# t = {float(snap.t):.17g}\n")
-        f.write(",".join(snapshot_header(N)) + "\n")
-        _write_rows(f, table.T)
+        f.write(",".join(snapshot_header(snap.u.shape[0])) + "\n")
+        if moving.all():
+            return _write_rows(f, table.T)
+        cuts = [0, *(np.flatnonzero(np.diff(moving)) + 1).tolist(), moving.size]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if moving[a]:
+                _write_rows(f, table[:, a:b].T)
+            else:
+                _write_rows(f, table[:4, a:b].T, ",0" * (table.shape[0] - 4) + "\n")
 
 
 ENERGY_COLUMNS = ["t", "E_total", "D_G", "R_E", "friction", "residual", "mass"]

@@ -406,6 +406,51 @@ def test_snapshot_round_trip(tmp_path):
     assert (table[:, -1] == snap.E[-1]).all()
 
 
+REST_CASES = {
+    "all at rest": [True] * 5,
+    "none at rest": [False] * 5,
+    "three runs at rest": [True, True, False, False, True, False, False, True, True],
+}
+# Values whose bits are not all clear, though three of them print or compare
+# like zero; each holds a cell off the fixed tail of a cell at rest.
+NOT_AT_REST = {"negative zero": -0.0, "subnormal": 5e-324, "nan": np.nan, "inf": np.inf}
+
+
+def _snapshot_of(table: np.ndarray, N: int) -> Snapshot:
+    """The snapshot whose stacked table (x, zb, H, eta, u, w, G, p, E) is `table`."""
+    return Snapshot(t=0.25, x=table[0], zb=table[1], H=table[2], eta=table[3],
+                    u=table[4:4 + N], w=table[4 + N:4 + 2 * N],
+                    G=table[4 + 2 * N:3 + 3 * N], p=table[3 + 3 * N:3 + 4 * N],
+                    E=table[3 + 4 * N:])
+
+
+def _value_by_value(snap: Snapshot, table: np.ndarray) -> str:
+    lines = [f"# t = {snap.t:.17g}", ",".join(snapshot_header(snap.u.shape[0]))]
+    lines += [",".join("%.17g" % v for v in row) for row in table.T.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("case", [*REST_CASES, *NOT_AT_REST])
+def test_snapshot_cells_at_rest_are_written_byte_for_byte(tmp_path, N, case):
+    """write_snapshot writes a cell at rest (every value after eta +0.0) as
+    a fixed tail of zeros; its file must equal one formatted value by value."""
+    rng = np.random.default_rng(24)
+    rest = np.array(REST_CASES.get(case, [True, True, False, True, True]))
+    table = rng.standard_normal((4 + 5 * N - 1, rest.size))
+    table[4:, rest] = 0.0
+    if case in NOT_AT_REST:
+        table[4:, 2] = 0.0
+        table[-2, 2] = NOT_AT_REST[case]
+    snap = _snapshot_of(table, N)
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, snap)
+    text = path.read_text()
+    assert text == _value_by_value(snap, table)
+    if case == "negative zero":
+        assert text.splitlines()[4].endswith(",-0,0")
+
+
 def test_energy_series_round_trip(tmp_path):
     scn = Scenario(
         mesh=MeshSpec(0.0, 1.0, 30),
