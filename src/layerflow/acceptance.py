@@ -25,7 +25,7 @@ from .kinematics import reconstruct_w, what_coefficients
 from .rheology import stress_closure, viscous_rhs
 from .scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
                        MeshSpec, OutputSpec, PhysicsSpec, Scenario)
-from .state import LayerState, velocities
+from .state import LayerState, interface_velocities, velocities
 from .sv import sv_rhs, sv_velocity, sv_viscous
 from .timeloop import RhsEval, make_rhs, run, step, trapezoidal_increment, viscous_stage
 
@@ -310,14 +310,14 @@ def criterion_9() -> CriterionResult:
     bathy = make_bathymetry(zb, dx, bc)
     geom = build_geometry(H, bathy, part)
     q = geom.h * u[None, :]
-    ev = euler_rhs(H, q, bathy, part, phys["g"])
+    dH, dq, _ = euler_rhs(H, q, bathy, part, phys["g"])
     S = stress_closure(PhysicsSpec(**phys), H, u[None, :], geom)
-    dq_ml = ev.dq + viscous_rhs(S, geom)
-    ref = sv_rhs(H, H * u, zb, phys["g"], phys["mu"], phys["k_l"], phys["k_t"], dx, bc)
-    scale_H = max(1.0, float(np.abs(ref.dH).max()))
-    scale_q = max(1.0, float(np.abs(ref.dq).max()))
-    gap_rhs = max(float(np.abs(ev.dH - ref.dH).max()) / scale_H,
-                  float(np.abs(dq_ml[0] - ref.dq).max()) / scale_q)
+    dq_ml = dq + viscous_rhs(S, geom)
+    dH_ref, dq_ref = sv_rhs(H, H * u, zb, phys["g"], phys["mu"], phys["k_l"], phys["k_t"], dx, bc)
+    scale_H = max(1.0, float(np.abs(dH_ref).max()))
+    scale_q = max(1.0, float(np.abs(dq_ref).max()))
+    gap_rhs = max(float(np.abs(dH - dH_ref).max()) / scale_H,
+                  float(np.abs(dq_ml[0] - dq_ref).max()) / scale_q)
 
     # 100-step trajectories through the shared stepper and viscous stage:
     # the multilayer scenario picks each step size and the reference takes
@@ -334,8 +334,8 @@ def criterion_9() -> CriterionResult:
     sB = sA.copy()
 
     def rhsB(s: LayerState) -> RhsEval:
-        ev = sv_rhs(s.H, s.q[0], zb, phys["g"], 0.0, 0.0, 0.0, dx, bc)
-        return RhsEval(ev.dH, ev.dq[None])
+        dH, dq = sv_rhs(s.H, s.q[0], zb, phys["g"], 0.0, 0.0, 0.0, dx, bc)
+        return RhsEval(dH, dq[None])
 
     def stageB(s: LayerState, dt: float):  # the wall law frozen at u*, as in viscous_stage
         u = sv_velocity(s.H, s.q[0])
@@ -372,13 +372,15 @@ def criterion_10() -> CriterionResult:
     G = rng.standard_normal(m)
     scale = 1.0 + np.abs(G) * (u_lo * u_lo + u_hi * u_hi)
 
-    u_up = np.where(G <= 0.0, u_lo, u_hi)
+    # the stepper's donor rule, and on the reversed layers the other donor
+    G3 = np.pad(G[None], ((1, 1), (0, 0)))
+    u_up = interface_velocities(np.stack([u_lo, u_hi]), G3)[1]
     T_up = energy_mod.interface_energy_term(u_lo, u_hi, u_up, G)
     up_ok = bool((T_up <= 1e-15 * scale).all())
     closed = -0.5 * (u_hi - u_lo) ** 2 * np.abs(G)
     form_ok = bool((np.abs(T_up - closed) <= 1e-13 * scale).all())
 
-    u_wrong = np.where(G <= 0.0, u_hi, u_lo)
+    u_wrong = interface_velocities(np.stack([u_hi, u_lo]), G3)[1]
     T_wrong = energy_mod.interface_energy_term(u_lo, u_hi, u_wrong, G)
     witness = float(T_wrong.max())
     ok = up_ok and form_ok and witness > 1e-6

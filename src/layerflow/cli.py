@@ -33,22 +33,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_scenario(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
-        raise ConfigError([f"cannot read {path}: {exc.strerror}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}"])
     return parse_scenario(text)
 
 
 def _cmd_run(args) -> int:
     scn = _load_scenario(args.config)
     out_dir = args.output or scn.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot write {out_dir}: {exc.strerror}"])
     result = run(scn, progress_every=args.progress)
-    for i, (t, diag, state) in enumerate(result.snapshots):
-        snap = snapshot_frame(t, state.H, diag, scn)
-        write_snapshot(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), snap)
-    write_energy_series(os.path.join(out_dir, "energy.csv"), result)
+    try:
+        for i, (t, diag, state) in enumerate(result.snapshots):
+            frame = snapshot_frame(t, state.H, diag, scn)
+            write_snapshot(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), frame)
+        write_energy_series(os.path.join(out_dir, "energy.csv"), result)
+    except OSError as exc:
+        raise ConfigError([f"cannot write {exc.filename or out_dir}: {exc.strerror}"])
     s = result.summary
     print(f"finished: {s['steps']} steps to t={s['t_end']:.6g} "
           f"in {s['wall_time']:.2f}s")

@@ -17,23 +17,12 @@ callers evaluate the window's cells only, on its bed `bathy.cells(a, b)`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SolverAbort
 from .geometry import Bathymetry, LayerPartition, layer_thicknesses
 from .gridops import PERIODIC, pad_cells
 from .state import H_DRY, exchange_fluxes, interface_velocities, velocities
-
-
-@dataclass
-class EulerRhs:
-    """Inviscid tendencies plus the exchange diagnostics they imply."""
-
-    dH: np.ndarray       # (m,) on the m cells evaluated
-    dq: np.ndarray       # (N, m)
-    G: np.ndarray        # (N+1, m) interface mass-transfer rates
 
 
 def hll_fluxes(
@@ -151,8 +140,9 @@ def euler_rhs(
     part: LayerPartition,
     g: float,
     u: np.ndarray | None = None,
-) -> EulerRhs:
-    """Tendencies of (H, q) from pressure, advection and mass exchange.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tendencies dH (m,), dq (N, m) of (H, q) on its m cells from pressure,
+    advection and mass exchange, and the interface transfer rates G (N+1, m).
 
     H, q (and `u`, velocities(H, q, part) when the caller already has it)
     hold the cells of `bathy`: the domain's, or the bed `cells(a, b)` of a
@@ -208,4 +198,4 @@ def euler_rhs(
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return EulerRhs(dH, dq, G)
+    return dH, dq, G

@@ -1,11 +1,9 @@
-"""Snapshot and audit-series CSV output.
+"""CSV output of snapshot frames and of the audit series.
 
 All numbers are written with 17 significant digits so files are
 byte-for-byte reproducible and round-trip to the exact binary floats.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,34 +16,18 @@ from .scenario import Scenario
 from .timeloop import Diagnostics, RunResult
 
 
-@dataclass
-class Snapshot:
-    """One output frame: geometry, velocities and derived diagnostics."""
-
-    t: float
-    x: np.ndarray       # (n,)
-    zb: np.ndarray      # (n,)
-    H: np.ndarray       # (n,)
-    eta: np.ndarray     # (n,) free surface
-    u: np.ndarray       # (N, n)
-    w: np.ndarray       # (N, n)
-    G: np.ndarray       # (N-1, n) interior interface transfers
-    p: np.ndarray       # (N, n) midpoint pressures
-    E: np.ndarray       # (N, n) layer energies
-
-
 def snapshot_frame(t: float, H: np.ndarray, diag: Diagnostics,
-                   scn: Scenario) -> Snapshot:
-    """The frame of depth H: the window's u and G widened with a dry bed at
-    rest, and the geometry, w, pressures and energies derived over the domain."""
+                   scn: Scenario) -> tuple[float, np.ndarray]:
+    """The frame (t, table) of depth H: one table row per snapshot_header
+    column, the window's u and G widened with a dry bed at rest, and the
+    geometry, w, pressures and energies derived over the domain."""
     a, n = diag.window[0], H.size
     geom = build_geometry(H, scn.bed, scn.partition)
     u = widen(diag.u, a, n)
     w, _ = reconstruct_w(u, geom)
     p_mid, _ = hydrostatic_pressures(geom.h, scn.g)
-    return Snapshot(t=t, x=scn.mesh.x, zb=scn.bed.zb, H=H.copy(), eta=geom.z_if[-1],
-                    u=u, w=w, G=widen(diag.G[1:-1], a, n), p=p_mid,
-                    E=layer_energies(u, geom, scn.g))
+    return t, np.vstack([scn.mesh.x, scn.bed.zb, H, geom.z_if[-1], u, w,
+                         widen(diag.G[1:-1], a, n), p_mid, layer_energies(u, geom, scn.g)])
 
 
 def _write_rows(f, rows: np.ndarray, tail: str = "\n") -> None:
@@ -64,16 +46,15 @@ def snapshot_header(n_layers: int) -> list[str]:
             + [f"{c}_{a + 1}" for c in "pE" for a in range(n_layers)])
 
 
-def write_snapshot(path, snap: Snapshot) -> None:
+def write_snapshot(path, frame: tuple[float, np.ndarray]) -> None:
     """A cell at rest, every value after eta +0.0 with all bits clear, is
     written as its first four values and one fixed tail of ",0"s: "%.17g"
     prints +0.0 as "0", and -0.0, subnormals, nan and inf fail the bit test."""
-    table = np.vstack([snap.x, snap.zb, snap.H, snap.eta,
-                       snap.u, snap.w, snap.G, snap.p, snap.E])
+    t, table = frame
     moving = table[4:].view(np.int64).any(axis=0)
     with open(path, "w", newline="\n") as f:
-        f.write(f"# t = {float(snap.t):.17g}\n")
-        f.write(",".join(snapshot_header(snap.u.shape[0])) + "\n")
+        f.write(f"# t = {float(t):.17g}\n")
+        f.write(",".join(snapshot_header((table.shape[0] - 3) // 5)) + "\n")
         if moving.all():
             return _write_rows(f, table.T)
         cuts = [0, *(np.flatnonzero(np.diff(moving)) + 1).tolist(), moving.size]

@@ -25,19 +25,11 @@ discrete energy behavior matches the layered solver exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SolverAbort
 from .gridops import ddx, ddx_adjoint, pad_cells
 from .state import H_DRY
-
-
-@dataclass
-class SvRhs:
-    dH: np.ndarray
-    dq: np.ndarray
 
 
 def sv_velocity(H: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -94,8 +86,8 @@ def sv_rhs(
     k_t: float,
     dx: float,
     bc: str,
-) -> SvRhs:
-    """Full tendency of (H, q) for the depth-averaged system."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full tendencies dH, dq of (H, q) for the depth-averaged system."""
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(q))):
         raise SolverAbort("non-finite state in reference solver")
     u = sv_velocity(H, q)
@@ -116,7 +108,7 @@ def sv_rhs(
 
     dH = -(f_mass[1:] - f_mass[:-1]) / dx
     dq = -((f_mom[1:] + corr_l[1:]) - (f_mom[:-1] + corr_r[:-1])) / dx
-    return SvRhs(dH=dH, dq=dq + sv_viscous(H, u, zb, mu, k_l + k_t * H * np.abs(u), dx, bc)[0])
+    return dH, dq + sv_viscous(H, u, zb, mu, k_l + k_t * H * np.abs(u), dx, bc)[0]
 
 
 def sv_viscous(H: np.ndarray, u: np.ndarray, zb: np.ndarray, mu: float, k: np.ndarray,

@@ -241,10 +241,10 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], Scenari
         H, q = state.H[a:b], state.q[:, a:b]
         h = layer_thicknesses(H, part) if geom is None else geom.h
         u = velocities(H, q, part, h=h)
-        ev = euler_rhs(H, q, bed, part, g, u=u)
+        dH, dq, G = euler_rhs(H, q, bed, part, g, u=u)
         # the geometry is built for the diagnostics, if read
-        return RhsEval(ev.dH, ev.dq, (a, b), lambda: _diagnostics(
-            scn, H, u, ev.G, (a, b),
+        return RhsEval(dH, dq, (a, b), lambda: _diagnostics(
+            scn, H, u, G, (a, b),
             geom if geom is not None else build_geometry(H, bed, part, h)))
 
     return LayerState(H0.copy(), q0.copy()), rhs, scn

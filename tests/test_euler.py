@@ -5,7 +5,7 @@ import pytest
 from layerflow import output, timeloop
 from layerflow.energy import energy_flux_density, exchange_dissipation, layer_energies
 from layerflow.errors import SolverAbort
-from layerflow.euler import EulerRhs, euler_rhs, hll_fluxes, wet_window
+from layerflow.euler import euler_rhs, hll_fluxes, wet_window
 from layerflow.geometry import (LayerPartition, build_geometry, layer_thicknesses,
                                 make_bathymetry)
 from layerflow.gridops import pad_cells, widen
@@ -232,10 +232,10 @@ def _lake_setup(bc, n=64, N=3, seed=2):
 def test_still_lake_is_balanced_for_all_boundaries():
     for bc in ("periodic", "wall", "transmissive"):
         H, q, bathy, part, dx = _lake_setup(bc)
-        ev = euler_rhs(H, q, bathy, part, 9.81)
-        assert np.abs(ev.dH).max() < 1e-13
-        assert np.abs(ev.dq).max() < 1e-12
-        assert np.abs(ev.G).max() < 1e-13
+        dH, dq, G = euler_rhs(H, q, bathy, part, 9.81)
+        assert np.abs(dH).max() < 1e-13
+        assert np.abs(dq).max() < 1e-12
+        assert np.abs(G).max() < 1e-13
 
 
 def test_flat_periodic_conserves_mass_and_momentum():
@@ -246,9 +246,9 @@ def test_flat_periodic_conserves_mass_and_momentum():
     bathy = make_bathymetry(np.zeros(n), dx, "periodic")
     H = rng.uniform(0.2, 2.0, n)
     q = rng.standard_normal((N, n))
-    ev = euler_rhs(H, q, bathy, part, 9.81)
-    assert abs(ev.dH.sum() * dx) < 1e-13
-    assert abs(ev.dq.sum() * dx) < 1e-12
+    dH, dq, _ = euler_rhs(H, q, bathy, part, 9.81)
+    assert abs(dH.sum() * dx) < 1e-13
+    assert abs(dq.sum() * dx) < 1e-12
 
 
 def test_wall_keeps_mass_in_the_box():
@@ -259,8 +259,8 @@ def test_wall_keeps_mass_in_the_box():
     bathy = make_bathymetry(np.zeros(n), dx, "wall")
     H = rng.uniform(0.2, 2.0, n)
     q = rng.standard_normal((N, n))
-    ev = euler_rhs(H, q, bathy, part, 9.81)
-    assert abs(ev.dH.sum() * dx) < 1e-13
+    dH, _, _ = euler_rhs(H, q, bathy, part, 9.81)
+    assert abs(dH.sum() * dx) < 1e-13
 
 
 def test_depth_update_is_total_layer_divergence():
@@ -271,12 +271,12 @@ def test_depth_update_is_total_layer_divergence():
     bathy = make_bathymetry(rng.standard_normal(n) * 0.1, dx, "periodic")
     H = rng.uniform(0.5, 1.5, n)
     q = rng.standard_normal((N, n)) * 0.3
-    ev = euler_rhs(H, q, bathy, part, 9.81)
+    dH, _, G = euler_rhs(H, q, bathy, part, 9.81)
     _, _, f_mass, _ = _edge_fluxes(H, velocities(H, q, part), bathy, part, 9.81)
     div = np.diff(f_mass, axis=1) / dx
-    assert np.allclose(ev.dH, -div.sum(axis=0), rtol=0, atol=1e-14)
-    assert (ev.G[0] == 0.0).all()
-    assert (ev.G[-1] == 0.0).all()
+    assert np.allclose(dH, -div.sum(axis=0), rtol=0, atol=1e-14)
+    assert (G[0] == 0.0).all()
+    assert (G[-1] == 0.0).all()
 
 
 def test_one_step_positivity_near_dry_fronts():
@@ -291,10 +291,10 @@ def test_one_step_positivity_near_dry_fronts():
         u = rng.standard_normal((N, n))
         u[:, H <= H_DRY] = 0.0
         q = part.fractions[:, None] * H[None, :] * u
-        ev = euler_rhs(H, q, bathy, part, 9.81)
+        dH, _, _ = euler_rhs(H, q, bathy, part, 9.81)
         speed = np.abs(velocities(H, q, part)).max(axis=0) + np.sqrt(9.81 * H)
         dt = 0.45 * dx / speed.max()
-        assert (H + dt * ev.dH).min() > -1e-12
+        assert (H + dt * dH).min() > -1e-12
 
 
 
@@ -312,12 +312,12 @@ def test_a_newly_wetted_cell_keeps_the_spread_of_its_inflows_layer_velocities(s,
     H = np.where(np.arange(n) < 4, 0.01, 0.0)
     du = np.linspace(-0.1, 0.1, N)
     q = part.fractions[:, None] * H * np.where(H > 0.0, 4.0 + du[:, None], 0.0)
-    ev = euler_rhs(H, q, bathy, part, 9.81)
+    dH, dq, _ = euler_rhs(H, q, bathy, part, 9.81)
     dt = 0.9 * dx / (4.1 + np.sqrt(9.81 * 0.01))
-    u_new = ev.dq[:, 4] / (part.fractions * ev.dH[4])  # dt cancels
-    assert ev.dH[4] > 0.0
+    u_new = dq[:, 4] / (part.fractions * dH[4])  # dt cancels
+    assert dH[4] > 0.0
     assert np.ptp(u_new) <= np.ptp(du) * (1.0 + 1e-12)
-    assert dt * ev.dH[4] < 0.01
+    assert dt * dH[4] < 0.01
 
 
 def _edge_fluxes(H, u, bathy, part, g):
@@ -365,7 +365,7 @@ def _euler_rhs_whole_domain(H, q, bathy, part, g):
     np.multiply(u_if[1:], G[1:], out=tmp)
     tmp -= u_if[:-1] * G[:-1]
     dq += tmp
-    return EulerRhs(dH=dH, dq=dq, G=G)
+    return dH, dq, G
 
 
 WINDOW_N = 40
@@ -428,9 +428,9 @@ def test_wet_window_tendencies_match_the_whole_domain_bitwise(bc, N, kind):
         whole = euler_rhs(H, q, bathy, part, g)
         ref = _euler_rhs_whole_domain(H, q, bathy, part, g)
         # outside the window the tendencies are a dry bed's
-        for name, dry in (("dH", -0.0), ("dq", 0.0), ("G", 0.0)):
-            want = getattr(ref, name)
-            for got in (widen(getattr(ev, name), a, n, dry), getattr(whole, name)):
+        for name, dry, got_ev, got_whole, want in zip(("dH", "dq", "G"), (-0.0, 0.0, 0.0),
+                                                       ev, whole, ref):
+            for got in (widen(got_ev, a, n, dry), got_whole):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, trial)
         held = _held(H, q)
         if kind == "dry":
@@ -463,11 +463,14 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
     for trial in range(15):
         H, q = _dry_stretch_state(rng, N, kind)
         d = rhs(LayerState(H, q)).diag
-        snap = output.snapshot_frame(0.0, H, d, ctx)
+        _, table = output.snapshot_frame(0.0, H, d, ctx)
+        names = output.snapshot_header(N)
+        frame = {c: table[[i for i, name in enumerate(names) if name.startswith(c)]]
+                 for c in ("eta", "u_", "w_", "G_", "p_", "E_")}
         # the same fields evaluated over every cell
         u = velocities(H, q, part)
         geom = build_geometry(H, ctx.bed, part)
-        G = _euler_rhs_whole_domain(H, q, ctx.bed, part, g).G
+        _, _, G = _euler_rhs_whole_domain(H, q, ctx.bed, part, g)
         E = layer_energies(u, geom, g)
         p_mid, _ = hydrostatic_pressures(geom.h, g)
         influx = 0.0
@@ -481,8 +484,8 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
                 "eta": geom.z_if[-1], "u": u, "w": reconstruct_w(u, geom)[0],
                 "G": G[1:-1], "p": p_mid, "E": E}
         got = {"energy": d.energy, "influx": d.influx, "diss_exchange": d.diss_exchange,
-               "eta": snap.eta, "u": snap.u, "w": snap.w, "G": snap.G, "p": snap.p,
-               "E": snap.E}
+               "eta": frame["eta"][0], "u": frame["u_"], "w": frame["w_"], "G": frame["G_"],
+               "p": frame["p_"], "E": frame["E_"]}
         for name, ref in want.items():
             a, b = np.asarray(got[name]), np.asarray(ref)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, trial)

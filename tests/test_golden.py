@@ -508,7 +508,9 @@ def test_a_mutated_golden_config_fails_check_or_runs_to_an_exit(tmp_path, capsys
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
             assert outcome in (("check", 1), ("run", 0), ("run", 2)), (name, values, outcome)
             outcomes.append(outcome)
-            capsys.readouterr()
+            err = capsys.readouterr().err
+            if outcome == ("run", 2):
+                assert re.match(r"^solver abort: .* \(step \d+, t=", err), (name, values, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert outcomes[:3] == [("check", 1)] * 3

@@ -8,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layerflow import cli, timeloop
+from layerflow import cli, output, timeloop
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition
-from layerflow.output import (ENERGY_COLUMNS, Snapshot, snapshot_header,
-                              write_energy_series, write_snapshot)
+from layerflow.output import (ENERGY_COLUMNS, snapshot_header, write_energy_series,
+                              write_snapshot)
 from layerflow.scenario import (_REGISTRY, ControlsSpec, InitSpec, LayersSpec,
                                 MeshSpec, PhysicsSpec, Scenario, bathymetry_values,
                                 format_scenario, initial_fields, parse_scenario)
@@ -380,30 +380,29 @@ def test_initial_fields_table_layout():
 def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(79)
     N, n = 3, 12
-    snap = Snapshot(
-        t=0.62519,
-        x=np.linspace(0, 1, n),
-        zb=rng.standard_normal(n),
-        H=rng.uniform(0, 2, n),
-        eta=rng.standard_normal(n),
-        u=rng.standard_normal((N, n)),
-        w=rng.standard_normal((N, n)),
-        G=rng.standard_normal((N - 1, n)),
-        p=rng.uniform(0, 5, (N, n)),
-        E=rng.standard_normal((N, n)),
-    )
+    header = snapshot_header(N)
+    frame = (0.62519, rng.standard_normal((len(header), n)))
     path = tmp_path / "snap.csv"
-    write_snapshot(path, snap)
+    write_snapshot(path, frame)
     t, names, table = read_snapshot(path)
-    assert t == snap.t
-    assert names == snapshot_header(N)
+    assert t == frame[0]
+    assert names == header
     assert table.shape == (n, len(names))
     # 17 significant digits reproduce doubles exactly
-    assert (table[:, 0] == snap.x).all()
-    assert (table[:, 4] == snap.u[0]).all()
-    assert (table[:, 4 + N] == snap.w[0]).all()
-    assert (table[:, 4 + 2 * N] == snap.G[0]).all()
-    assert (table[:, -1] == snap.E[-1]).all()
+    assert (table == frame[1].T).all()
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_a_snapshot_frame_has_one_row_per_header_column(N):
+    scn = Scenario(mesh=MeshSpec(0.0, 1.0, 16), layers=LayersSpec(n=N),
+                   init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.5),
+                   physics=PhysicsSpec(g=9.81))
+    state, rhs, _ = timeloop.make_rhs(scn)
+    t, table = output.snapshot_frame(0.5, state.H, rhs(state).diag, scn)
+    names = snapshot_header(N)
+    assert t == 0.5 and table.shape == (len(names), 16)
+    for name, want in (("x", scn.mesh.x), ("zb", scn.bed.zb), ("H", state.H)):
+        assert table[names.index(name)].tobytes() == want.tobytes()
 
 
 REST_CASES = {
@@ -416,16 +415,8 @@ REST_CASES = {
 NOT_AT_REST = {"negative zero": -0.0, "subnormal": 5e-324, "nan": np.nan, "inf": np.inf}
 
 
-def _snapshot_of(table: np.ndarray, N: int) -> Snapshot:
-    """The snapshot whose stacked table (x, zb, H, eta, u, w, G, p, E) is `table`."""
-    return Snapshot(t=0.25, x=table[0], zb=table[1], H=table[2], eta=table[3],
-                    u=table[4:4 + N], w=table[4 + N:4 + 2 * N],
-                    G=table[4 + 2 * N:3 + 3 * N], p=table[3 + 3 * N:3 + 4 * N],
-                    E=table[3 + 4 * N:])
-
-
-def _value_by_value(snap: Snapshot, table: np.ndarray) -> str:
-    lines = [f"# t = {snap.t:.17g}", ",".join(snapshot_header(snap.u.shape[0]))]
+def _value_by_value(t: float, table: np.ndarray, N: int) -> str:
+    lines = [f"# t = {t:.17g}", ",".join(snapshot_header(N))]
     lines += [",".join("%.17g" % v for v in row) for row in table.T.tolist()]
     return "\n".join(lines) + "\n"
 
@@ -437,16 +428,15 @@ def test_snapshot_cells_at_rest_are_written_byte_for_byte(tmp_path, N, case):
     a fixed tail of zeros; its file must equal one formatted value by value."""
     rng = np.random.default_rng(24)
     rest = np.array(REST_CASES.get(case, [True, True, False, True, True]))
-    table = rng.standard_normal((4 + 5 * N - 1, rest.size))
+    table = rng.standard_normal((len(snapshot_header(N)), rest.size))
     table[4:, rest] = 0.0
     if case in NOT_AT_REST:
         table[4:, 2] = 0.0
         table[-2, 2] = NOT_AT_REST[case]
-    snap = _snapshot_of(table, N)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, snap)
+    write_snapshot(path, (0.25, table))
     text = path.read_text()
-    assert text == _value_by_value(snap, table)
+    assert text == _value_by_value(0.25, table, N)
     if case == "negative zero":
         assert text.splitlines()[4].endswith(",-0,0")
 
@@ -637,6 +627,33 @@ def test_importing_the_cli_loads_no_scipy():
 def test_cli_missing_file_is_a_usage_error(capsys):
     assert cli.main(["check", "/no/such/file.cfg"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"mesh.x_min = 0\xff\n")
+    for command in ("check", "run"):
+        assert cli.main([command, str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte"]
+
+
+@pytest.mark.parametrize("where", ["config", "--output", "file"])
+def test_cli_run_reports_an_unwritable_output_path(where, tmp_path, capsys):
+    # a configured directory under a regular file, an --output naming a
+    # regular file and an output file that is a directory
+    blocker, out = tmp_path / "blocker", tmp_path / "out"
+    blocker.write_text("")
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(CLI_CFG + f"output.directory = {blocker / 'out'}\n")
+    args, path = {"config": ([], blocker / "out"),
+                  "--output": (["--output", str(blocker)], blocker),
+                  "file": (["--output", str(out)], out / "energy.csv")}[where]
+    (out / "energy.csv").mkdir(parents=True)
+    assert cli.main(["run", str(cfg), *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: "), err
 
 
 def test_cli_unknown_flag_exits_1():
