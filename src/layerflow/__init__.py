@@ -21,7 +21,7 @@ from .scenario import Scenario, format_scenario, parse_scenario
 from .state import (H_DRY, LayerState, exchange_fluxes, hydrostatic_pressures,
                     interface_velocities, velocities)
 from .sv import sv_rhs, sv_velocity
-from .timeloop import RunResult, make_context, make_rhs, run, stable_dt, step
+from .timeloop import RunResult, accepted_steps, make_context, make_rhs, run, stable_dt, step
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "Bathymetry", "ConfigError", "H_DRY",
     "InterfaceGeometry", "LayerPartition", "LayerState",
     "RunResult", "Scenario", "SolverAbort", "StressField",
-    "build_geometry", "ddx", "ddx_adjoint", "euler_rhs", "exchange_dissipation",
+    "accepted_steps", "build_geometry", "ddx", "ddx_adjoint", "euler_rhs", "exchange_dissipation",
     "exchange_fluxes", "format_scenario", "hll_fluxes",
     "hydrostatic_pressures", "interface_velocities", "layer_energies",
     "layer_thicknesses", "make_bathymetry", "make_context", "make_rhs",

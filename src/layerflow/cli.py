@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import Optional
 
 from .errors import ConfigError, SolverAbort
 from .output import snapshot_frame, write_energy_series, write_snapshot
 from .scenario import parse_scenario
-# make_context is unused here but stays exported: perfbench/child.py calls cli.make_context
-from .timeloop import make_context, run  # noqa: F401
+# make_context and run are unused here but stay exported: perfbench/child.py calls them
+from .timeloop import RunResult, accepted_steps, make_context, run  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,16 +44,24 @@ def _load_scenario(path: str):
 def _cmd_run(args) -> int:
     scn = _load_scenario(args.config)
     out_dir = args.output or scn.output.directory
+    rows, n_frames, wall0 = [], 0, time.perf_counter()
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError([f"cannot write {out_dir}: {exc.strerror}"])
-    result = run(scn, progress_every=args.progress)
-    try:
-        for i, (t, diag, state) in enumerate(result.snapshots):
-            frame = snapshot_frame(t, state.H, diag, scn)
-            write_snapshot(os.path.join(out_dir, f"snapshot_{i:04d}.csv"), frame)
-        write_energy_series(os.path.join(out_dir, "energy.csv"), result)
+        try:
+            for step_no, (row, frame) in enumerate(accepted_steps(scn)):
+                rows.append(row)
+                if frame is not None:
+                    t, diag, final = frame
+                    write_snapshot(os.path.join(out_dir, f"snapshot_{n_frames:04d}.csv"),
+                                   snapshot_frame(t, final.H, diag, scn))
+                    n_frames += 1
+                if args.progress and step_no and step_no % args.progress == 0:
+                    print(f"step={step_no} t={row[0]:.6g} dt={row[0] - rows[-2][0]:.3e} "
+                          f"mass={row[4]:.12g} energy={row[1]:.12g}", file=sys.stderr)
+        finally:
+            if rows:  # an aborted run, too, leaves the rows it accepted
+                result = RunResult.collect(rows, [], final, wall0)
+                write_energy_series(os.path.join(out_dir, "energy.csv"), result)
     except OSError as exc:
         raise ConfigError([f"cannot write {exc.filename or out_dir}: {exc.strerror}"])
     s = result.summary
@@ -60,7 +69,7 @@ def _cmd_run(args) -> int:
           f"in {s['wall_time']:.2f}s")
     print(f"mass drift {s['mass_drift']:.3e}, energy change "
           f"{s['energy_change']:.6e}, min depth {s['min_depth']:.3e}")
-    print(f"wrote {len(result.snapshots)} snapshots and energy.csv to {out_dir}")
+    print(f"wrote {n_frames} snapshots and energy.csv to {out_dir}")
     return EXIT_OK
 
 

@@ -25,18 +25,17 @@ An evaluation computes velocities, layer thicknesses and fluxes once, on
 its wet window (`wet_window`) and the window's bed (`Bathymetry.cells`),
 outside which the state is a dry bed at rest.  Its diagnostics, the
 audit's sums and the stable step, are built when first read, at the
-accepted states where `run`, the one stepping loop, audits and steps.
-The viscous stage covers the whole domain, whose derivatives a window
-edge would change, and holds the dry columns; the next audit reuses its
-geometry when its window is the whole domain.
+accepted states where `accepted_steps`, the one stepping loop, audits
+and steps.  The viscous stage covers the whole domain, whose derivatives
+a window edge would change, and holds the dry columns; the next audit
+reuses its geometry when its window is the whole domain.
 """
 from __future__ import annotations
 
 import functools
-import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenar
     """The advective CFL step over the wet cells of an evaluation's window;
     `geom` is not read, since the viscous stage is stable at any step.  The
     fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry.
-    A step that underflows to 0 is left to `run`'s located collapse check."""
+    A step that underflows to 0 is left to the stepping loop's collapse check."""
     speed = np.abs(u).max(axis=0) + np.sqrt(scn.g * np.maximum(H, 0.0))
     if H.min() <= H_DRY:  # exact, since the clipped state is finite
         wet = H > H_DRY
@@ -290,12 +289,31 @@ class RunResult:
     summary: dict
     final: LayerState
 
+    @classmethod
+    def collect(cls, rows, snapshots: list, final: LayerState, wall0: float) -> "RunResult":
+        """The result of `accepted_steps`' rows; a state books the stress
+        and friction power of its step's viscous stage, the last state none."""
+        times, E, DG, influx, mass, RE, fric = np.array(rows).T.copy()
+        RE, fric = np.append(RE[1:], 0.0), np.append(fric[1:], 0.0)
+        m0 = mass[0] if mass[0] != 0.0 else 1.0
+        summary = {
+            "steps": times.size - 1,
+            "t_end": float(times[-1]),
+            "mass_drift": float(np.abs(mass - mass[0]).max() / abs(m0)),
+            "energy_change": float(E[-1] - E[0]),
+            "min_depth": float(final.H.min()),
+            "wall_time": time.perf_counter() - wall0,
+        }
+        return cls(times=times, E_total=E, D_G=DG, R_E=RE, friction=fric, influx=influx,
+                   mass=mass, residuals=energy_mod.budget_residuals(times, E, influx, DG, RE, fric),
+                   snapshots=snapshots, summary=summary, final=final)
+
 
 def next_snapshot_time(t: float, every: float) -> float:
     """First multiple k * every of the snapshot cadence past time t.
 
-    "Past" carries the same 1e-12 relative slack as the snapshot test in
-    run().  The time is computed, not accumulated: adding a cadence far
+    "Past" carries the same 1e-12 relative slack as the stepping loop's
+    snapshot test.  The time is computed, not accumulated: adding a cadence far
     below the resolution of t would leave a running sum unchanged.  When
     every is that small, the result may not exceed t, and the next step
     takes the next snapshot.  A cadence of 0 means no snapshots.
@@ -309,83 +327,54 @@ def next_snapshot_time(t: float, every: float) -> float:
     return float(k * every)
 
 
-def run(
-    scn: Scenario,
-    progress_every: int = 0,
-    max_steps: int = 10_000_000,
-) -> RunResult:
-    """Integrate a scenario to t_end, auditing energy and mass each step;
-    a state books the stress and friction power of its step's viscous
-    stage, the last state none."""
+def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple]:
+    """Integrate a scenario to t_end, the package's one stepping loop, and
+    yield each accepted state once, as (row, frame).  The row is its audit
+    (t, E_total, D_G, influx, mass, R_E, friction), R_E and friction being
+    the mean stress and friction power of the viscous stage that reached
+    it (0 at t = 0).  The frame is (t, Diagnostics, LayerState) when the
+    snapshot schedule takes the state, the first and the last one always,
+    else None; a state is never changed once yielded."""
     state, rhs, _ = make_rhs(scn)
     p, controls = scn.physics, scn.controls
     viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
     dx, t_end = scn.dx, controls.t_end
     every = scn.output.snapshot_every
     neg_tol = 1e-10 * max(1.0, float(state.H.max()))
+    t, step_no, due, geom, power = 0.0, 0, 0.0, None, (0.0, 0.0)
+    try:
+        while True:
+            r = rhs(state, geom)  # the first stage of step step_no
+            d, last = r.diag, not t < t_end * (1.0 - 1e-13)
+            if take := last or t >= due * (1.0 - 1e-12):
+                due = next_snapshot_time(t, every)
+            # the frame is not bound here, so a consumer alone decides how long it lives
+            yield ((t, d.energy, d.diss_exchange, d.influx, float(state.H.sum() * dx), *power),
+                   (t, d, state) if take else None)
+            if last:
+                return
+            dt = d.dt
+            if dt <= 1e-13 * t_end:
+                raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
+            if step_no == 0 and (t_end - t) / dt > max_steps:
+                raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
+                                  f"steps, over the budget of {max_steps}", step=step_no, time=t)
+            dt = min(dt, t_end - t)
+            state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
+                         first_stage=r, step_no=step_no, t=t)
+            if viscous:
+                geom, *power = viscous_stage(state, dt, scn, step_no, t)
+            t += dt
+            step_no += 1
+            if step_no > max_steps:
+                raise SolverAbort("step budget exhausted", step=step_no, time=t)
+    except SolverAbort as exc:  # a kernel's abort names no step: name the one being taken
+        raise exc if exc.step is not None else SolverAbort(str(exc), step=step_no, time=t)
 
-    times = [0.0]
-    cols = {name: [] for name in ("E", "DG", "influx", "mass")}
-    stage, snapshots = [], []
+
+def run(scn: Scenario, max_steps: int = 10_000_000) -> RunResult:
+    """Integrate a scenario to t_end: `accepted_steps`, collected."""
     wall0 = time.perf_counter()
-
-    def audit(r: RhsEval):
-        d = r.diag
-        cols["E"].append(d.energy)
-        cols["DG"].append(d.diss_exchange)
-        cols["influx"].append(d.influx)
-        cols["mass"].append(float(state.H.sum() * dx))
-
-    t, step_no = 0.0, 0
-    r = rhs(state)
-    audit(r)
-    snapshots.append((t, r.diag, state))
-    next_snap = next_snapshot_time(t, every)
-
-    while t < t_end * (1.0 - 1e-13):
-        dt = r.diag.dt
-        if dt <= 1e-13 * t_end:
-            raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
-        if step_no == 0 and (t_end - t) / dt > max_steps:
-            raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
-                              f"steps, over the budget of {max_steps}", step=step_no, time=t)
-        dt = min(dt, t_end - t)
-        state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
-                     first_stage=r, step_no=step_no, t=t)
-        geom, *power = viscous_stage(state, dt, scn, step_no, t) if viscous else (None, 0.0, 0.0)
-        stage.append(power)
-        t += dt
-        step_no += 1
-        if step_no > max_steps:
-            raise SolverAbort("step budget exhausted", step=step_no, time=t)
-        r = rhs(state, geom)
-        times.append(t)
-        audit(r)
-        if t >= next_snap * (1.0 - 1e-12):
-            snapshots.append((t, r.diag, state))
-            next_snap = next_snapshot_time(t, every)
-        if progress_every and step_no % progress_every == 0:
-            print(f"step={step_no} t={t:.6g} dt={dt:.3e} "
-                  f"mass={cols['mass'][-1]:.12g} energy={cols['E'][-1]:.12g}",
-                  file=sys.stderr)
-
-    if snapshots[-1][0] != t:
-        snapshots.append((t, r.diag, state))
-
-    times = np.array(times)
-    E, DG, influx, mass = (np.array(v) for v in cols.values())
-    RE, fric = np.array(stage + [[0.0, 0.0]]).T
-    residuals = energy_mod.budget_residuals(times, E, influx, DG, RE, fric)
-
-    m0 = mass[0] if mass[0] != 0.0 else 1.0
-    summary = {
-        "steps": step_no,
-        "t_end": t,
-        "mass_drift": float(np.abs(mass - mass[0]).max() / abs(m0)),
-        "energy_change": float(E[-1] - E[0]),
-        "min_depth": float(state.H.min()),
-        "wall_time": time.perf_counter() - wall0,
-    }
-    return RunResult(times=times, E_total=E, D_G=DG, R_E=RE, friction=fric,
-                     influx=influx, mass=mass, residuals=residuals,
-                     snapshots=snapshots, summary=summary, final=state)
+    rows, frames = zip(*accepted_steps(scn, max_steps))
+    snapshots = [frame for frame in frames if frame is not None]
+    return RunResult.collect(rows, snapshots, snapshots[-1][2], wall0)

@@ -484,7 +484,8 @@ def test_a_mutated_golden_config_fails_check_or_runs_to_an_exit(tmp_path, capsys
     # fails check with exit 1 or runs, capped in steps, to exit 0 or a
     # located abort (exit 2), with RuntimeWarnings as errors and within
     # a wall budget that an alarm enforces in this process
-    monkeypatch.setattr(cli, "run", functools.partial(timeloop.run, max_steps=MUTATION_STEPS))
+    monkeypatch.setattr(cli, "accepted_steps",
+                        functools.partial(timeloop.accepted_steps, max_steps=MUTATION_STEPS))
     rng = random.Random(0)
     keys, names = sorted(_REGISTRY), sorted(GOLDEN)
     cases = FLOAT_RANGE_CASES + [

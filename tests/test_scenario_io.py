@@ -669,7 +669,7 @@ def test_cli_runtime_abort_exits_2(tmp_path, monkeypatch, capsys):
     def explode(*a, **k):
         raise SolverAbort("synthetic failure", step=3, time=0.01, cell=5)
 
-    monkeypatch.setattr(cli, "run", explode)
+    monkeypatch.setattr(cli, "accepted_steps", explode)
     rc = cli.main(["run", str(cfg), "--output", str(tmp_path / "o")])
     assert rc == 2
     assert "synthetic failure" in capsys.readouterr().err

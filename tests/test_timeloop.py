@@ -1,7 +1,11 @@
 """Adaptive stepping, stage clipping and the audited run loop."""
+import functools
 import gc
+import itertools
+import re
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -715,6 +719,97 @@ def test_a_run_over_the_step_budget_aborts_before_its_first_step(tmp_path, capsy
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "dt0=" in err and "budget of 10000000" in err and "(step 0, t=0)" in err
+
+
+@pytest.mark.parametrize("failing_call", [7, 8], ids=["first-stage", "second-stage"])
+def test_a_kernel_abort_is_located_at_the_step_being_taken(failing_call, tmp_path, capsys,
+                                                          monkeypatch):
+    # SSP-RK2 evaluates twice a step: calls 7 and 8 are the two stages of
+    # step 3, which starts from the fourth state; the first stage audits
+    # that state, so energy.csv keeps three rows or four
+    states = itertools.islice(timeloop.accepted_steps(parse_scenario(DAM_BUMP_WALL)), 4)
+    t3 = [row[0] for row, _ in states][3]
+    calls = []
+
+    def fail_later(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise SolverAbort("non-finite edge trace in flux evaluation")
+        return euler_rhs(*args, **kwargs)
+    monkeypatch.setattr(timeloop, "euler_rhs", fail_later)
+    cfg, out = tmp_path / "case.cfg", tmp_path / "out"
+    cfg.write_text(DAM_BUMP_WALL)
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"^solver abort: .* \(step \d+, t=", err), err
+    assert f"(step 3, t={t3:.6g})" in err
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + failing_call // 2
+
+
+def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monkeypatch):
+    # the step-0 projection is about 334 steps, within a budget of 340, but
+    # the run takes 383: the frames and rows before the abort are the
+    # finished run's, and the closing row books no stage and no residual
+    cfg, full, cut = tmp_path / "case.cfg", tmp_path / "full", tmp_path / "cut"
+    cfg.write_text(DAM_BUMP_WALL)
+    assert cli.main(["run", str(cfg), "--output", str(full)]) == 0
+    monkeypatch.setattr(cli, "accepted_steps",
+                        functools.partial(timeloop.accepted_steps, max_steps=340))
+    assert cli.main(["run", str(cfg), "--output", str(cut)]) == 2
+    assert "solver abort: step budget exhausted (step 341, t=" in capsys.readouterr().err
+    frames = [f"snapshot_{i:04d}.csv" for i in range(18)]
+    assert sorted(p.name for p in cut.iterdir()) == ["energy.csv"] + frames
+    assert len(list(full.glob("snapshot_*.csv"))) > len(frames)
+    for name in frames:
+        assert (cut / name).read_bytes() == (full / name).read_bytes(), name
+    rows, done = ((d / "energy.csv").read_text().splitlines() for d in (cut, full))
+    assert len(rows) == 1 + 341 and rows[:-1] == done[:341]
+    t, E, D_G, R_E, friction, residual, mass = rows[-1].split(",")
+    reached = done[341].split(",")
+    assert [t, E, D_G, mass] == [reached[0], reached[1], reached[2], reached[6]]
+    assert (R_E, friction, residual) == ("0", "0", "nan")
+
+
+@pytest.mark.parametrize("physics", ["physics.g = 9.81", "physics.g = 9.81\nphysics.mu = 1e-3"],
+                         ids=["inviscid", "viscous"])
+def test_layerflow_run_keeps_no_frame_it_wrote(physics, tmp_path, monkeypatch):
+    # a frame per step; each frame's depths die once the next frame is written
+    taken = []
+    real_frame, real_write = cli.snapshot_frame, cli.write_snapshot
+
+    def frame(t, H, diag, scn):
+        taken.append(weakref.ref(H))
+        return real_frame(t, H, diag, scn)
+
+    def write(path, snap):
+        real_write(path, snap)
+        assert [ref() for ref in taken[:-1]] == [None] * (len(taken) - 1)
+    monkeypatch.setattr(cli, "snapshot_frame", frame)
+    monkeypatch.setattr(cli, "write_snapshot", write)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(DAM_BUMP_WALL.replace("mesh.n_cells = 800", "mesh.n_cells = 40")
+                   .replace("physics.g = 9.81", physics)
+                   .replace("controls.t_end = 0.12", "controls.t_end = 0.02")
+                   .replace("output.snapshot_every = 0.006", "output.snapshot_every = 1e-12"))
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert len(taken) == len(list((tmp_path / "out").glob("snapshot_*.csv"))) > 3
+
+
+def test_progress_lines_report_the_energy_rows(tmp_path, capsys):
+    cfg, out = tmp_path / "case.cfg", tmp_path / "out"
+    cfg.write_text(DAM_BUMP_WALL.replace("mesh.n_cells = 800", "mesh.n_cells = 40")
+                   .replace("controls.t_end = 0.12", "controls.t_end = 0.1"))
+    assert cli.main(["run", str(cfg), "--output", str(out), "--progress", "2"]) == 0
+    captured = capsys.readouterr()
+    steps = int(re.search(r"finished: (\d+) steps", captured.out).group(1))
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "energy.csv").read_text().splitlines()[1:]]
+    lines = captured.err.splitlines()
+    assert len(lines) == steps // 2 > 2
+    for k, line in zip(range(2, steps + 1, 2), lines):
+        t, E, mass = rows[k][0], rows[k][1], rows[k][6]
+        assert line == (f"step={k} t={t:.6g} dt={t - rows[k - 1][0]:.3e} "
+                        f"mass={mass:.12g} energy={E:.12g}")
 
 
 def test_a_step_clamped_to_t_end_is_not_a_collapse():
