@@ -348,9 +348,9 @@ def criterion_9() -> CriterionResult:
     rA = rhsA(sA)
     for k in range(100):
         dt = rA.diag.dt
-        sA = step(sA, dt, rhsA, first_stage=rA, step_no=k)
-        geom, _, _ = viscous_stage(sA, dt, scn, k)
-        sB = step(sB, dt, rhsB, step_no=k)
+        sA = step(sA, dt, rhsA, first_stage=rA)
+        geom, _, _ = viscous_stage(sA, dt, scn)
+        sB = step(sB, dt, rhsB)
         stageB(sB, dt)
         rA = rhsA(sA, geom)
     scale = max(1.0, float(np.abs(sA.H).max()), float(np.abs(sA.q).max()))

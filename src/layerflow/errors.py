@@ -5,21 +5,17 @@ from __future__ import annotations
 class SolverAbort(RuntimeError):
     """Raised when the solution leaves the domain of validity.
 
-    Carries enough context (step, time, cell) to locate the blow-up.
+    A kernel names what failed (`reason`) and, where it can, the domain
+    cell; the stepping loop, `timeloop.accepted_steps`, adds the step and
+    the time, so the message reads `reason (step k, t=..., cell c)`.
     """
 
-    def __init__(self, message: str, step: int | None = None,
+    def __init__(self, reason: str, step: int | None = None,
                  time: float | None = None, cell: int | None = None):
-        where = []
-        if step is not None:
-            where.append(f"step {step}")
-        if time is not None:
-            where.append(f"t={time:.6g}")
-        if cell is not None:
-            where.append(f"cell {cell}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
+        parts = (("step {}", step), ("t={:.6g}", time), ("cell {}", cell))
+        where = ", ".join(spec.format(v) for spec, v in parts if v is not None)
+        super().__init__(f"{reason} ({where})" if where else reason)
+        self.reason = reason
         self.step = step
         self.time = time
         self.cell = cell

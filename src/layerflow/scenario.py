@@ -348,9 +348,14 @@ def validate_scenario(scn: Scenario) -> tuple:
         # potential g (H + |z_b|), even where dry, and the stress mu speed / h that
         # its speed drives across a film's thinnest layer
         with np.errstate(over="ignore", invalid="ignore"):
-            zb = bathymetry_values(scn)
-            part = scn.partition
-            H, q = initial_fields(scn, part, zb)
+            try:  # numpy refuses a size no memory holds at once, before a page is touched
+                zb = bathymetry_values(scn)
+                part = scn.partition
+                H, q = initial_fields(scn, part, zb)
+            except (MemoryError, ValueError):
+                key = "layers.n" if lay.n > m.n_cells else "mesh.n_cells"
+                raise ConfigError([f"{key}: {_value(scn, key)} is too large to allocate "
+                                   "the initial fields"]) from None
             h = layer_thicknesses(H, part)
             u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
             speed, z = u + np.sqrt(p.g * H), H + np.abs(zb)

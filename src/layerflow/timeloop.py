@@ -97,18 +97,16 @@ def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenar
     return float(scn.controls.cfl * scn.dx / speed if speed > 0.0 else np.inf)
 
 
-def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
-              step_no: int, t: float) -> LayerState:
+def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float) -> LayerState:
     """Clip the updated cells [a, b); a failing cell is named by its index."""
     H, q = state.H[a:b], state.q[:, a:b]
     if not (np.isfinite(H).all() and np.isfinite(q).all()):
         cell = a + int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
-        raise SolverAbort("non-finite state after update", step=step_no, time=t, cell=cell)
+        raise SolverAbort("non-finite state after update", cell=cell)
     hmin = H.min()
     if hmin < -neg_tol:
         cell = a + int(np.argmin(H))
-        raise SolverAbort(f"depth fell to {hmin:.3e}, beyond the clipping tolerance",
-                          step=step_no, time=t, cell=cell)
+        raise SolverAbort(f"depth fell to {hmin:.3e}, beyond the clipping tolerance", cell=cell)
     if hmin < 0.0:
         np.maximum(H, 0.0, out=H)
     if hmin <= H_DRY:  # a dry column, since H is finite
@@ -118,7 +116,7 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float,
 
 def step(state: LayerState, dt: float, rhs: Callable[[LayerState], RhsEval],
          integrator: str = SSP_RK2, neg_tol: float = 1e-10,
-         first_stage: Optional[RhsEval] = None, step_no: int = 0, t: float = 0.0) -> LayerState:
+         first_stage: Optional[RhsEval] = None) -> LayerState:
     """Advance one step with forward Euler or two-stage SSP Runge-Kutta;
     each stage updates and clips the cells of its evaluation's window."""
     r1 = first_stage if first_stage is not None else rhs(state)
@@ -126,7 +124,7 @@ def step(state: LayerState, dt: float, rhs: Callable[[LayerState], RhsEval],
     s1 = state.copy()
     s1.H[a:b] += dt * r1.dH
     s1.q[:, a:b] += dt * r1.dq
-    _clip_dry(s1, a, b, neg_tol, step_no, t)
+    _clip_dry(s1, a, b, neg_tol)
     if integrator == FORWARD_EULER:
         return s1
     if integrator != SSP_RK2:
@@ -140,7 +138,7 @@ def step(state: LayerState, dt: float, rhs: Callable[[LayerState], RhsEval],
     dH, dq = widen(r2.dH, c - a, b - a, -0.0), widen(r2.dq, c - a, b - a)
     s1.H[a:b] = 0.5 * (state.H[a:b] + s1.H[a:b] + dt * dH)
     s1.q[:, a:b] = 0.5 * (state.q[:, a:b] + s1.q[:, a:b] + dt * dq)
-    return _clip_dry(s1, a, b, neg_tol, step_no, t)
+    return _clip_dry(s1, a, b, neg_tol)
 
 
 CG_MAX_ITER = 1000  # conjugate-gradient iterations one viscous stage may take
@@ -148,8 +146,7 @@ CG_TOL = 1e-6       # stop at |r| <= CG_TOL |dt A u*|, the stage's right-hand si
 
 
 def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.ndarray,
-                          c: np.ndarray, dt: float, step_no: int = 0,
-                          t: float = 0.0) -> Optional[np.ndarray]:
+                          c: np.ndarray, dt: float) -> Optional[np.ndarray]:
     """delta with (h - dt/2 A) delta = b, A = `apply`, by conjugate gradients
     from 0; None if |b|^2 rounds to zero.  Preconditioner: each column's
     diag(w) + layer Laplacian of weights c (N-1, n), factored L D L^T from
@@ -167,7 +164,7 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
             return delta
         if k == CG_MAX_ITER or not rr < np.inf:  # the cap, or beyond the float range
             raise SolverAbort(f"the viscous stage did not converge: |r|^2 = {rr:.3g} after "
-                              f"{k} iterations", step=step_no, time=t)
+                              f"{k} iterations")
         z = r.copy()
         for a in range(len(m)):
             z[a + 1] += m[a] * z[a]
@@ -183,8 +180,8 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         rr = np.vdot(r, r)
 
 
-def viscous_stage(state: LayerState, dt: float, scn: Scenario, step_no: int = 0,
-                  t: float = 0.0) -> tuple[InterfaceGeometry, float, float]:
+def viscous_stage(state: LayerState, dt: float,
+                  scn: Scenario) -> tuple[InterfaceGeometry, float, float]:
     """One trapezoidal stage of the stresses and the wall law on `state.q`,
     in place, with the dry columns held.  Returns the geometry of the depth
     and the stage's mean stress and friction power."""
@@ -208,7 +205,7 @@ def viscous_stage(state: LayerState, dt: float, scn: Scenario, step_no: int = 0,
         delta = trapezoidal_increment(
             h, masked(dt * viscous_rhs(S, geom)),
             lambda v: masked(viscous_rhs(stress_closure(p, H, v, geom, S.kappa), geom)),
-            w, cs, dt, step_no, t)
+            w, cs, dt)
     if delta is None:
         return geom, 0.0, 0.0
     hd, um = h * delta, u + 0.5 * delta
@@ -355,21 +352,20 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
                 return
             dt = d.dt
             if dt <= 1e-13 * t_end:
-                raise SolverAbort(f"time step collapsed to dt={dt:.3e}", step=step_no, time=t)
+                raise SolverAbort(f"time step collapsed to dt={dt:.3e}")
             if step_no == 0 and (t_end - t) / dt > max_steps:
                 raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
-                                  f"steps, over the budget of {max_steps}", step=step_no, time=t)
+                                  f"steps, over the budget of {max_steps}")
             dt = min(dt, t_end - t)
-            state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol,
-                         first_stage=r, step_no=step_no, t=t)
+            state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol, first_stage=r)
             if viscous:
-                geom, *power = viscous_stage(state, dt, scn, step_no, t)
+                geom, *power = viscous_stage(state, dt, scn)
             t += dt
             step_no += 1
             if step_no > max_steps:
-                raise SolverAbort("step budget exhausted", step=step_no, time=t)
-    except SolverAbort as exc:  # a kernel's abort names no step: name the one being taken
-        raise exc if exc.step is not None else SolverAbort(str(exc), step=step_no, time=t)
+                raise SolverAbort("step budget exhausted")
+    except SolverAbort as exc:  # the one place an abort gets its step and time
+        raise SolverAbort(exc.reason, step_no, t, exc.cell)
 
 
 def run(scn: Scenario, max_steps: int = 10_000_000) -> RunResult:

@@ -725,6 +725,26 @@ controls.t_end = 0.01
     assert "must be finite and positive (line 2)" in err
 
 
+@pytest.mark.parametrize("n_cells, n_layers, key", [
+    (10_000_000_000_000, 2, "mesh.n_cells"),             # 73 TiB of cell centres
+    (10_000_000_000_000_000_000, 2, "mesh.n_cells"),     # past numpy's largest size
+    (10, 1_000_000_000_000_000, "layers.n"),             # 7 PiB of layer fractions
+], ids=["cells-beyond-memory", "cells-beyond-numpy", "layers-beyond-memory"])
+def test_check_names_a_size_whose_arrays_cannot_be_allocated(n_cells, n_layers, key,
+                                                              tmp_path, capsys):
+    # numpy refuses each of these sizes at once, before a page is touched
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "o"
+    cfg.write_text(CLI_CFG.replace("mesh.n_cells = 40", f"mesh.n_cells = {n_cells}")
+                   .replace("layers.n = 2", f"layers.n = {n_layers}"))
+    line = {"mesh.n_cells": 3, "layers.n": 5}[key]
+    value = n_cells if key == "mesh.n_cells" else n_layers
+    for args in (["check", str(cfg)], ["run", str(cfg), "--output", str(out)]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: {value} is too large to allocate the initial fields (line {line})"]
+    assert not out.exists()
+
+
 def test_cli_verify_rejects_bad_criteria(capsys):
     assert cli.main(["verify", "--criteria", "0,11"]) == 1
     assert cli.main(["verify", "--criteria", "pi"]) == 1

@@ -1,4 +1,5 @@
 """Adaptive stepping, stage clipping and the audited run loop."""
+import ast
 import functools
 import gc
 import itertools
@@ -6,6 +7,7 @@ import re
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,9 +192,10 @@ def test_step_aborts_on_real_negatives_with_cell_context():
         return RhsEval(dH=np.array([0.0, 0.0, -10.0]), dq=np.zeros((1, 3)))
 
     with pytest.raises(SolverAbort) as err:
-        step(LayerState(H, q), 0.1, rhs, "forward-euler", step_no=7, t=0.25)
-    msg = str(err.value)
-    assert "cell 2" in msg and "step 7" in msg
+        step(LayerState(H, q), 0.1, rhs, "forward-euler")
+    # the kernel names the cell; the stepping loop alone adds step and time
+    assert err.value.cell == 2 and err.value.step is None and err.value.time is None
+    assert str(err.value).endswith(" (cell 2)")
 
 
 def test_step_aborts_on_nonfinite_updates():
@@ -663,9 +666,9 @@ def test_step_names_the_domain_cell_of_a_failed_update_in_a_window(bad, integrat
         return RhsEval(dH, np.zeros((2, b - a)), (a, b))
 
     with pytest.raises(SolverAbort) as err:
-        step(LayerState(H, q), 0.1, rhs, integrator, step_no=7, t=0.25)
-    assert err.value.cell == 13 and err.value.step == 7
-    assert "cell 13" in str(err.value)
+        step(LayerState(H, q), 0.1, rhs, integrator)
+    assert err.value.cell == 13 and err.value.step is None
+    assert str(err.value).endswith(" (cell 13)")
 
 
 # the seed-0 configs of the dam_bump_wall and viscous_shear benchmark workloads
@@ -721,29 +724,60 @@ def test_a_run_over_the_step_budget_aborts_before_its_first_step(tmp_path, capsy
     assert "dt0=" in err and "budget of 10000000" in err and "(step 0, t=0)" in err
 
 
-@pytest.mark.parametrize("failing_call", [7, 8], ids=["first-stage", "second-stage"])
-def test_a_kernel_abort_is_located_at_the_step_being_taken(failing_call, tmp_path, capsys,
-                                                          monkeypatch):
+@pytest.mark.parametrize("failing_call, clip, rows", [(7, None, 3), (8, None, 4), (7, 600, 4)],
+                         ids=["first-stage", "second-stage", "clip"])
+def test_a_kernel_abort_is_located_at_the_step_being_taken(failing_call, clip, rows, tmp_path,
+                                                          capsys, monkeypatch):
     # SSP-RK2 evaluates twice a step: calls 7 and 8 are the two stages of
-    # step 3, which starts from the fourth state; the first stage audits
-    # that state, so energy.csv keeps three rows or four
+    # step 3, which starts from the fourth state; a first stage that
+    # returns audits that state, so energy.csv keeps three rows or four.
+    # A kernel raises at the failing call, or its tendency drives cell
+    # `clip` (the window is the whole domain) negative, which the clip names
     states = itertools.islice(timeloop.accepted_steps(parse_scenario(DAM_BUMP_WALL)), 4)
     t3 = [row[0] for row, _ in states][3]
     calls = []
 
     def fail_later(*args, **kwargs):
         calls.append(None)
-        if len(calls) == failing_call:
+        if len(calls) == failing_call and clip is None:
             raise SolverAbort("non-finite edge trace in flux evaluation")
-        return euler_rhs(*args, **kwargs)
+        dH, dq, G = euler_rhs(*args, **kwargs)
+        if len(calls) == failing_call:
+            dH[clip] = -1e6
+        return dH, dq, G
     monkeypatch.setattr(timeloop, "euler_rhs", fail_later)
     cfg, out = tmp_path / "case.cfg", tmp_path / "out"
     cfg.write_text(DAM_BUMP_WALL)
     assert cli.main(["run", str(cfg), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert re.match(r"^solver abort: .* \(step \d+, t=", err), err
-    assert f"(step 3, t={t3:.6g})" in err
-    assert len((out / "energy.csv").read_text().splitlines()) == 1 + failing_call // 2
+    reason = ("non-finite edge trace in flux evaluation" if clip is None
+              else r"depth fell to -\d\.\d{3}e\+\d\d, beyond the clipping tolerance")
+    cell = "" if clip is None else f", cell {clip}"
+    assert re.fullmatch(rf"solver abort: {reason} \(step 3, t={t3:.6g}{cell}\)\n", err), err
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + rows
+
+
+def test_only_the_stepping_loop_gives_an_abort_its_step_and_time():
+    # every SolverAbort(...) in the package passes at most a reason and a
+    # cell, save one in an except of accepted_steps, which locates them all
+    located = []
+    for path in sorted(Path(timeloop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)  # only a call has one
+            if "SolverAbort" not in (getattr(func, "id", None), getattr(func, "attr", None)):
+                continue
+            # a step or a time: a second or starred argument, or a keyword
+            if (len(call.args) < 2 and not any(isinstance(a, ast.Starred) for a in call.args)
+                    and all(k.arg not in ("step", "time", None) for k in call.keywords)):
+                continue
+            node, handler = call, False
+            while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                handler |= isinstance(node, ast.ExceptHandler)
+                node = parents[node]
+            located.append((path.name, getattr(node, "name", None), handler, call.lineno))
+    assert [where[:3] for where in located] == [("timeloop.py", "accepted_steps", True)], located
 
 
 def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monkeypatch):
