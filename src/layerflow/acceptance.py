@@ -12,6 +12,7 @@ shear column with a wall law, approached as the layer count grows.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,7 +28,7 @@ from .scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
                        MeshSpec, OutputSpec, PhysicsSpec, Scenario)
 from .state import LayerState, interface_velocities, velocities
 from .sv import sv_rhs, sv_velocity, sv_viscous
-from .timeloop import RhsEval, make_rhs, run, step, trapezoidal_increment, viscous_stage
+from .timeloop import RhsEval, accepted_steps, run, step, trapezoidal_increment
 
 
 @dataclass
@@ -290,69 +291,55 @@ def criterion_8() -> CriterionResult:
 
 # --- 9: the multilayer solver at N=1 matches the standalone reference ------
 
-def _reference_setup():
-    n = 24
+def criterion_9() -> CriterionResult:
+    n, bc = 24, "periodic"
     dx = 1.0 / n
     x = (np.arange(n) + 0.5) * dx
     zb = -0.45 + 0.1 * np.sin(2 * np.pi * x)
     H = 0.9 + 0.05 * np.cos(2 * np.pi * x)
     u = 0.3 + 0.2 * np.sin(4 * np.pi * x)
-    phys = dict(g=9.81, mu=0.01, k_l=0.05, k_t=0.02)
-    return n, dx, zb, H, u, phys
-
-
-def criterion_9() -> CriterionResult:
-    n, dx, zb, H, u, phys = _reference_setup()
-    bc = "periodic"
-
-    # one right-hand side, both pipelines
-    part = LayerPartition.uniform(1)
-    bathy = make_bathymetry(zb, dx, bc)
-    geom = build_geometry(H, bathy, part)
-    q = geom.h * u[None, :]
-    dH, dq, _ = euler_rhs(H, q, bathy, part, phys["g"])
-    S = stress_closure(PhysicsSpec(**phys), H, u[None, :], geom)
-    dq_ml = dq + viscous_rhs(S, geom)
-    dH_ref, dq_ref = sv_rhs(H, H * u, zb, phys["g"], phys["mu"], phys["k_l"], phys["k_t"], dx, bc)
-    scale_H = max(1.0, float(np.abs(dH_ref).max()))
-    scale_q = max(1.0, float(np.abs(dq_ref).max()))
-    gap_rhs = max(float(np.abs(dH - dH_ref).max()) / scale_H,
-                  float(np.abs(dq_ml[0] - dq_ref).max()) / scale_q)
-
-    # 100-step trajectories through the shared stepper and viscous stage:
-    # the multilayer scenario picks each step size and the reference takes
-    # the same one, its transport from sv_rhs and its stage on sv_viscous
     scn = Scenario(
         mesh=MeshSpec(0.0, 1.0, n),
         boundary=bc,
         bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
         init=InitSpec(kind="table", H_values=tuple(H), u_values=tuple(u)),
-        physics=PhysicsSpec(**phys),
-        controls=ControlsSpec(t_end=1e9),
+        physics=PhysicsSpec(g=9.81, mu=0.01, k_l=0.05, k_t=0.02),
+        controls=ControlsSpec(t_end=10.0),  # not reached: 100 steps end near t = 1.10
+        output=OutputSpec(snapshot_every=1e-12),  # a frame per step
     )
-    sA, rhsA, _ = make_rhs(scn)
-    sB = sA.copy()
 
+    # one right-hand side, both pipelines: the multilayer one on the checked scenario
+    (bathy, H0, q0), part, p = scn.built, scn.partition, scn.physics
+    geom = build_geometry(H0, bathy, part)
+    dH, dq, _ = euler_rhs(H0, q0, bathy, part, p.g)
+    S = stress_closure(p, H0, velocities(H0, q0, part), geom)
+    dq_ml = dq + viscous_rhs(S, geom)
+    dH_ref, dq_ref = sv_rhs(H, H * u, zb, p.g, p.mu, p.k_l, p.k_t, dx, bc)
+    scale_H = max(1.0, float(np.abs(dH_ref).max()))
+    scale_q = max(1.0, float(np.abs(dq_ref).max()))
+    gap_rhs = max(float(np.abs(dH - dH_ref).max()) / scale_H,
+                  float(np.abs(dq_ml[0] - dq_ref).max()) / scale_q)
+
+    # 100-step trajectories: the stepping loop picks each step size, and the
+    # reference takes the same one through the shared stepper, its transport
+    # from sv_rhs and its stage on sv_viscous
     def rhsB(s: LayerState) -> RhsEval:
-        dH, dq = sv_rhs(s.H, s.q[0], zb, phys["g"], 0.0, 0.0, 0.0, dx, bc)
+        dH, dq = sv_rhs(s.H, s.q[0], zb, p.g, 0.0, 0.0, 0.0, dx, bc)
         return RhsEval(dH, dq[None])
 
     def stageB(s: LayerState, dt: float):  # the wall law frozen at u*, as in viscous_stage
         u = sv_velocity(s.H, s.q[0])
-        k = phys["k_l"] + phys["k_t"] * s.H * np.abs(u)
-        V, drag = sv_viscous(s.H, u, zb, phys["mu"], k, dx, bc)
+        k = p.k_l + p.k_t * s.H * np.abs(u)
+        V, drag = sv_viscous(s.H, u, zb, p.mu, k, dx, bc)
         s.q += s.H * trapezoidal_increment(
-            s.H, dt * V[None], lambda v: sv_viscous(s.H, v[0], zb, phys["mu"], k, dx, bc)[0][None],
+            s.H, dt * V[None], lambda v: sv_viscous(s.H, v[0], zb, p.mu, k, dx, bc)[0][None],
             (s.H + 0.5 * dt * drag)[None], np.empty((0, n)), dt)
 
-    rA = rhsA(sA)
-    for k in range(100):
-        dt = rA.diag.dt
-        sA = step(sA, dt, rhsA, first_stage=rA)
-        geom, _, _ = viscous_stage(sA, dt, scn)
-        sB = step(sB, dt, rhsB)
-        stageB(sB, dt)
-        rA = rhsA(sA, geom)
+    frames = [frame for _, frame in itertools.islice(accepted_steps(scn), 101)]
+    sA, sB = frames[-1][2], frames[0][2].copy()
+    for _, d, _ in frames[:-1]:
+        sB = step(sB, d.dt, rhsB)
+        stageB(sB, d.dt)
     scale = max(1.0, float(np.abs(sA.H).max()), float(np.abs(sA.q).max()))
     gap_traj = max(float(np.abs(sA.H - sB.H).max()),
                    float(np.abs(sA.q - sB.q).max())) / scale

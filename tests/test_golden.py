@@ -399,6 +399,28 @@ def _with(config, values):
     return config
 
 
+def test_a_viscous_stage_over_the_cap_past_the_first_step_aborts_located(tmp_path, capsys):
+    # mu = 1 on 160 cells: the stage's conjugate gradients hit their
+    # iteration cap past the first step, at a step and time that depend on
+    # the floating-point kernels (step 5 with OpenBLAS's SkylakeX kernels,
+    # step 3 with its Haswell ones and numpy's AVX-512 paths off).
+    # ROADMAP item 14 is to make this config run to t_end, and rewrites
+    # this test then
+    cfg, out = tmp_path / "case.cfg", tmp_path / "out"
+    cfg.write_text(_with(VISCOUS_FRICTION_WALL_RK2, {"physics.mu": "1", "mesh.n_cells": "160"}))
+    assert cli.main(["check", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"solver abort: the viscous stage did not converge: \|r\|\^2 = \S+ "
+                         r"after 1000 iterations \(step (\d+), t=(\S+)\)\n", err)
+    assert found, err
+    k, t = int(found[1]), found[2]
+    assert k >= 1
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert len(rows) == k + 1 and f"{float(rows[-1].split(',')[0]):.6g}" == t
+
+
 @pytest.mark.parametrize("name, values", [
     ("viscous_friction_periodic_rk2", {"physics.mu": "5e-324"}),
     ("viscous_friction_wall_rk2", {"physics.mu": "5e-324"}),

@@ -609,6 +609,47 @@ def test_check_names_the_negative_friction_key(key, tmp_path, capsys):
     assert err.count("friction coefficient") == 1
 
 
+TABLE_CFG = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 4
+boundary.kind = periodic
+layers.n = 2
+bathymetry.kind = table
+bathymetry.values = -0.5, -0.4, -0.5, -0.6
+init.kind = table
+init.H_values = 1, 0.9, 1, 1.1
+init.u_values = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8
+physics.g = 9.81
+controls.t_end = 0.1
+"""
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("bathymetry.values", None, "bathymetry.values: required for bathymetry.kind = table"),
+    ("bathymetry.values", "-0.5, -0.4, -0.5", "bathymetry.values: 3 values for 4 cells (line 7)"),
+    ("init.H_values", None, "init.H_values: required for init.kind = table"),
+    ("init.H_values", "1, 0.9, 1", "init.H_values: 3 values for 4 cells (line 9)"),
+    ("init.H_values", "1, -0.9, 1, 1.1", "init.H_values: depths must be nonnegative (line 9)"),
+    ("init.u_values", None, "init.u_values: required for init.kind = table"),
+    ("init.u_values", "0.1, 0.2, 0.3",
+     "init.u_values: 3 values, expected layers.n * n_cells = 8 (line 10)"),
+], ids=["bed_missing", "bed_count", "H_missing", "H_count", "H_negative", "u_missing",
+        "u_count"])
+def test_check_reports_each_table_problem_alone(key, value, problem, tmp_path, capsys):
+    # a table gives one bed value and one depth per cell, and one velocity
+    # per layer and cell; a missing key is reported without a line
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(TABLE_CFG)
+    assert cli.main(["check", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = TABLE_CFG.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+    lines[at:at + 1] = [] if value is None else [f"{key} = {value}"]
+    cfg.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {problem}"]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # no command pays for scipy's import, and layerflow does not need it
     src = os.path.dirname(os.path.dirname(cli.__file__))

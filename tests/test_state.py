@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
-from layerflow.geometry import LayerPartition
-from layerflow.state import (exchange_fluxes, hydrostatic_pressures,
+from layerflow.errors import SolverAbort
+from layerflow.geometry import LayerPartition, build_geometry, make_bathymetry
+from layerflow.state import (LayerState, exchange_fluxes, hydrostatic_pressures,
                              interface_velocities, velocities)
+from layerflow.sv import sv_rhs
+from layerflow.timeloop import RhsEval, step
 
 
 def test_velocities_mask_dry_columns():
@@ -102,3 +105,36 @@ def test_layer_sums_match_the_cumsum_formulas_bitwise(N):
         dcum = np.cumsum(div, axis=0)
         ref_G[1:-1] = dcum[:-1] - part.cumulative[:-1, None] * dcum[-1]
     assert G.tobytes() == ref_G.tobytes()
+
+
+PART2 = LayerPartition.uniform(2)
+BED3 = make_bathymetry(np.zeros(3), 1.0, "periodic")
+STILL3 = LayerState(np.ones(3), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LayerPartition.uniform(0), ValueError, "need at least one layer"),
+    (lambda: make_bathymetry(np.array([0.0, np.nan, 0.0]), 1.0, "periodic"),
+     ValueError, "bed elevation must be finite"),
+    (lambda: build_geometry(np.array([1.0, np.nan, 1.0]), BED3, PART2),
+     ValueError, "depth field must be finite"),
+    (lambda: build_geometry(np.ones(4), BED3, PART2),
+     ValueError, "depth and bathymetry shapes differ"),
+    (lambda: LayerState(np.ones(3), np.zeros((2, 4))),
+     ValueError, "H and q disagree on the number of cells"),
+    (lambda: velocities(np.ones(3), np.zeros((3, 3)), PART2),
+     ValueError, "3 discharge rows for 2 layers"),
+    (lambda: exchange_fluxes(np.zeros((3, 3)), PART2),
+     ValueError, "3 divergence rows for 2 layers"),
+    (lambda: step(STILL3, 0.1, lambda s: RhsEval(np.zeros(3), np.zeros((1, 3))), "leapfrog"),
+     ValueError, "unknown integrator 'leapfrog'"),
+    (lambda: sv_rhs(np.array([1.0, np.inf, 1.0]), np.zeros(3), np.zeros(3), 9.81,
+                    0.0, 0.0, 0.0, 1.0, "periodic"),
+     SolverAbort, "non-finite state in reference solver"),
+], ids=["no_layers", "nan_bed", "nan_depth", "shapes", "state_cells", "discharge_rows",
+        "divergence_rows", "integrator", "reference_state"])
+def test_library_entry_points_refuse_malformed_inputs(call, error, message):
+    # each names what is wrong; unchecked, LayerPartition.uniform(0) would divide 1.0 by 0
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

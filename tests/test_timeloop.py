@@ -780,6 +780,24 @@ def test_only_the_stepping_loop_gives_an_abort_its_step_and_time():
     assert [where[:3] for where in located] == [("timeloop.py", "accepted_steps", True)], located
 
 
+def test_only_the_stepping_loop_steps_a_scenario():
+    # a hand-written loop elsewhere would be checked in place of the one the
+    # program runs: outside timeloop.py no call reaches make_rhs or
+    # viscous_stage, and none hands step a first stage
+    found = []
+    for path in sorted(Path(timeloop.__file__).parent.glob("*.py")):
+        if path.name == "timeloop.py":
+            continue
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if (name in ("make_rhs", "viscous_stage")
+                    or any(k.arg == "first_stage" for k in call.keywords)):
+                found.append((path.name, call.lineno, name))
+    assert found == []
+
+
 def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monkeypatch):
     # the step-0 projection is about 334 steps, within a budget of 340, but
     # the run takes 383: the frames and rows before the abort are the
