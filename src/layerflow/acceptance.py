@@ -24,7 +24,7 @@ from .euler import euler_rhs
 from .geometry import LayerPartition, build_geometry, make_bathymetry
 from .kinematics import reconstruct_w, what_coefficients
 from .rheology import stress_closure, viscous_rhs
-from .scenario import (BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
+from .scenario import (FORWARD_EULER, BathymetrySpec, ControlsSpec, InitSpec, LayersSpec,
                        MeshSpec, OutputSpec, PhysicsSpec, Scenario)
 from .state import LayerState, interface_velocities, velocities
 from .sv import sv_rhs, sv_velocity, sv_viscous
@@ -43,24 +43,25 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:2d} - {self.title}: {self.detail}"
 
 
+def _scenario(n: int, t_end: float, init: InitSpec, layers: int = 1,
+              **specs) -> Scenario:
+    """The criteria's base run: n cells of [0, 1], periodic over a flat bed,
+    g = 9.81, to t_end; a spec given by keyword replaces the base's."""
+    base = dict(mesh=MeshSpec(0.0, 1.0, n), layers=LayersSpec(n=layers),
+                physics=PhysicsSpec(g=9.81), controls=ControlsSpec(t_end=t_end))
+    return Scenario(init=init, **{**base, **specs})
+
+
 # --- 1: exact preservation of a lake at rest over topography ---------------
 
 def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
-    scn = Scenario(
-        mesh=MeshSpec(0.0, 1.0, 100),
-        boundary="periodic",
-        layers=LayersSpec(n=4),
-        bathymetry=BathymetrySpec(kind="bump", z0=0.0, a=0.25, x0=0.5, width=0.15),
-        init=InitSpec(kind="lake_at_rest", eta0=1.0),
-        physics=PhysicsSpec(g=9.81),
-        controls=ControlsSpec(t_end=1.6),
-    )
-    result = run(scn)
-    state = result.final
-    u = velocities(state.H, state.q, scn.partition)
-    du = float(np.abs(u).max())
-    deta = float(np.abs(state.H - result.snapshots[0][2].H).max())
+    frames = run(_scenario(100, 1.6, InitSpec(kind="lake_at_rest", eta0=1.0), layers=4,
+                           bathymetry=BathymetrySpec(kind="bump", a=0.25, x0=0.5,
+                                                     width=0.15))).snapshots
+    (_, _, start), (_, diag, end) = frames[0], frames[-1]
+    du = float(np.abs(diag.u).max())
+    deta = float(np.abs(end.H - start.H).max())
     wall = time.perf_counter() - t0
     ok = du <= 1e-12 and deta <= 1e-12 and wall < 5.0
     return CriterionResult(1, "lake at rest stays at rest", ok,
@@ -70,16 +71,12 @@ def criterion_1() -> CriterionResult:
 
 # --- 2: bit-level mass bookkeeping through shocks ---------------------------
 
+# the periodic dam break of criteria 2 and 5
+_DAM = InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.5, x0=0.5)
+
+
 def criterion_2() -> CriterionResult:
-    scn = Scenario(
-        mesh=MeshSpec(0.0, 1.0, 200),
-        boundary="periodic",
-        layers=LayersSpec(n=3),
-        init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.5, x0=0.5),
-        physics=PhysicsSpec(g=9.81),
-        controls=ControlsSpec(t_end=0.65),
-    )
-    result = run(scn)
+    result = run(_scenario(200, 0.65, _DAM, layers=3))
     drift = result.summary["mass_drift"]
     ok = drift <= 1e-12
     return CriterionResult(2, "mass conservation on a periodic dam break", ok,
@@ -90,27 +87,15 @@ def criterion_2() -> CriterionResult:
 # --- 3: partition refinement collapses to the single-layer scheme ----------
 
 def _collapse_scenario(n_layers: int) -> Scenario:
-    n = 100
-    x = (np.arange(n) + 0.5) / n
-    H = 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
-    return Scenario(
-        mesh=MeshSpec(0.0, 1.0, n),
-        boundary="periodic",
-        layers=LayersSpec(n=n_layers),
-        init=InitSpec(kind="table", H_values=tuple(H),
-                      u_values=tuple(np.tile(H * 0.0 + 0.2, n_layers))),
-        physics=PhysicsSpec(g=9.81),
-        controls=ControlsSpec(t_end=0.25),
-    )
+    H = 1.0 + 0.1 * np.sin(2.0 * np.pi * ((np.arange(100) + 0.5) / 100))
+    init = InitSpec(kind="table", H_values=tuple(H), u_values=(0.2,) * (100 * n_layers))
+    return _scenario(100, 0.25, init, layers=n_layers)
 
 
 def criterion_3() -> CriterionResult:
     res4 = run(_collapse_scenario(4))
     res1 = run(_collapse_scenario(1))
-    part4 = LayerPartition.uniform(4)
-    u4 = velocities(res4.final.H, res4.final.q, part4)
-    u1 = velocities(res1.final.H, res1.final.q, LayerPartition.uniform(1))
-    du = float(np.abs(u4 - u1[0]).max())
+    du = float(np.abs(res4.snapshots[-1][1].u - res1.snapshots[-1][1].u[0]).max())
     dH = float(np.abs(res4.final.H - res1.final.H).max())
     ok = du <= 1e-10 and dH <= 1e-10
     return CriterionResult(3, "four equal layers collapse to one", ok,
@@ -132,16 +117,12 @@ def ritter_profile(x: np.ndarray, t: float, g: float, H_left: float):
 def _ritter_error(n_cells: int) -> float:
     # forward Euler at CFL 0.9 reaches the asymptotic range by 200 cells;
     # the two-stage integrator needs roughly 800 for the same window
-    g, t_end = 9.81, 0.6
-    scn = Scenario(
-        mesh=MeshSpec(-5.0, 5.0, n_cells),
-        boundary="transmissive",
-        init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.0),
-        physics=PhysicsSpec(g=g),
-        controls=ControlsSpec(t_end=t_end, cfl=0.9, integrator="forward-euler"),
-    )
+    t_end = 0.6
+    scn = _scenario(n_cells, t_end, InitSpec(kind="dam_break", eta_l=1.0),
+                    mesh=MeshSpec(-5.0, 5.0, n_cells), boundary="transmissive",
+                    controls=ControlsSpec(t_end=t_end, integrator=FORWARD_EULER))
     result = run(scn)
-    H_ref, _ = ritter_profile(scn.mesh.x, t_end, g, 1.0)
+    H_ref, _ = ritter_profile(scn.mesh.x, t_end, scn.g, 1.0)
     return float(np.abs(result.final.H - H_ref).sum() * scn.mesh.dx)
 
 
@@ -160,15 +141,7 @@ def criterion_4() -> CriterionResult:
 # --- 5: discrete energy decays across shocks --------------------------------
 
 def criterion_5() -> CriterionResult:
-    scn = Scenario(
-        mesh=MeshSpec(0.0, 1.0, 150),
-        boundary="periodic",
-        layers=LayersSpec(n=3),
-        init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.5, x0=0.5),
-        physics=PhysicsSpec(g=9.81),
-        controls=ControlsSpec(t_end=0.4),
-    )
-    result = run(scn)
+    result = run(_scenario(150, 0.4, _DAM, layers=3))
     E = result.E_total
     growth = float((np.diff(E) / np.abs(E[:-1])).max())
     dg_max = float(result.D_G.max())
@@ -242,16 +215,10 @@ def _shear_column(u: np.ndarray, mu: float, t_end: float, every: float,
                   k_l: float = 0.0) -> Scenario:
     """An x-uniform shear flow of len(u) equal layers over a flat periodic
     bed, depth 1: vertical diffusion and the wall law alone act on it."""
-    return Scenario(
-        mesh=MeshSpec(0.0, 1.0, 8),
-        boundary="periodic",
-        layers=LayersSpec(n=len(u)),
-        bathymetry=BathymetrySpec(kind="flat", z0=-0.5),
-        init=InitSpec(kind="shear", eta0=0.5, u=tuple(u)),
-        physics=PhysicsSpec(g=9.81, mu=mu, k_l=k_l),
-        controls=ControlsSpec(t_end=t_end),
-        output=OutputSpec(snapshot_every=every),
-    )
+    return _scenario(8, t_end, InitSpec(kind="shear", eta0=0.5, u=tuple(u)), layers=len(u),
+                     bathymetry=BathymetrySpec(z0=-0.5),
+                     physics=PhysicsSpec(g=9.81, mu=mu, k_l=k_l),
+                     output=OutputSpec(snapshot_every=every))
 
 
 def criterion_8() -> CriterionResult:
@@ -298,15 +265,11 @@ def criterion_9() -> CriterionResult:
     zb = -0.45 + 0.1 * np.sin(2 * np.pi * x)
     H = 0.9 + 0.05 * np.cos(2 * np.pi * x)
     u = 0.3 + 0.2 * np.sin(4 * np.pi * x)
-    scn = Scenario(
-        mesh=MeshSpec(0.0, 1.0, n),
-        boundary=bc,
-        bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
-        init=InitSpec(kind="table", H_values=tuple(H), u_values=tuple(u)),
-        physics=PhysicsSpec(g=9.81, mu=0.01, k_l=0.05, k_t=0.02),
-        controls=ControlsSpec(t_end=10.0),  # not reached: 100 steps end near t = 1.10
-        output=OutputSpec(snapshot_every=1e-12),  # a frame per step
-    )
+    init = InitSpec(kind="table", H_values=tuple(H), u_values=tuple(u))
+    scn = _scenario(n, 10.0, init,  # t_end not reached: 100 steps end near t = 1.10
+                    bathymetry=BathymetrySpec(kind="table", values=tuple(zb)),
+                    physics=PhysicsSpec(g=9.81, mu=0.01, k_l=0.05, k_t=0.02),
+                    output=OutputSpec(snapshot_every=1e-12))  # a frame per step
 
     # one right-hand side, both pipelines: the multilayer one on the checked scenario
     (bathy, H0, q0), part, p = scn.built, scn.partition, scn.physics

@@ -55,8 +55,6 @@ def write_snapshot(path, frame: tuple[float, np.ndarray]) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(f"# t = {float(t):.17g}\n")
         f.write(",".join(snapshot_header((table.shape[0] - 3) // 5)) + "\n")
-        if moving.all():
-            return _write_rows(f, table.T)
         cuts = [0, *(np.flatnonzero(np.diff(moving)) + 1).tolist(), moving.size]
         for a, b in zip(cuts[:-1], cuts[1:]):
             if moving[a]:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import Bathymetry, LayerPartition, layer_thicknesses, make_bathymetry
 from .gridops import BOUNDARY_KINDS
-from .state import H_DRY
+from .state import H_DRY, velocities
 
 BATHYMETRY_KINDS = ("flat", "slope", "bump", "table")
 INIT_KINDS = ("lake_at_rest", "dam_break", "shear", "table")
@@ -357,7 +357,7 @@ def validate_scenario(scn: Scenario) -> tuple:
                 raise ConfigError([f"{key}: {_value(scn, key)} is too large to allocate "
                                    "the initial fields"]) from None
             h = layer_thicknesses(H, part)
-            u = np.abs(np.divide(q, h, out=np.zeros_like(q), where=h > 0.0)).max(axis=0)
+            u = np.abs(velocities(H, q, part, h)).max(axis=0)
             speed, z = u + np.sqrt(p.g * H), H + np.abs(zb)
             flux = ((speed * (H * u * u + p.g * H * z) + H * H) / m.dx + p.g * z
                     + p.mu * speed / (H_DRY * part.fractions.min()))

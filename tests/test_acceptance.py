@@ -10,7 +10,7 @@ moves one on purpose re-records it and explains the new value.
 """
 import re
 
-from layerflow import acceptance
+from layerflow import acceptance, energy
 
 # criteria 1, 2, 3, 5 and 9 run at the default CFL; re-recorded when it
 # rose from 0.8 to 0.9 (max|u| 1.85e-15, drift 4.44e-16 over 560 steps,
@@ -86,3 +86,19 @@ def test_criterion_10_upwind_energy_optimality():
 
 def test_criterion_11_convergence_in_the_layer_count():
     _check(acceptance.criterion_11)
+
+
+def test_criterion_06_fails_when_the_stress_part_turns_positive(monkeypatch):
+    """Moving dissipation from friction into a positive stress part keeps
+    their sum, and so the work identity: only the sign check fails."""
+    true_dissipation = energy.newtonian_dissipation
+
+    def shifted(*args):
+        stress, fric = true_dissipation(*args)
+        return 1.0 - stress, fric + 2.0 * stress - 1.0
+
+    monkeypatch.setattr(energy, "newtonian_dissipation", shifted)
+    res = acceptance.criterion_6()
+    assert not res.passed
+    assert res.detail.endswith("signs nonpositive=False")
+    assert float(re.search(r"gap=(\S+)", res.detail).group(1)) <= 1e-12
