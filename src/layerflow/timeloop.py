@@ -146,9 +146,9 @@ CG_TOL = 1e-6       # stop at |r| <= CG_TOL |dt A u*|, the stage's right-hand si
 
 
 def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.ndarray,
-                          c: np.ndarray, dt: float) -> Optional[np.ndarray]:
-    """delta with (h - dt/2 A) delta = b, A = `apply`, by conjugate gradients
-    from 0; None if |b|^2 rounds to zero.  Preconditioner: each column's
+                          c: np.ndarray, dt: float) -> np.ndarray:
+    """delta with (h - dt/2 A) delta = b, A = `apply`, by preconditioned
+    conjugate gradients from delta = 0.  Preconditioner: each column's
     diag(w) + layer Laplacian of weights c (N-1, n), factored L D L^T from
     its grounded parts G (Thomas), so no pivot falls below w, however large c."""
     G, D, m = w.copy(), np.empty_like(w), np.empty_like(c)
@@ -157,7 +157,8 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         np.divide(c[a], D[a], out=m[a])
         G[a + 1] += m[a] * G[a]
     D[-1] = G[-1]
-    r, rr, delta, rz = b, np.vdot(b, b), None, 1.0
+    r, rr, rz, delta = b, np.vdot(b, b), 1.0, np.zeros_like(b)
+    p = delta
     tol2 = CG_TOL * CG_TOL * rr
     for k in range(CG_MAX_ITER + 1):
         if rr <= tol2 < np.inf:
@@ -172,10 +173,10 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         for a in range(len(m) - 1, -1, -1):
             z[a] += m[a] * z[a + 1]
         rz_prev, rz = rz, np.vdot(r, z)
-        p = z if delta is None else z + (rz / rz_prev) * p
+        p = z + (rz / rz_prev) * p
         Ap = h * p - (0.5 * dt) * apply(p)
         alpha = rz / np.vdot(p, Ap)
-        delta = alpha * p if delta is None else delta + alpha * p
+        delta = delta + alpha * p
         r = r - alpha * Ap
         rr = np.vdot(r, r)
 
@@ -206,12 +207,10 @@ def viscous_stage(state: LayerState, dt: float,
             h, masked(dt * viscous_rhs(S, geom)),
             lambda v: masked(viscous_rhs(stress_closure(p, H, v, geom, S.kappa), geom)),
             w, cs, dt)
-    if delta is None:
-        return geom, 0.0, 0.0
     hd, um = h * delta, u + 0.5 * delta
     state.q += hd
     power = float(np.vdot(hd, um)) * scn.dx / dt
-    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * scn.dx
+    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * scn.dx + 0.0
     return geom, power - fric, fric
 
 

@@ -895,6 +895,37 @@ def test_a_viscous_stage_over_the_iteration_cap_aborts_located():
     assert f"(step 1, t={first_dt:.6g})" in str(err.value)
 
 
+VISCOUS_LAKE_AT_REST = """mesh.x_min = 0
+mesh.x_max = 1
+mesh.n_cells = 30
+boundary.kind = wall
+layers.n = 3
+bathymetry.z0 = -0.5
+init.kind = lake_at_rest
+init.eta0 = 0.5
+physics.g = 9.81
+physics.mu = 1e-3
+physics.k_l = 0.01
+physics.k_t = 0.01
+controls.t_end = 0.05
+output.snapshot_every = 0.02
+"""
+
+
+def test_a_viscous_lake_at_rest_stays_at_rest_and_books_positive_zero_work(tmp_path):
+    # the stage's right-hand side is exactly zero, so conjugate gradients
+    # return their zero start: every frame holds the initial state, and the
+    # stress and friction power read 0, not the -0 of a negated zero sum
+    cfg, out = tmp_path / "lake.cfg", tmp_path / "out"
+    cfg.write_text(VISCOUS_LAKE_AT_REST)
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "energy.csv").read_text().splitlines()]
+    assert rows[0][3:5] == ["R_E", "friction"] and len(rows) == 8  # 6 steps
+    assert {value for row in rows[1:] for value in row[3:5]} == {"0"}
+    frames = [p.read_text().split("\n", 1) for p in sorted(out.glob("snapshot_*.csv"))]
+    assert len(frames) == 4 and len({table for _, table in frames}) == 1
+
+
 def _dry_left_wall_dam_break(mu):
     return Scenario(mesh=MeshSpec(0.0, 1.0, 40), boundary="wall", layers=LayersSpec(n=3),
                     init=InitSpec(kind="dam_break", eta_l=0.0, eta_r=1.0, x0=0.5),
