@@ -93,10 +93,10 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     check_boundary(bc)
     if not np.all(np.isfinite(zb)):
         raise ValueError("bed elevation must be finite")
-    slope = ddx(zb, dx, bc)
+    cos = 1.0 / np.sqrt(1.0 + ddx(zb, dx, bc) ** 2)  # of the bed's slope
     zbp = pad_cells(zb, bc)
     zb_l, zb_r = zbp[:-1], zbp[1:]
-    return Bathymetry(zb=zb, cos3=(1.0 / np.sqrt(1.0 + slope * slope)) ** 3,
+    return Bathymetry(zb=zb, cos3=cos * cos * cos,
                       dx=dx, bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
 
 

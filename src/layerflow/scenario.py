@@ -380,6 +380,26 @@ def validate_scenario(scn: Scenario) -> tuple:
 
 # --- field construction ----------------------------------------------------
 
+# ln 2 = LN2_HI + LN2_LO, the high part with 21 trailing zero bits, so that
+# k LN2_HI is exact for |k| < 2^21 (Cody & Waite's reduction)
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+EXP_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(13, -1, -1))  # Horner order
+
+
+def exp_nonpositive(x: np.ndarray) -> np.ndarray:
+    """exp(x) for x <= 0 within 1 ulp, from + - * /, rint and ldexp alone,
+    so its bits are the same on every IEEE-double host (np.exp's vector
+    paths are not): x = k ln 2 + r, |r| <= ln 2 / 2, and exp(r) as its
+    degree-13 Taylor polynomial.  Below -746, -inf included, it is 0.0."""
+    x = np.maximum(x, -746.0)
+    k = np.rint(x / (LN2_HI + LN2_LO))
+    r = (x - k * LN2_HI) - k * LN2_LO
+    p = 0.0
+    for c in EXP_TAYLOR:
+        p = p * r + c
+    return np.ldexp(p, k.astype(np.int64))
+
+
 def bathymetry_values(scn: Scenario) -> np.ndarray:
     """Bed elevation sampled at cell centers."""
     b = scn.bathymetry
@@ -389,8 +409,8 @@ def bathymetry_values(scn: Scenario) -> np.ndarray:
     if b.kind == "slope":
         return b.z0 + b.s * x
     if b.kind == "bump":
-        with np.errstate(over="ignore"):  # far from the bump, in widths, it is exp(-inf) = 0
-            return b.z0 + b.a * np.exp(-(((x - b.x0) / b.width) ** 2))
+        with np.errstate(over="ignore"):  # far from the bump, in widths, the argument is -inf
+            return b.z0 + b.a * exp_nonpositive(-(((x - b.x0) / b.width) ** 2))
     return np.asarray(b.values, dtype=float)
 
 

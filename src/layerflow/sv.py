@@ -123,9 +123,9 @@ def sv_viscous(H: np.ndarray, u: np.ndarray, zb: np.ndarray, mu: float, k: np.nd
     dzdx = ddx(z_mid, dx, bc)
     s_zx = mu * (ddx(w, dx, bc) + dzdx * dudx)
     slope_b = ddx(zb, dx, bc)
-    cos3_b = (1.0 / np.sqrt(1.0 + slope_b * slope_b)) ** 3
+    cos_b = 1.0 / np.sqrt(1.0 + slope_b * slope_b)
     with np.errstate(over="ignore"):  # a subnormal mu gives the limit kappa = 0
-        drag = (k / (1.0 + k * H / (2.0 * mu)) if mu > 0.0 else k) / cos3_b
+        drag = (k / (1.0 + k * H / (2.0 * mu)) if mu > 0.0 else k) / (cos_b * cos_b * cos_b)
     V = -drag * u
     if mu > 0.0:
         r = ddx_adjoint(H * s_zx, dx, bc)

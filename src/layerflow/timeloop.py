@@ -148,17 +148,18 @@ CG_TOL = 1e-6       # stop at |r| <= CG_TOL |dt A u*|, the stage's right-hand si
 def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.ndarray,
                           c: np.ndarray, dt: float) -> np.ndarray:
     """delta with (h - dt/2 A) delta = b, A = `apply`, by preconditioned
-    conjugate gradients from delta = 0.  Preconditioner: each column's
-    diag(w) + layer Laplacian of weights c (N-1, n), factored L D L^T from
-    its grounded parts G (Thomas), so no pivot falls below w, however large c."""
+    conjugate gradients from delta = 0, over numpy's pairwise sums (not BLAS).
+    Preconditioner: each column's diag(w) + layer Laplacian of weights c
+    (N-1, n), factored L D L^T from its grounded parts G (Thomas), so no
+    pivot falls below w, however large c."""
     G, D, m = w.copy(), np.empty_like(w), np.empty_like(c)
     for a in range(len(c)):
         np.add(G[a], c[a], out=D[a])
         np.divide(c[a], D[a], out=m[a])
         G[a + 1] += m[a] * G[a]
     D[-1] = G[-1]
-    r, rr, rz, delta = b, np.vdot(b, b), 1.0, np.zeros_like(b)
-    p = delta
+    r, rr, rz = b, np.add.reduce((b * b).ravel()), 1.0
+    delta = p = np.zeros_like(b)
     tol2 = CG_TOL * CG_TOL * rr
     for k in range(CG_MAX_ITER + 1):
         if rr <= tol2 < np.inf:
@@ -172,13 +173,13 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         z /= D
         for a in range(len(m) - 1, -1, -1):
             z[a] += m[a] * z[a + 1]
-        rz_prev, rz = rz, np.vdot(r, z)
+        rz_prev, rz = rz, np.add.reduce((r * z).ravel())
         p = z + (rz / rz_prev) * p
         Ap = h * p - (0.5 * dt) * apply(p)
-        alpha = rz / np.vdot(p, Ap)
+        alpha = rz / np.add.reduce((p * Ap).ravel())
         delta = delta + alpha * p
         r = r - alpha * Ap
-        rr = np.vdot(r, r)
+        rr = np.add.reduce((r * r).ravel())
 
 
 def viscous_stage(state: LayerState, dt: float,
@@ -209,8 +210,8 @@ def viscous_stage(state: LayerState, dt: float,
             w, cs, dt)
     hd, um = h * delta, u + 0.5 * delta
     state.q += hd
-    power = float(np.vdot(hd, um)) * scn.dx / dt
-    fric = power if p.mu == 0.0 else -float(np.vdot(drag * um[0], um[0])) * scn.dx + 0.0
+    power = float(np.add.reduce((hd * um).ravel())) * scn.dx / dt
+    fric = power if p.mu == 0.0 else -float(np.add.reduce(drag * um[0] * um[0])) * scn.dx + 0.0
     return geom, power - fric, fric
 
 

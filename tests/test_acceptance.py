@@ -16,7 +16,9 @@ from layerflow import acceptance, energy
 # rose from 0.8 to 0.9 (max|u| 1.85e-15, drift 4.44e-16 over 560 steps,
 # 1.55e-15 / 8.88e-16, step growth -1.39e-04 and trajectory gap 4.16e-16 before)
 DETAILS = {
-    1: "max|u|=1.83e-15 (<=1e-12), max|eta-eta0|=6.66e-16 (<=1e-12), wall=…s (<5s)",
+    # the lake's bump bed takes an exp of exact IEEE operations, within
+    # 1 ulp of np.exp: 1.83e-15 before
+    1: "max|u|=1.94e-15 (<=1e-12), max|eta-eta0|=6.66e-16 (<=1e-12), wall=…s (<5s)",
     2: "relative drift=1.48e-16 over 498 steps (<=1e-12)",
     3: "max|u_a-u|=1.23e-15, max|H4-H1|=4.44e-16 (<=1e-10)",
     4: "L1 errors 6.254e-02 -> 3.656e-02, order=0.77 (>=0.7), wall=…s (<30s)",
@@ -26,8 +28,9 @@ DETAILS = {
     8: "monotone=True, rate=0.09743 vs oracle 0.09743 (gap 0.0%, <=10%), wall=…s (<10s)",
     # both trajectories pass their viscous operators through the implicit
     # stage, whose conjugate-gradient sums round differently: 2.22e-16 at
-    # CFL 0.8 before that stage
-    9: "rhs gap=3.68e-16 (<=1e-14), trajectory gap after 100 steps=5.83e-16 (<=1e-12)",
+    # CFL 0.8 before that stage; 5.83e-16 while those sums were OpenBLAS's
+    # and the bed's cos^3 was `** 3`
+    9: "rhs gap=3.68e-16 (<=1e-14), trajectory gap after 100 steps=6.66e-16 (<=1e-12)",
     10: "upwind terms nonpositive=True, match closed form=True, "
         "anti-upwind witness=39.254 (>0)",
     11: "k_l=0: rate error 5.0e-02 -> 8.0e-04 (order 2.00), profile error 1.0e-02 -> "
