@@ -147,11 +147,10 @@ CG_TOL = 1e-6       # stop at |r| <= CG_TOL |dt A u*|, the stage's right-hand si
 
 def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.ndarray,
                           c: np.ndarray, dt: float) -> np.ndarray:
-    """delta with (h - dt/2 A) delta = b, A = `apply`, by preconditioned
-    conjugate gradients from delta = 0, over numpy's pairwise sums (not BLAS).
-    Preconditioner: each column's diag(w) + layer Laplacian of weights c
-    (N-1, n), factored L D L^T from its grounded parts G (Thomas), so no
-    pivot falls below w, however large c."""
+    """delta with (h - dt/2 A) delta = b, A = `apply`, by preconditioned CG
+    from delta = 0 over numpy's pairwise sums.  Preconditioner: each column's
+    diag(w) + layer Laplacian of weights c (N-1, n), factored L D L^T from
+    its grounded parts G (Thomas), so no pivot falls below w, however large c."""
     G, D, m = w.copy(), np.empty_like(w), np.empty_like(c)
     for a in range(len(c)):
         np.add(G[a], c[a], out=D[a])
@@ -211,6 +210,7 @@ def viscous_stage(state: LayerState, dt: float,
     hd, um = h * delta, u + 0.5 * delta
     state.q += hd
     power = float(np.add.reduce((hd * um).ravel())) * scn.dx / dt
+    # the wall law's drain at the mean velocity; + 0.0 books a zero drain as +0.0, not -0.0
     fric = power if p.mu == 0.0 else -float(np.add.reduce(drag * um[0] * um[0])) * scn.dx + 0.0
     return geom, power - fric, fric
 
