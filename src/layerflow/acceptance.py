@@ -288,7 +288,7 @@ def criterion_9() -> CriterionResult:
     # from sv_rhs and its stage on sv_viscous
     def rhsB(s: LayerState) -> RhsEval:
         dH, dq = sv_rhs(s.H, s.q[0], zb, p.g, 0.0, 0.0, 0.0, dx, bc)
-        return RhsEval(dH, dq[None])
+        return RhsEval(dH, dq[None], (0, n))
 
     def stageB(s: LayerState, dt: float):  # the wall law frozen at u*, as in viscous_stage
         u = sv_velocity(s.H, s.q[0])
@@ -301,7 +301,7 @@ def criterion_9() -> CriterionResult:
     frames = [frame for _, frame in itertools.islice(accepted_steps(scn), 101)]
     sA, sB = frames[-1][2], frames[0][2].copy()
     for _, d, _ in frames[:-1]:
-        sB = step(sB, d.dt, rhsB)
+        sB = step(sB, d.dt, rhsB(sB), rhsB)
         stageB(sB, d.dt)
     scale = max(1.0, float(np.abs(sA.H).max()), float(np.abs(sA.q).max()))
     gap_traj = max(float(np.abs(sA.H - sB.H).max()),

@@ -24,15 +24,14 @@ diffusion, at one evaluation a step.
 An evaluation computes velocities, layer thicknesses and fluxes once, on
 its wet window (`wet_window`) and the window's bed (`Bathymetry.cells`),
 outside which the state is a dry bed at rest.  Its diagnostics, the
-audit's sums and the stable step, are built when first read, at the
-accepted states where `accepted_steps`, the one stepping loop, audits
+audit's sums and the stable step, are built by `diagnose()` at the
+accepted states, where `accepted_steps`, the one stepping loop, audits
 and steps.  The viscous stage covers the whole domain, whose derivatives
 a window edge would change, and holds the dry columns; the next audit
 reuses its geometry when its window is the whole domain.
 """
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -64,24 +63,17 @@ class Diagnostics:
     diss_exchange: float
 
 
+@dataclass
 class RhsEval:
-    """Tendencies of one state on its cells [a, b) = `window`, by default
-    all of them, outside which the state is a dry bed at rest.  `diagnose`
-    builds the diagnostics from what the evaluation computed, on first
-    access, so an evaluation whose diagnostics nobody reads pays nothing."""
+    """Tendencies of one state on its cells [a, b) = `window`, outside which
+    the state is a dry bed at rest.  `diagnose` builds the diagnostics from
+    what the evaluation computed; the stepping loop calls it once per
+    accepted state, so an evaluation nobody audits pays nothing."""
 
-    def __init__(self, dH: np.ndarray, dq: np.ndarray,
-                 window: Optional[tuple[int, int]] = None,
-                 diagnose: Optional[Callable[[], Diagnostics]] = None):
-        self.dH = dH
-        self.dq = dq
-        self.window = window if window is not None else (0, dH.size)
-        self._diagnose = diagnose
-
-    @functools.cached_property
-    def diag(self) -> Optional[Diagnostics]:
-        diagnose, self._diagnose = self._diagnose, None
-        return diagnose() if diagnose is not None else None
+    dH: np.ndarray
+    dq: np.ndarray
+    window: tuple[int, int]
+    diagnose: Optional[Callable[[], Diagnostics]] = None
 
 
 def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenario) -> float:
@@ -114,12 +106,11 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float) -> LayerState:
     return state
 
 
-def step(state: LayerState, dt: float, rhs: Callable[[LayerState], RhsEval],
-         integrator: str = SSP_RK2, neg_tol: float = 1e-10,
-         first_stage: Optional[RhsEval] = None) -> LayerState:
-    """Advance one step with forward Euler or two-stage SSP Runge-Kutta;
-    each stage updates and clips the cells of its evaluation's window."""
-    r1 = first_stage if first_stage is not None else rhs(state)
+def step(state: LayerState, dt: float, r1: RhsEval, rhs: Callable[[LayerState], RhsEval],
+         integrator: str = SSP_RK2, neg_tol: float = 1e-10) -> LayerState:
+    """Advance one step with forward Euler or two-stage SSP Runge-Kutta from
+    `r1`, the evaluation of `state`; `rhs` makes SSP-RK2's second.  Each
+    stage updates and clips the cells of its evaluation's window."""
     a, b = r1.window
     s1 = state.copy()
     s1.H[a:b] += dt * r1.dH
@@ -188,19 +179,18 @@ def viscous_stage(state: LayerState, dt: float,
     and the stage's mean stress and friction power."""
     H, part, p = state.H, scn.partition, scn.physics
     geom = build_geometry(H, scn.bed, part)
-    h, dry = geom.h, (None if H.min() > H_DRY else H <= H_DRY)
+    h, dry = geom.h, H <= H_DRY
     u = velocities(H, state.q, part, h=h)
 
     def masked(V):
-        if dry is not None:
-            V[:, dry] = 0.0
+        V[:, dry] = 0.0
         return V
 
     # a stress beyond the float range leaves |r|^2 non-finite, and the stage aborts located
     with np.errstate(over="ignore", invalid="ignore"):
         S = stress_closure(p, H, u, geom)  # the wall law frozen at u*
         drag = S.kappa / geom.cos3_b
-        hp = h if dry is None else np.where(dry, 1.0, h)  # a dry column's rows stay regular
+        hp = np.where(dry, 1.0, h)  # a dry column's rows stay regular
         cs = (dt * p.mu) / (hp[:-1] + hp[1:])  # dt/2 mu / gap, the shear across a gap
         w = np.concatenate(((hp[0] + (0.5 * dt) * drag)[None], hp[1:]))  # the wall law grounds it
         delta = trapezoidal_increment(
@@ -238,7 +228,7 @@ def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], Scenari
         h = layer_thicknesses(H, part) if geom is None else geom.h
         u = velocities(H, q, part, h=h)
         dH, dq, G = euler_rhs(H, q, bed, part, g, u=u)
-        # the geometry is built for the diagnostics, if read
+        # the geometry is built for the diagnostics, if audited
         return RhsEval(dH, dq, (a, b), lambda: _diagnostics(
             scn, H, u, G, (a, b),
             geom if geom is not None else build_geometry(H, bed, part, h)))
@@ -342,7 +332,7 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
     try:
         while True:
             r = rhs(state, geom)  # the first stage of step step_no
-            d, last = r.diag, not t < t_end * (1.0 - 1e-13)
+            d, last = r.diagnose(), not t < t_end * (1.0 - 1e-13)
             if take := last or t >= due * (1.0 - 1e-12):
                 due = next_snapshot_time(t, every)
             # the frame is not bound here, so a consumer alone decides how long it lives
@@ -357,7 +347,7 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
                 raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
                                   f"steps, over the budget of {max_steps}")
             dt = min(dt, t_end - t)
-            state = step(state, dt, rhs, controls.integrator, neg_tol=neg_tol, first_stage=r)
+            state = step(state, dt, r, rhs, controls.integrator, neg_tol=neg_tol)
             if viscous:
                 geom, *power = viscous_stage(state, dt, scn)
             t += dt

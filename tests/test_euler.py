@@ -462,7 +462,7 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
     g, part = ctx.g, ctx.partition
     for trial in range(15):
         H, q = _dry_stretch_state(rng, N, kind)
-        d = rhs(LayerState(H, q)).diag
+        d = rhs(LayerState(H, q)).diagnose()
         _, table = output.snapshot_frame(0.0, H, d, ctx)
         names = output.snapshot_header(N)
         frame = {c: table[[i for i, name in enumerate(names) if name.startswith(c)]]

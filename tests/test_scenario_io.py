@@ -398,7 +398,7 @@ def test_a_snapshot_frame_has_one_row_per_header_column(N):
                    init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.5),
                    physics=PhysicsSpec(g=9.81))
     state, rhs, _ = timeloop.make_rhs(scn)
-    t, table = output.snapshot_frame(0.5, state.H, rhs(state).diag, scn)
+    t, table = output.snapshot_frame(0.5, state.H, rhs(state).diagnose(), scn)
     names = snapshot_header(N)
     assert t == 0.5 and table.shape == (len(names), 16)
     for name, want in (("x", scn.mesh.x), ("zb", scn.bed.zb), ("H", state.H)):

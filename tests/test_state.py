@@ -110,6 +110,7 @@ def test_layer_sums_match_the_cumsum_formulas_bitwise(N):
 PART2 = LayerPartition.uniform(2)
 BED3 = make_bathymetry(np.zeros(3), 1.0, "periodic")
 STILL3 = LayerState(np.ones(3), np.zeros((1, 3)))
+REST3 = RhsEval(np.zeros(3), np.zeros((1, 3)), (0, 3))  # STILL3's tendencies
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -126,7 +127,7 @@ STILL3 = LayerState(np.ones(3), np.zeros((1, 3)))
      ValueError, "3 discharge rows for 2 layers"),
     (lambda: exchange_fluxes(np.zeros((3, 3)), PART2),
      ValueError, "3 divergence rows for 2 layers"),
-    (lambda: step(STILL3, 0.1, lambda s: RhsEval(np.zeros(3), np.zeros((1, 3))), "leapfrog"),
+    (lambda: step(STILL3, 0.1, REST3, lambda s: REST3, "leapfrog"),
      ValueError, "unknown integrator 'leapfrog'"),
     (lambda: sv_rhs(np.array([1.0, np.inf, 1.0]), np.zeros(3), np.zeros(3), 9.81,
                     0.0, 0.0, 0.0, 1.0, "periodic"),

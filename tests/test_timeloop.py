@@ -137,7 +137,7 @@ def test_a_subnormal_friction_coefficient_bounds_nothing(key, kappa):
 
 
 def _decay_rhs(state):
-    return RhsEval(dH=-state.H, dq=-state.q)
+    return RhsEval(dH=-state.H, dq=-state.q, window=(0, state.H.size))
 
 
 def test_make_context_validates_the_scenario():
@@ -163,9 +163,10 @@ def test_step_forward_euler_and_rk2_on_linear_decay():
     H = np.full(5, 2.0)
     q = np.full((1, 5), 1.0)
     dt = 0.125
-    fe = step(LayerState(H.copy(), q.copy()), dt, _decay_rhs, "forward-euler")
+    state = LayerState(H, q)  # step leaves its input as it was
+    fe = step(state, dt, _decay_rhs(state), _decay_rhs, "forward-euler")
     assert np.allclose(fe.H, 2.0 * (1.0 - dt), rtol=0, atol=0)
-    rk = step(LayerState(H.copy(), q.copy()), dt, _decay_rhs, "ssp-rk2")
+    rk = step(state, dt, _decay_rhs(state), _decay_rhs, "ssp-rk2")
     factor = 1.0 - dt + 0.5 * dt * dt
     assert np.allclose(rk.H, 2.0 * factor, rtol=1e-15)
     assert np.allclose(rk.q, 1.0 * factor, rtol=1e-15)
@@ -176,9 +177,10 @@ def test_step_clips_roundoff_negatives():
     q = np.array([[0.5, 0.5]])
 
     def rhs(state):
-        return RhsEval(dH=np.array([-2e-2, 0.0]), dq=np.zeros((1, 2)))
+        return RhsEval(dH=np.array([-2e-2, 0.0]), dq=np.zeros((1, 2)), window=(0, 2))
 
-    out = step(LayerState(H, q), 1e-12, rhs, "forward-euler")
+    state = LayerState(H, q)
+    out = step(state, 1e-12, rhs(state), rhs, "forward-euler")
     assert out.H[0] == 0.0
     assert out.q[0, 0] == 0.0
     assert out.H[1] == 1.0
@@ -189,10 +191,11 @@ def test_step_aborts_on_real_negatives_with_cell_context():
     q = np.zeros((1, 3))
 
     def rhs(state):
-        return RhsEval(dH=np.array([0.0, 0.0, -10.0]), dq=np.zeros((1, 3)))
+        return RhsEval(dH=np.array([0.0, 0.0, -10.0]), dq=np.zeros((1, 3)), window=(0, 3))
 
+    state = LayerState(H, q)
     with pytest.raises(SolverAbort) as err:
-        step(LayerState(H, q), 0.1, rhs, "forward-euler")
+        step(state, 0.1, rhs(state), rhs, "forward-euler")
     # the kernel names the cell; the stepping loop alone adds step and time
     assert err.value.cell == 2 and err.value.step is None and err.value.time is None
     assert str(err.value).endswith(" (cell 2)")
@@ -203,10 +206,11 @@ def test_step_aborts_on_nonfinite_updates():
     q = np.zeros((1, 3))
 
     def rhs(state):
-        return RhsEval(dH=np.array([0.0, np.nan, 0.0]), dq=np.zeros((1, 3)))
+        return RhsEval(dH=np.array([0.0, np.nan, 0.0]), dq=np.zeros((1, 3)), window=(0, 3))
 
+    state = LayerState(H, q)
     with pytest.raises(SolverAbort):
-        step(LayerState(H, q), 0.1, rhs, "forward-euler")
+        step(state, 0.1, rhs(state), rhs, "forward-euler")
 
 
 def _smooth_scenario(**over):
@@ -275,9 +279,8 @@ def test_inviscid_tendencies_leave_geometry_to_accepted_states(monkeypatch):
     built = _record_geometry(monkeypatch)
     r = rhs(state)
     assert built == []
-    d = r.diag
+    r.diagnose()
     assert len(built) == 1
-    assert r.diag is d and len(built) == 1
     assert (built[0][1].h.sum(axis=0) == state.H).all()
 
 
@@ -296,7 +299,7 @@ def test_inviscid_audit_reconstructs_no_w(monkeypatch):
     in_output = _count_reconstruct_w(monkeypatch, output)
     scn = _smooth_scenario(boundary="wall")
     state, rhs, ctx = make_rhs(scn)
-    d = rhs(state).diag
+    d = rhs(state).diagnose()
     assert np.isfinite(d.influx)
     assert in_closure == []
     output.snapshot_frame(0.0, state.H, d, ctx)
@@ -320,7 +323,7 @@ def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
     in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
     state, rhs, ctx = make_rhs(_moving_viscous_scenario())
-    d = rhs(state).diag
+    d = rhs(state).diagnose()
     assert np.isfinite(d.influx) and (in_closure, in_output) == ([], [])
     closures = []
     real = timeloop.stress_closure
@@ -365,7 +368,7 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     # geometry and reads no slope field
     reads = _record_slope_reads(monkeypatch)
     state, rhs, ctx = make_rhs(_moving_viscous_scenario())
-    dt = rhs(state).diag.dt
+    dt = rhs(state).diagnose().dt
     built = _record_geometry(monkeypatch)
     assert reads == []
     geom, _, _ = timeloop.viscous_stage(state, dt, ctx)
@@ -375,7 +378,7 @@ def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
     assert geom.dz_if_dx is slope
     assert np.array_equal(slope, ddx(geom.z_if, ctx.dx, ctx.bed.bc))
     reads.clear()
-    rhs(state, geom).diag
+    rhs(state, geom).diagnose()
     assert len(built) == 1 and reads == []
 
 
@@ -452,7 +455,7 @@ def test_the_windowed_audit_builds_its_geometry_on_the_window_bed(monkeypatch):
     state, rhs, ctx = make_rhs(scn)
     built.clear()
     r = rhs(state)
-    r.diag
+    r.diagnose()
     (a, b), ((bed, geom),) = r.window, built
     assert b < ctx.mesh.n_cells
     for name, stop in (("zb", b), ("cos3", b),
@@ -505,7 +508,7 @@ def test_rk2_is_second_order_in_time():
     def advance(dt, steps):
         s = state0
         for k in range(steps):
-            s = step(s, dt, rhs, "ssp-rk2")
+            s = step(s, dt, rhs(s), rhs, "ssp-rk2")
         return s
 
     T = 0.04
@@ -588,7 +591,7 @@ def test_windowed_step_matches_the_whole_domain_bitwise(bc, N, integrator):
 
     def whole_rhs(state):
         dH, dq, _ = euler_rhs(state.H, state.q, ctx.bed, ctx.partition, ctx.g)
-        return RhsEval(dH, dq)
+        return RhsEval(dH, dq, (0, STEP_N))
 
     grew = 0
     for trial in range(20):
@@ -597,7 +600,8 @@ def test_windowed_step_matches_the_whole_domain_bitwise(bc, N, integrator):
         speed = _max_wave_speed(H, velocities(H, q, ctx.partition), ctx.g)
         dt = 0.45 * ctx.dx / speed if speed > 0.0 else 1e-3
         windows = []
-        got = step(state, dt, _recording(rhs, windows), integrator)
+        recorded = _recording(rhs, windows)
+        got = step(state, dt, recorded(state), recorded, integrator)
         _assert_same_state(state, LayerState(H, q))  # the input is left as it was
         assert windows[0] != (0, STEP_N) or bc == "periodic"
         want = _step_whole_domain(state.copy(), dt, whole_rhs, integrator, 1e-10)
@@ -619,7 +623,7 @@ def _fixed_rhs(dH, dq, windowed):
             return RhsEval(dH[a:b].copy(), dq[:, a:b].copy(), (a, b))
         full_H, full_q = np.full(n, -0.0), np.zeros_like(dq)
         full_H[a:b], full_q[:, a:b] = dH[a:b], dq[:, a:b]
-        return RhsEval(full_H, full_q)
+        return RhsEval(full_H, full_q, (0, n))
     return rhs
 
 
@@ -644,8 +648,9 @@ def test_rk2_combination_covers_both_stage_windows(change):
         # stage 1 wets the cell past the water, stage 2 the one beyond
         dH[20:22], dq[:, 20:22] = 0.5, 0.2
         changed, windows_want, cell = "grow", [(9, 21), (9, 22)], 21
-    windows = []
-    got = step(LayerState(H, q), dt, _recording(_fixed_rhs(dH, dq, True), windows), "ssp-rk2")
+    windows, state = [], LayerState(H, q)
+    recorded = _recording(_fixed_rhs(dH, dq, True), windows)
+    got = step(state, dt, recorded(state), recorded, "ssp-rk2")
     want = _step_whole_domain(LayerState(H, q), dt, _fixed_rhs(dH, dq, False), "ssp-rk2", 1e-10)
     assert windows == windows_want, changed
     _assert_same_state(got, want)
@@ -665,8 +670,9 @@ def test_step_names_the_domain_cell_of_a_failed_update_in_a_window(bad, integrat
         dH[13 - a] = bad
         return RhsEval(dH, np.zeros((2, b - a)), (a, b))
 
+    state = LayerState(H, q)
     with pytest.raises(SolverAbort) as err:
-        step(LayerState(H, q), 0.1, rhs, integrator)
+        step(state, 0.1, rhs(state), rhs, integrator)
     assert err.value.cell == 13 and err.value.step is None
     assert str(err.value).endswith(" (cell 13)")
 
@@ -783,7 +789,8 @@ def test_only_the_stepping_loop_gives_an_abort_its_step_and_time():
 def test_only_the_stepping_loop_steps_a_scenario():
     # a hand-written loop elsewhere would be checked in place of the one the
     # program runs: outside timeloop.py no call reaches make_rhs or
-    # viscous_stage, and none hands step a first stage
+    # viscous_stage, and none audits an evaluation, so the loop alone
+    # calls diagnose
     found = []
     for path in sorted(Path(timeloop.__file__).parent.glob("*.py")):
         if path.name == "timeloop.py":
@@ -792,8 +799,7 @@ def test_only_the_stepping_loop_steps_a_scenario():
             if not isinstance(call, ast.Call):
                 continue
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-            if (name in ("make_rhs", "viscous_stage")
-                    or any(k.arg == "first_stage" for k in call.keywords)):
+            if name in ("make_rhs", "viscous_stage", "diagnose"):
                 found.append((path.name, call.lineno, name))
     assert found == []
 
@@ -887,7 +893,7 @@ def test_a_viscous_stage_over_the_iteration_cap_aborts_located():
     scn = _smooth_scenario(mesh=MeshSpec(0.0, 1.0, 160), boundary="wall",
                            physics=PhysicsSpec(g=9.81, mu=1e5, k_l=0.01))
     state, rhs, _ = make_rhs(scn)
-    first_dt = rhs(state).diag.dt
+    first_dt = rhs(state).diagnose().dt
     with pytest.raises(SolverAbort, match=f"did not converge: .* after {timeloop.CG_MAX_ITER} "
                        "iterations") as err:
         run(scn)
