@@ -1,7 +1,13 @@
 """Discrete mechanical-energy audit.
 
-Each layer carries E_a = h_a (u_a^2/2 + g z_mid,a).  Two sink terms are
-tracked exactly from the scheme's own quantities:
+Each layer carries E_a = h_a (u_a^2/2 + g z_mid,a).  The audit reads the
+column energy of the multilayer Saint-Venant system (Audusse, Bristeau,
+Perthame & Sainte-Marie, ESAIM: M2AN 45, 2011) in closed form from (H, q,
+z_b) and u, with no layer geometry: a cell holds E = 1/2 sum_a q_a u_a +
+g H (z_b + H/2), which the E_a sum to in exact arithmetic, and a
+transmissive end passes sum_a u_a (E_a + h_a p_mid,a) = sum_a q_a (u_a^2/2
++ g (z_b + H)).  The viscous terms do no boundary work.  Two sink terms
+are tracked exactly from the scheme's own quantities:
 
   * exchange dissipation: every interface transfer G destroys kinetic
     energy at rate (1/2) (u_above - u_below)^2 |G| because the upwinded
@@ -67,16 +73,6 @@ def newtonian_dissipation(
         return 0.0, friction_part
     quad = geom.h_half * (S.xx_if * S.xx_if + S.zx_if * S.zx_if)
     return float(-(quad.sum() / mu) * dx), friction_part
-
-
-def energy_flux_density(
-    u: np.ndarray, h: np.ndarray, E: np.ndarray, p_mid: np.ndarray,
-) -> np.ndarray:
-    """Horizontal energy flux u (E + h p) per cell (n,), its layers added in
-    row order, from +0.0, as numpy sums many cells over axis 0 (one column
-    it sums pairwise); for the budget at transmissive ends.  The viscous
-    terms do no boundary work: their work is the dissipation."""
-    return np.cumsum(u * (E + h * p_mid), axis=0)[-1] + 0.0  # a -0.0 sum is +0.0
 
 
 def budget_residuals(

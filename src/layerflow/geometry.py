@@ -156,16 +156,8 @@ def layer_thicknesses(H: np.ndarray, part: LayerPartition) -> np.ndarray:
     return h
 
 
-def build_geometry(
-    H: np.ndarray,
-    bathy: Bathymetry,
-    part: LayerPartition,
-    h: np.ndarray | None = None,
-) -> InterfaceGeometry:
-    """Assemble the layer geometry for a depth field H >= 0.
-
-    `h` is layer_thicknesses(H, part) when the caller already has it.
-    """
+def build_geometry(H: np.ndarray, bathy: Bathymetry, part: LayerPartition) -> InterfaceGeometry:
+    """Assemble the layer geometry for a depth field H >= 0."""
     H = np.asarray(H, dtype=float)
     if not np.isfinite(H).all():
         raise ValueError("depth field must be finite")
@@ -177,8 +169,7 @@ def build_geometry(
 
     n = H.size
     N = part.n_layers
-    if h is None:
-        h = layer_thicknesses(H, part)
+    h = layer_thicknesses(H, part)
 
     z_if = np.empty((N + 1, n))
     z_if[0] = bathy.zb

@@ -21,14 +21,13 @@ up to 2.1e-6 of the total in a step at CFL 0.9, three layers at u = 0.5
 over a bump); on dam breaks and dry fronts it partly cancels the flux's
 diffusion, at one evaluation a step.
 
-An evaluation computes velocities, layer thicknesses and fluxes once, on
-its wet window (`wet_window`) and the window's bed (`Bathymetry.cells`),
-outside which the state is a dry bed at rest.  Its diagnostics, the
-audit's sums and the stable step, are built by `diagnose()` at the
+An evaluation computes velocities and fluxes once, on its wet window
+(`wet_window`) and the window's bed (`Bathymetry.cells`), outside which
+the state is a dry bed at rest.  `diagnose()` builds its stable step and
+audit sums from (H, q, z_b) and u, by `energy`'s closed forms, at the
 accepted states, where `accepted_steps`, the one stepping loop, audits
-and steps.  The viscous stage covers the whole domain, whose derivatives
-a window edge would change, and holds the dry columns; the next audit
-reuses its geometry when its window is the whole domain.
+and steps.  A step builds one geometry, the viscous stage's, which covers
+the whole domain, whose derivatives a window edge would change.
 """
 from __future__ import annotations
 
@@ -41,11 +40,11 @@ import numpy as np
 from . import energy as energy_mod
 from .errors import SolverAbort
 from .euler import euler_rhs, wet_window
-from .geometry import InterfaceGeometry, build_geometry, layer_thicknesses
+from .geometry import InterfaceGeometry, build_geometry
 from .gridops import TRANSMISSIVE, widen
 from .rheology import stress_closure, viscous_rhs
 from .scenario import FORWARD_EULER, SSP_RK2, Scenario
-from .state import H_DRY, LayerState, hydrostatic_pressures, velocities
+from .state import H_DRY, LayerState, velocities
 
 
 @dataclass
@@ -76,10 +75,13 @@ class RhsEval:
     diagnose: Optional[Callable[[], Diagnostics]] = None
 
 
-def stable_dt(H: np.ndarray, u: np.ndarray, geom: InterfaceGeometry, scn: Scenario) -> float:
-    """The advective CFL step over the wet cells of an evaluation's window;
-    `geom` is not read, since the viscous stage is stable at any step.  The
-    fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are dry.
+def stable_dt(H: np.ndarray, u: np.ndarray, geom: Optional[InterfaceGeometry],
+              scn: Scenario) -> float:
+    """The advective CFL step over the wet cells of an evaluation's window,
+    whose fastest wave is |u_a| + sqrt(g H), or sqrt(g H_DRY) when all are
+    dry.  `geom` is not read (the audit passes None): it stays only for the
+    benchmark's tracer, which wraps this function with four arguments,
+    until ROADMAP item 8.
     A step that underflows to 0 is left to the stepping loop's collapse check."""
     speed = np.abs(u).max(axis=0) + np.sqrt(scn.g * np.maximum(H, 0.0))
     if H.min() <= H_DRY:  # exact, since the clipped state is finite
@@ -172,11 +174,10 @@ def trapezoidal_increment(h: np.ndarray, b: np.ndarray, apply: Callable, w: np.n
         rr = np.add.reduce((r * r).ravel())
 
 
-def viscous_stage(state: LayerState, dt: float,
-                  scn: Scenario) -> tuple[InterfaceGeometry, float, float]:
+def viscous_stage(state: LayerState, dt: float, scn: Scenario) -> tuple[float, float]:
     """One trapezoidal stage of the stresses and the wall law on `state.q`,
-    in place, with the dry columns held.  Returns the geometry of the depth
-    and the stage's mean stress and friction power."""
+    in place, with the dry columns held.  Returns the stage's mean stress
+    and friction power."""
     H, part, p = state.H, scn.partition, scn.physics
     geom = build_geometry(H, scn.bed, part)
     h, dry = geom.h, H <= H_DRY
@@ -202,7 +203,7 @@ def viscous_stage(state: LayerState, dt: float,
     power = float(np.add.reduce((hd * um).ravel())) * scn.dx / dt
     # the wall law's drain at the mean velocity; + 0.0 books a zero drain as +0.0, not -0.0
     fric = power if p.mu == 0.0 else -float(np.add.reduce(drag * um[0] * um[0])) * scn.dx + 0.0
-    return geom, power - fric, fric
+    return power - fric, fric
 
 
 def make_context(scn: Scenario) -> Scenario:
@@ -213,49 +214,41 @@ def make_context(scn: Scenario) -> Scenario:
 
 
 def make_rhs(scn: Scenario) -> tuple[LayerState, Callable[..., RhsEval], Scenario]:
-    """A copy of a scenario's initial state plus the transport right-hand-side
-    closure, which takes the whole-domain geometry of the depth if built."""
+    """A copy of a scenario's initial state plus the transport right-hand-side closure."""
     bathy, H0, q0 = make_context(scn).built
-    part, g, n = scn.partition, scn.g, H0.size
+    part, g = scn.partition, scn.g
 
-    def rhs(state: LayerState, geom: Optional[InterfaceGeometry] = None) -> RhsEval:
+    def rhs(state: LayerState) -> RhsEval:
         # only the wet window's cells change
         a, b = wet_window(state.H, state.q, bathy.bc)
-        if (a, b) != (0, n):
-            geom = None
         bed = bathy.cells(a, b)
         H, q = state.H[a:b], state.q[:, a:b]
-        h = layer_thicknesses(H, part) if geom is None else geom.h
-        u = velocities(H, q, part, h=h)
+        u = velocities(H, q, part)
         dH, dq, G = euler_rhs(H, q, bed, part, g, u=u)
-        # the geometry is built for the diagnostics, if audited
-        return RhsEval(dH, dq, (a, b), lambda: _diagnostics(
-            scn, H, u, G, (a, b),
-            geom if geom is not None else build_geometry(H, bed, part, h)))
+        return RhsEval(dH, dq, (a, b), lambda: _diagnostics(scn, H, q, u, G, (a, b), bed.zb))
 
     return LayerState(H0.copy(), q0.copy()), rhs, scn
 
 
-def _diagnostics(scn: Scenario, H: np.ndarray, u: np.ndarray, G: np.ndarray,
-                 window: tuple[int, int], geom: InterfaceGeometry) -> Diagnostics:
-    """Stable step and audit sums of one evaluation on its window [a, b).
-
-    The layer energies and the exchange dissipation are widened with the
-    dry bed's zeros before their sums: a sum over the window would round
-    differently.  Only u and G outlive the call.
-    """
+def _diagnostics(scn: Scenario, H: np.ndarray, q: np.ndarray, u: np.ndarray, G: np.ndarray,
+                 window: tuple[int, int], zb: np.ndarray) -> Diagnostics:
+    """Stable step and audit sums of one evaluation on its window [a, b) of
+    bed heights zb.  Layers add in row order from +0.0 (`sum` over rows), so
+    a window's columns round like the whole domain's; the cell energies and
+    the exchange dissipation are widened with the dry bed's zeros before
+    their sums, which would round differently over the window.  Only u and
+    G outlive the call."""
     a, b = window
-    n = scn.mesh.n_cells
-    E = energy_mod.layer_energies(u, geom, scn.g)
+    n, g = scn.mesh.n_cells, scn.g
+    E = 0.5 * sum(q * u) + g * H * (zb + 0.5 * H)
     influx = 0.0
     # water crosses transmissive ends only: the mirrored traces at a wall
     # carry no mass flux
     if scn.bed.bc == TRANSMISSIVE and (a == 0 or b == n):
-        e, h = [0, -1], geom.h[:, [0, -1]]  # the window's end columns
-        flux = energy_mod.energy_flux_density(u[:, e], h, E[:, e],
-                                              hydrostatic_pressures(h, scn.g)[0])
+        e = [0, -1]  # the window's end columns
+        flux = sum(q[:, e] * (0.5 * u[:, e] * u[:, e] + g * (zb[e] + H[e])))
         influx = float((flux[0] if a == 0 else 0.0) - (flux[-1] if b == n else 0.0))
-    return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, geom, scn),
+    return Diagnostics(u=u, G=G, window=window, dt=stable_dt(H, u, None, scn),
                        energy=float(widen(E, a, n).sum() * scn.dx), influx=influx,
                        diss_exchange=energy_mod.exchange_dissipation(u, G, scn.dx, a, n))
 
@@ -328,10 +321,10 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
     dx, t_end = scn.dx, controls.t_end
     every = scn.output.snapshot_every
     neg_tol = 1e-10 * max(1.0, float(state.H.max()))
-    t, step_no, due, geom, power = 0.0, 0, 0.0, None, (0.0, 0.0)
+    t, step_no, due, power = 0.0, 0, 0.0, (0.0, 0.0)
     try:
         while True:
-            r = rhs(state, geom)  # the first stage of step step_no
+            r = rhs(state)  # the first stage of step step_no
             d, last = r.diagnose(), not t < t_end * (1.0 - 1e-13)
             if take := last or t >= due * (1.0 - 1e-12):
                 due = next_snapshot_time(t, every)
@@ -349,7 +342,7 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
             dt = min(dt, t_end - t)
             state = step(state, dt, r, rhs, controls.integrator, neg_tol=neg_tol)
             if viscous:
-                geom, *power = viscous_stage(state, dt, scn)
+                power = viscous_stage(state, dt, scn)
             t += dt
             step_no += 1
             if step_no > max_steps:

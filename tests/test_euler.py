@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from layerflow import output, timeloop
-from layerflow.energy import energy_flux_density, exchange_dissipation, layer_energies
+from layerflow.energy import exchange_dissipation, layer_energies
 from layerflow.errors import SolverAbort
 from layerflow.euler import euler_rhs, hll_fluxes, wet_window
 from layerflow.geometry import (LayerPartition, build_geometry, layer_thicknesses,
@@ -473,13 +473,21 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
         _, _, G = _euler_rhs_whole_domain(H, q, ctx.bed, part, g)
         E = layer_energies(u, geom, g)
         p_mid, _ = hydrostatic_pressures(geom.h, g)
+        # the audit's closed forms, their layers added in row order from
+        # +0.0 (Python's sum over the rows)
+        zb = ctx.bed.zb
+        cell = 0.5 * sum(q * u) + g * H * (zb + 0.5 * H)
         influx = 0.0
         if bc == "transmissive":  # no water crosses a wall
-            # the diagnostics sum only the end columns' layers, in row order
-            flux = (u * (E + geom.h * p_mid)).sum(axis=0)
-            assert energy_flux_density(u, geom.h, E, p_mid).tobytes() == flux.tobytes()
+            flux = sum(q * (0.5 * u * u + g * (zb + H)))
             influx = float(flux[0] - flux[-1])  # in at the left end, out at the right
-        want = {"energy": float(E.sum() * ctx.dx), "influx": influx,
+            # the pressure form sum_a u_a (E_a + h_a p_mid,a) of the snapshot's fields
+            p_flux = (frame["u_"] * (frame["E_"] + geom.h * frame["p_"])).sum(axis=0)
+            scale = abs(p_flux[0]) + abs(p_flux[-1])
+            assert abs(d.influx - (p_flux[0] - p_flux[-1])) <= 1e-13 * scale, trial
+        # the snapshot's layer energies sum to the audited energy
+        assert abs(frame["E_"].sum() * ctx.dx - d.energy) <= 1e-13 * abs(d.energy), trial
+        want = {"energy": float(cell.sum() * ctx.dx), "influx": influx,
                 "diss_exchange": exchange_dissipation(u, G, ctx.dx),
                 "eta": geom.z_if[-1], "u": u, "w": reconstruct_w(u, geom)[0],
                 "G": G[1:-1], "p": p_mid, "E": E}

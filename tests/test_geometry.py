@@ -104,17 +104,15 @@ def test_bathymetry_edges_take_the_ghost_cells_of_the_boundary(bc):
     assert list(b.z_edge) == list(np.maximum(b.zb_l, b.zb_r))
 
 
-def test_geometry_from_given_thicknesses_is_the_same_geometry():
+def test_the_interface_stack_closes_on_the_free_surface():
+    # on the layer thicknesses, whose running sums give the interfaces and
+    # the midpoints the formulas state
     rng = np.random.default_rng(5)
     part = LayerPartition(np.array([0.1, 0.2, 0.3, 0.4]))
     H = rng.uniform(0.0, 2.0, 30)
     bathy = make_bathymetry(rng.standard_normal(30), 0.1, "wall")
     a = build_geometry(H, bathy, part)
-    b = build_geometry(H, bathy, part, h=layer_thicknesses(H, part))
-    for name in ("h", "z_if", "z_mid", "h_half", "cos3_b", "dz_if_dx", "dz_mid_dx"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    # the interface stack closes on the free surface and the midpoints
-    # and gaps are the running sums the formulas state
+    assert a.h.tobytes() == layer_thicknesses(H, part).tobytes()
     z = np.vstack([bathy.zb, bathy.zb + np.cumsum(a.h, axis=0)])
     assert a.z_if.tobytes() == z.tobytes()
     assert a.z_mid.tobytes() == (0.5 * (z[:-1] + z[1:])).tobytes()

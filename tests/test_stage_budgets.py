@@ -28,8 +28,8 @@ def _record_evaluations(monkeypatch, book):
     def make_rhs(scn):
         state0, rhs, ctx = real(scn)
 
-        def recorded(state, geom=None):
-            r = rhs(state, geom)
+        def recorded(state):
+            r = rhs(state)
             booked.append(book(state, r))
             return r
         return state0, recorded, ctx
