@@ -146,24 +146,21 @@ def euler_rhs(
 
     H, q (and `u`, velocities(H, q, part) when the caller already has it)
     hold the cells of `bathy`: the domain's, or the bed `cells(a, b)` of a
-    window that contains wet_window's, since the ghost cells it pads are
-    dry there.  The tendencies are those cells'.
+    window that contains wet_window's: the ghost cells it pads, bed and
+    all, border a dry bed at rest.  The tendencies are those cells'.
     """
     if u is None:
         u = velocities(H, q, part)
     dx, bc = bathy.dx, bathy.bc
-    zb_l, zb_r, z_edge = bathy.zb_l, bathy.zb_r, bathy.z_edge
-    Hp = pad_cells(H, bc)
+    zbp = pad_cells(bathy.zb, bc)
+    etap = pad_cells(H + bathy.zb, bc)  # the free surface; a ghost copies a cell's H + z_b
     up = pad_cells(u, bc, sign=-1.0)
-    H_l, H_r = Hp[:-1], Hp[1:]
     u_l, u_r = up[:, :-1], up[:, 1:]
 
     # hydrostatic reconstruction: remeasure depth from the higher bed
-    H_ls = np.add(H_l, zb_l)
-    H_ls -= z_edge
+    z_edge = np.maximum(zbp[:-1], zbp[1:])
+    H_ls, H_rs = etap[:-1] - z_edge, etap[1:] - z_edge
     np.maximum(H_ls, 0.0, out=H_ls)
-    H_rs = np.add(H_r, zb_r)
-    H_rs -= z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
 
     f_mass, f_mom = hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gridops import check_boundary, cumsum_layers, ddx, pad_cells
+from .gridops import check_boundary, cumsum_layers, ddx
 
 PARTITION_TOL = 1e-14
 
@@ -64,28 +64,22 @@ class Bathymetry:
     which the friction law divides by.
 
     The bed holds the run's cell width `dx` and boundary kind `bc`, which
-    kernels given a bed or a geometry built on it read.  The bed on either
-    side of every cell edge (`bc` supplies the ghost cells) and the higher
-    of the two, `z_edge`, are fixed for a run; hydrostatic reconstruction
-    reads them at each evaluation.
+    kernels given a bed or a geometry built on it read.  It holds its cells
+    only: `euler_rhs` pads it with `bc`'s ghost cells at each evaluation,
+    which for a window's bed `cells(a, b)` is exact when the window's end
+    cells are a dry bed at rest, as `wet_window` leaves them.
     """
 
     zb: np.ndarray
     cos3: np.ndarray
     dx: float
     bc: str
-    zb_l: np.ndarray     # (n+1,) bed of the cell left of each edge
-    zb_r: np.ndarray     # (n+1,) bed of the cell right of each edge
-    z_edge: np.ndarray   # (n+1,) max(zb_l, zb_r)
 
     def cells(self, a: int, b: int) -> "Bathymetry":
-        """The bed of the cells [a, b) and of their edges [a, b + 1); the
-        bed itself when that is the whole domain."""
+        """The bed of the cells [a, b), itself when they are the domain."""
         if a == 0 and b == self.zb.size:
             return self
-        e = slice(a, b + 1)
-        return Bathymetry(zb=self.zb[a:b], cos3=self.cos3[a:b], dx=self.dx, bc=self.bc,
-                          zb_l=self.zb_l[e], zb_r=self.zb_r[e], z_edge=self.z_edge[e])
+        return Bathymetry(zb=self.zb[a:b], cos3=self.cos3[a:b], dx=self.dx, bc=self.bc)
 
 
 def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
@@ -94,10 +88,7 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     if not np.all(np.isfinite(zb)):
         raise ValueError("bed elevation must be finite")
     cos = 1.0 / np.sqrt(1.0 + ddx(zb, dx, bc) ** 2)  # of the bed's slope
-    zbp = pad_cells(zb, bc)
-    zb_l, zb_r = zbp[:-1], zbp[1:]
-    return Bathymetry(zb=zb, cos3=cos * cos * cos,
-                      dx=dx, bc=bc, zb_l=zb_l, zb_r=zb_r, z_edge=np.maximum(zb_l, zb_r))
+    return Bathymetry(zb=zb, cos3=cos * cos * cos, dx=dx, bc=bc)
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def pad_cells(f: np.ndarray, bc: str, sign: float = 1.0) -> np.ndarray:
     check_boundary(bc)
     lo = f[..., :1]
     hi = f[..., -1:]
-    if bc == WALL:
+    if bc == WALL and sign != 1.0:
         lo = sign * lo
         hi = sign * hi
     return np.concatenate([lo, f, hi], axis=-1)

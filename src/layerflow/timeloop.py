@@ -91,17 +91,18 @@ def stable_dt(H: np.ndarray, u: np.ndarray, geom: Optional[InterfaceGeometry],
     return float(scn.controls.cfl * scn.dx / speed if speed > 0.0 else np.inf)
 
 
-def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float) -> LayerState:
-    """Clip the updated cells [a, b); a failing cell is named by its index."""
+def _clip_dry(state: LayerState, a: int, b: int) -> LayerState:
+    """Clip the updated cells [a, b), outside which H is 0: a depth down to
+    -1e-10 max(1, max H) snaps to 0; a failing cell is named by its index."""
     H, q = state.H[a:b], state.q[:, a:b]
     if not (np.isfinite(H).all() and np.isfinite(q).all()):
         cell = a + int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(q).all(axis=0)))[0])
         raise SolverAbort("non-finite state after update", cell=cell)
     hmin = H.min()
-    if hmin < -neg_tol:
-        cell = a + int(np.argmin(H))
-        raise SolverAbort(f"depth fell to {hmin:.3e}, beyond the clipping tolerance", cell=cell)
     if hmin < 0.0:
+        if hmin < -1e-10 * max(1.0, H.max()):
+            cell = a + int(np.argmin(H))
+            raise SolverAbort(f"depth fell to {hmin:.3e}, beyond the clipping tolerance", cell=cell)
         np.maximum(H, 0.0, out=H)
     if hmin <= H_DRY:  # a dry column, since H is finite
         q[:, H <= H_DRY] = 0.0
@@ -109,7 +110,7 @@ def _clip_dry(state: LayerState, a: int, b: int, neg_tol: float) -> LayerState:
 
 
 def step(state: LayerState, dt: float, r1: RhsEval, rhs: Callable[[LayerState], RhsEval],
-         integrator: str = SSP_RK2, neg_tol: float = 1e-10) -> LayerState:
+         integrator: str = SSP_RK2) -> LayerState:
     """Advance one step with forward Euler or two-stage SSP Runge-Kutta from
     `r1`, the evaluation of `state`; `rhs` makes SSP-RK2's second.  Each
     stage updates and clips the cells of its evaluation's window."""
@@ -117,7 +118,7 @@ def step(state: LayerState, dt: float, r1: RhsEval, rhs: Callable[[LayerState], 
     s1 = state.copy()
     s1.H[a:b] += dt * r1.dH
     s1.q[:, a:b] += dt * r1.dq
-    _clip_dry(s1, a, b, neg_tol)
+    _clip_dry(s1, a, b)
     if integrator == FORWARD_EULER:
         return s1
     if integrator != SSP_RK2:
@@ -131,7 +132,7 @@ def step(state: LayerState, dt: float, r1: RhsEval, rhs: Callable[[LayerState], 
     dH, dq = widen(r2.dH, c - a, b - a, -0.0), widen(r2.dq, c - a, b - a)
     s1.H[a:b] = 0.5 * (state.H[a:b] + s1.H[a:b] + dt * dH)
     s1.q[:, a:b] = 0.5 * (state.q[:, a:b] + s1.q[:, a:b] + dt * dq)
-    return _clip_dry(s1, a, b, neg_tol)
+    return _clip_dry(s1, a, b)
 
 
 CG_MAX_ITER = 1000  # conjugate-gradient iterations one viscous stage may take
@@ -320,7 +321,6 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
     viscous = p.mu > 0.0 or p.k_l > 0.0 or p.k_t > 0.0
     dx, t_end = scn.dx, controls.t_end
     every = scn.output.snapshot_every
-    neg_tol = 1e-10 * max(1.0, float(state.H.max()))
     t, step_no, due, power = 0.0, 0, 0.0, (0.0, 0.0)
     try:
         while True:
@@ -340,7 +340,7 @@ def accepted_steps(scn: Scenario, max_steps: int = 10_000_000) -> Iterator[tuple
                 raise SolverAbort(f"stable step dt0={dt:.3e} needs about {(t_end - t) / dt:.3g} "
                                   f"steps, over the budget of {max_steps}")
             dt = min(dt, t_end - t)
-            state = step(state, dt, r, rhs, controls.integrator, neg_tol=neg_tol)
+            state = step(state, dt, r, rhs, controls.integrator)
             if viscous:
                 power = viscous_stage(state, dt, scn)
             t += dt

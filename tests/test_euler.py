@@ -325,13 +325,16 @@ def _edge_fluxes(H, u, bathy, part, g):
     and the HLL mass and momentum fluxes between them."""
     Hp = pad_cells(H, bathy.bc)
     up = pad_cells(u, bathy.bc, sign=-1.0)
+    zbp = pad_cells(bathy.zb, bathy.bc)
     H_l, H_r = Hp[:-1], Hp[1:]
     u_l, u_r = up[:, :-1], up[:, 1:]
-    H_ls = np.add(H_l, bathy.zb_l)
-    H_ls -= bathy.z_edge
+    zb_l, zb_r = zbp[:-1], zbp[1:]
+    z_edge = np.maximum(zb_l, zb_r)
+    H_ls = np.add(H_l, zb_l)
+    H_ls -= z_edge
     np.maximum(H_ls, 0.0, out=H_ls)
-    H_rs = np.add(H_r, bathy.zb_r)
-    H_rs -= bathy.z_edge
+    H_rs = np.add(H_r, zb_r)
+    H_rs -= z_edge
     np.maximum(H_rs, 0.0, out=H_rs)
     return H_ls, H_rs, *hll_fluxes(H_ls, u_l, H_rs, u_r, part, g)
 

@@ -1,4 +1,5 @@
 """Layer partitions, interface levels and the derived column geometry."""
+import dataclasses
 import inspect
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from layerflow import energy, euler, geometry, kinematics, rheology, state, sv, timeloop
 from layerflow.geometry import (LayerPartition, build_geometry,
                                 layer_thicknesses, make_bathymetry)
-from layerflow.gridops import ddx
+from layerflow.gridops import ddx, pad_cells
 
 
 def test_uniform_partition():
@@ -96,12 +97,13 @@ def test_geometry_rejects_negative_depth():
 
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
 def test_bathymetry_edges_take_the_ghost_cells_of_the_boundary(bc):
+    # the bed holds its cells only; euler_rhs pads it as here, with the
+    # default sign, so a wall mirrors the bed and does not negate it
     zb = np.array([0.4, 0.1, 0.3, 0.2])
     b = make_bathymetry(zb, 0.25, bc)
+    assert {f.name for f in dataclasses.fields(b)} == {"zb", "cos3", "dx", "bc"}
     lo, hi = (zb[-1], zb[0]) if bc == "periodic" else (zb[0], zb[-1])
-    assert list(b.zb_l) == [lo, 0.4, 0.1, 0.3, 0.2]
-    assert list(b.zb_r) == [0.4, 0.1, 0.3, 0.2, hi]
-    assert list(b.z_edge) == list(np.maximum(b.zb_l, b.zb_r))
+    assert list(pad_cells(b.zb, b.bc)) == [lo, 0.4, 0.1, 0.3, 0.2, hi]
 
 
 def test_the_interface_stack_closes_on_the_free_surface():
