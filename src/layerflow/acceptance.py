@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .sv import sv_rhs, sv_velocity, sv_viscous
 from .timeloop import RhsEval, accepted_steps, run, step, trapezoidal_increment
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     title: str
     passed: bool

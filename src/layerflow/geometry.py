@@ -14,8 +14,8 @@ to half the single adjacent layer thickness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +24,16 @@ from .gridops import check_boundary, cumsum_layers, ddx
 PARTITION_TOL = 1e-14
 
 
-@dataclass(frozen=True)
 class LayerPartition:
-    """Relative layer thicknesses l_a > 0 with sum(l) == 1."""
+    """Relative layer thicknesses l_a > 0 with sum(l) == 1, and their
+    partial sums `cumulative` = sum_{j<=a} l_j, shape (N,).
 
-    fractions: np.ndarray
+    Read-only: both are fixed when the partition is made, as arrays that
+    cannot be written, so `cumulative` always holds the sums of `fractions`.
+    """
 
-    def __post_init__(self):
-        frac = np.asarray(self.fractions, dtype=float)
-        object.__setattr__(self, "fractions", frac)
+    def __init__(self, fractions):
+        frac = np.array(fractions, dtype=float)  # a copy: the caller's array stays writable
         if frac.ndim != 1 or frac.size == 0:
             raise ValueError("layer fractions must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(frac)) or np.any(frac <= 0.0):
@@ -41,6 +42,17 @@ class LayerPartition:
             raise ValueError(
                 f"layer fractions sum to {frac.sum():.17g}, expected 1 within {PARTITION_TOL}"
             )
+        cum = np.cumsum(frac)
+        frac.flags.writeable = cum.flags.writeable = False
+        self._fractions, self._cumulative = frac, cum
+
+    @property
+    def fractions(self) -> np.ndarray:
+        return self._fractions
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        return self._cumulative
 
     @classmethod
     def uniform(cls, n_layers: int) -> "LayerPartition":
@@ -52,14 +64,8 @@ class LayerPartition:
     def n_layers(self) -> int:
         return self.fractions.size
 
-    @property
-    def cumulative(self) -> np.ndarray:
-        """Partial sums sum_{j<=a} l_j, shape (N,)."""
-        return np.cumsum(self.fractions)
 
-
-@dataclass(frozen=True)
-class Bathymetry:
+class Bathymetry(NamedTuple):
     """Bed elevation with the cube of the cosine of its centered slope,
     which the friction law divides by.
 
@@ -91,7 +97,6 @@ def make_bathymetry(zb: np.ndarray, dx: float, bc: str) -> Bathymetry:
     return Bathymetry(zb=zb, cos3=cos * cos * cos, dx=dx, bc=bc)
 
 
-@dataclass(frozen=True)
 class InterfaceGeometry:
     """All per-column geometric fields for one (H, z_b, partition) triple.
 
@@ -100,12 +105,13 @@ class InterfaceGeometry:
     access: only the stresses read them.  The friction reads the bed's cos^3.
     """
 
-    h: np.ndarray          # layer thicknesses
-    z_if: np.ndarray       # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
-    z_mid: np.ndarray      # layer midpoints
-    cos3_b: np.ndarray     # cube of the bed slope cosine (n,), the bed's `cos3`
-    dx: float
-    bc: str
+    def __init__(self, h: np.ndarray, z_if: np.ndarray, z_mid: np.ndarray,
+                 cos3_b: np.ndarray, dx: float, bc: str):
+        self.h = h              # layer thicknesses
+        self.z_if = z_if        # interface heights, z_if[0] = z_b, z_if[N] = z_b + H
+        self.z_mid = z_mid      # layer midpoints
+        self.cos3_b = cos3_b    # cube of the bed slope cosine (n,), the bed's `cos3`
+        self.dx, self.bc = dx, bc
 
     @cached_property
     def h_half(self) -> np.ndarray:

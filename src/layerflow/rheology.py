@@ -28,7 +28,7 @@ order, and dissipative.  Without viscosity kappa_eff = kappa.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .kinematics import reconstruct_w
 from .scenario import PhysicsSpec
 
 
-@dataclass
-class StressField:
+class StressField(NamedTuple):
     """The closed stress field of one state.  The Newtonian closure is
     traceless, Szz = -Sxx, so Sxx - Szz is evaluated as Sxx + Sxx."""
 

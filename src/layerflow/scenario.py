@@ -10,9 +10,9 @@ reports them all at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -28,8 +28,7 @@ SSP_RK2 = "ssp-rk2"
 INTEGRATORS = (FORWARD_EULER, SSP_RK2)
 
 
-@dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(NamedTuple):
     """Uniform mesh of cell centers on [x_min, x_max]."""
 
     x_min: float = 0.0
@@ -45,14 +44,12 @@ class MeshSpec:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-@dataclass(frozen=True)
-class LayersSpec:
+class LayersSpec(NamedTuple):
     n: int = 1
     fractions: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class BathymetrySpec:
+class BathymetrySpec(NamedTuple):
     kind: str = "flat"
     z0: float = 0.0
     s: float = 0.0
@@ -62,8 +59,7 @@ class BathymetrySpec:
     values: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class InitSpec:
+class InitSpec(NamedTuple):
     kind: str = ""
     eta0: float = 0.0
     eta_l: float = 0.0
@@ -74,23 +70,20 @@ class InitSpec:
     u_values: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class PhysicsSpec:
+class PhysicsSpec(NamedTuple):
     g: float = 0.0
     mu: float = 0.0
     k_l: float = 0.0
     k_t: float = 0.0
 
 
-@dataclass(frozen=True)
-class ControlsSpec:
+class ControlsSpec(NamedTuple):
     cfl: float = 0.9
     t_end: float = 1.0
     integrator: str = SSP_RK2
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     directory: str = "out"
     snapshot_every: float = 0.0
 
@@ -99,14 +92,14 @@ class OutputSpec:
 class Scenario:
     """A run's specs; once checked (`built`), the context the whole run reads."""
 
-    mesh: MeshSpec = field(default_factory=MeshSpec)
+    mesh: MeshSpec = MeshSpec()
     boundary: str = "periodic"
-    layers: LayersSpec = field(default_factory=LayersSpec)
-    bathymetry: BathymetrySpec = field(default_factory=BathymetrySpec)
-    init: InitSpec = field(default_factory=InitSpec)
-    physics: PhysicsSpec = field(default_factory=PhysicsSpec)
-    controls: ControlsSpec = field(default_factory=ControlsSpec)
-    output: OutputSpec = field(default_factory=OutputSpec)
+    layers: LayersSpec = LayersSpec()
+    bathymetry: BathymetrySpec = BathymetrySpec()
+    init: InitSpec = InitSpec()
+    physics: PhysicsSpec = PhysicsSpec()
+    controls: ControlsSpec = ControlsSpec()
+    output: OutputSpec = OutputSpec()
 
     h_dry = H_DRY  # read by perfbench's tracer
 
@@ -149,7 +142,7 @@ def _derive_registry() -> dict:
     """
     registry = {}
     for name, hint in get_type_hints(Scenario).items():
-        if not is_dataclass(hint):
+        if not hasattr(hint, "_fields"):
             registry[f"{name}.kind"] = (_KINDS[hint], None, name)
             continue
         for attr, kind in get_type_hints(hint).items():
@@ -219,7 +212,7 @@ def parse_scenario(text: str) -> Scenario:
         groups.setdefault(section, {})[attr] = value
     scn = Scenario()
     scn = replace(scn, **groups.pop(None, {}),
-                  **{name: replace(getattr(scn, name), **kw) for name, kw in groups.items()})
+                  **{name: getattr(scn, name)._replace(**kw) for name, kw in groups.items()})
     try:
         scn.built
     except ConfigError as exc:  # each problem starts with its key: add the key's line

@@ -14,8 +14,6 @@ identically at the bed and at the free surface.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import LayerPartition, layer_thicknesses
@@ -26,16 +24,12 @@ from .gridops import cumsum_layers
 H_DRY = 1e-8
 
 
-@dataclass
 class LayerState:
     """Depth H (n,) and layer discharges q (N, n)."""
 
-    H: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
+    def __init__(self, H, q):
+        self.H = np.asarray(H, dtype=float)
+        self.q = np.atleast_2d(np.asarray(q, dtype=float))
         if self.q.shape[-1] != self.H.shape[-1]:
             raise ValueError("H and q disagree on the number of cells")
 

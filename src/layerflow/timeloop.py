@@ -32,8 +32,7 @@ the whole domain, whose derivatives a window edge would change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,8 +46,7 @@ from .scenario import FORWARD_EULER, SSP_RK2, Scenario
 from .state import H_DRY, LayerState, velocities
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """What a run keeps of one evaluated state: the stable step from it,
     the audit's sums, and u and G on the evaluation's window [a, b),
     which snapshot_frame widens."""
@@ -62,8 +60,7 @@ class Diagnostics:
     diss_exchange: float
 
 
-@dataclass
-class RhsEval:
+class RhsEval(NamedTuple):
     """Tendencies of one state on its cells [a, b) = `window`, outside which
     the state is a dry bed at rest.  `diagnose` builds the diagnostics from
     what the evaluation computed; the stepping loop calls it once per
@@ -254,8 +251,7 @@ def _diagnostics(scn: Scenario, H: np.ndarray, q: np.ndarray, u: np.ndarray, G: 
                        diss_exchange=energy_mod.exchange_dissipation(u, G, scn.dx, a, n))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Trajectory-level outputs: per-step audit series plus snapshots."""
 
     times: np.ndarray               # (steps+1,)

@@ -1,12 +1,11 @@
 """Layer partitions, interface levels and the derived column geometry."""
-import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
 from layerflow import energy, euler, geometry, kinematics, rheology, state, sv, timeloop
-from layerflow.geometry import (LayerPartition, build_geometry,
+from layerflow.geometry import (Bathymetry, LayerPartition, build_geometry,
                                 layer_thicknesses, make_bathymetry)
 from layerflow.gridops import ddx, pad_cells
 
@@ -16,6 +15,27 @@ def test_uniform_partition():
     assert p.n_layers == 4
     assert np.allclose(p.fractions, 0.25)
     assert np.allclose(p.cumulative, [0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("N", [1, 3, 12])
+def test_a_partition_keeps_the_partial_sums_of_its_fractions(N):
+    # computed once, when the partition is made, with the bits of np.cumsum
+    p = LayerPartition(np.random.default_rng(N).dirichlet(np.ones(N)))
+    assert p.cumulative is p.cumulative
+    assert p.cumulative.tobytes() == np.cumsum(p.fractions).tobytes()
+
+
+def test_a_partition_is_read_only():
+    # the partial sums are kept, so neither they nor the fractions may change
+    given = np.array([0.25, 0.75])
+    p = LayerPartition(given)
+    given[0] = 0.5  # the partition holds a copy
+    assert list(p.fractions) == [0.25, 0.75]
+    for name in ("fractions", "cumulative"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            getattr(p, name)[0] = 0.5
 
 
 def test_partition_rejects_bad_fractions():
@@ -101,7 +121,7 @@ def test_bathymetry_edges_take_the_ghost_cells_of_the_boundary(bc):
     # default sign, so a wall mirrors the bed and does not negate it
     zb = np.array([0.4, 0.1, 0.3, 0.2])
     b = make_bathymetry(zb, 0.25, bc)
-    assert {f.name for f in dataclasses.fields(b)} == {"zb", "cos3", "dx", "bc"}
+    assert set(Bathymetry._fields) == {"zb", "cos3", "dx", "bc"}
     lo, hi = (zb[-1], zb[0]) if bc == "periodic" else (zb[0], zb[-1])
     assert list(pad_cells(b.zb, b.bc)) == [lo, 0.4, 0.1, 0.3, 0.2, hi]
 

@@ -2,6 +2,9 @@
 dependency, so this walks the syntax trees itself; a line marked `# noqa`
 keeps an import for a reader outside the package and is skipped."""
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,14 @@ def test_an_unused_import_is_found_and_a_marked_one_is_not():
               "def f(x) -> np.ndarray:\n"
               "    return os.sep, velocities  # H_DRY\n")
     assert unused_imports(source) == ["line 3: H_DRY"]
+
+
+def test_scenario_is_the_only_dataclass_of_the_package():
+    # the import makes each class, and a dataclass costs several NamedTuples
+    found = []
+    for path in MODULES:
+        mod = importlib.import_module(f"layerflow.{path.stem}")
+        found += [f"{path.stem}.{name}" for name, obj in vars(mod).items()
+                  if inspect.isclass(obj) and obj.__module__ == mod.__name__
+                  and dataclasses.is_dataclass(obj)]
+    assert found == ["scenario.Scenario"]

@@ -202,7 +202,7 @@ def test_format_parse_round_trip():
 
 
 # The key table as it was written out by hand before it was derived from
-# the spec dataclasses: key -> (value kind, section attr, field attr).
+# the spec records: key -> (value kind, section attr, field attr).
 HAND_WRITTEN_REGISTRY = {
     "mesh.x_min": ("float", "mesh", "x_min"),
     "mesh.x_max": ("float", "mesh", "x_max"),
@@ -537,7 +537,7 @@ def test_the_benchmarks_call_order_checks_and_builds_once(monkeypatch):
 def test_make_context_refuses_a_parsed_scenario_replaced_into_an_invalid_one():
     scn = parse_scenario(CLI_CFG)
     timeloop.make_context(scn)
-    bad = replace(scn, controls=replace(scn.controls, cfl=1.5))
+    bad = replace(scn, controls=scn.controls._replace(cfl=1.5))
     for _ in range(2):  # a failed check is not kept
         with pytest.raises(ConfigError) as err:
             timeloop.make_context(bad)
