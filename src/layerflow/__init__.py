@@ -8,6 +8,18 @@ core with Newtonian vertical/horizontal stresses, bottom friction and
 a per-step energy audit, and degenerates to a classic single-layer
 scheme when N = 1.
 """
+import os
+import sys
+
+# A run calls no BLAS routine, so numpy's OpenBLAS loads without its worker
+# threads, which can only compete for the main thread's CPU, unless the
+# caller set a count; processes started later keep their BLAS threads.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .energy import exchange_dissipation, layer_energies, newtonian_dissipation
 from .errors import ConfigError, SolverAbort

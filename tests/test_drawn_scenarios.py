@@ -19,11 +19,18 @@ to t_end, and every run must keep these bounds:
   1e-14 of the run's largest |E_total|;
 - an inviscid run with the bed and the free surface raised by DATUM =
   0.37 takes as many steps at the same times, with H and q within
-  DATUM_TOL = 1e-12 at the end.
+  DATUM_TOL = 1e-12 at the end;
+- criterion 3 over the draws: each draw with N > 1, made inviscid with a
+  z-uniform velocity (a shear gives every layer its first layer's u),
+  runs at equal fractions, and at its own when those are not equal.  Each
+  run takes the steps of the same flow at N = 1, at the same times, and
+  ends with H and every layer's velocity within COLLAPSE_TOL = 1e-12 of it.
 
 A draw that fails is a finding about the solver: the generator is not
 narrowed or re-seeded to avoid it.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +47,7 @@ RE_ROUNDOFF = 1e-12
 STEP_GROWTH_TOL = 1e-14
 DATUM = 0.37
 DATUM_TOL = 1e-12
+COLLAPSE_TOL = 1e-12
 
 
 def draw(k: int) -> Scenario:
@@ -94,6 +102,16 @@ def _raised(scn: Scenario) -> Scenario:
                     physics=scn.physics, controls=scn.controls)
 
 
+def _inviscid_twin(scn: Scenario, n_layers: int, fractions=None) -> Scenario:
+    """The scenario without stresses or friction on `n_layers` layers of
+    `fractions`, every layer moving with its first layer's velocity."""
+    ini = scn.init
+    if ini.kind == "shear":
+        ini = ini._replace(u=(ini.u[0],) * n_layers)
+    return dataclasses.replace(scn, layers=LayersSpec(n=n_layers, fractions=fractions),
+                               init=ini, physics=PhysicsSpec(g=scn.physics.g))
+
+
 @pytest.mark.parametrize("k", range(DRAWS))
 def test_a_drawn_closed_scenario_keeps_the_identities(k):
     scn = draw(k)
@@ -114,3 +132,19 @@ def test_a_drawn_closed_scenario_keeps_the_identities(k):
         assert np.abs(raised.times - result.times).max() <= DATUM_TOL, scn
         assert np.abs(raised.final.H - result.final.H).max() <= DATUM_TOL, scn
         assert np.abs(raised.final.q - result.final.q).max() <= DATUM_TOL, scn
+
+
+@pytest.mark.parametrize("k", [k for k in range(DRAWS) if draw(k).layers.n > 1])
+def test_a_drawn_z_uniform_flow_collapses_to_one_layer(k):
+    scn = draw(k)
+    single = _inviscid_twin(scn, 1)
+    one = run(single)
+    u1 = velocities(one.final.H, one.final.q, single.partition)
+    fractions = [None] + [scn.layers.fractions] * (scn.layers.fractions is not None)
+    for twin in (_inviscid_twin(scn, scn.layers.n, f) for f in fractions):
+        result = run(twin)
+        assert result.times.size == one.times.size, twin
+        assert np.abs(result.times - one.times).max() <= COLLAPSE_TOL, twin
+        assert np.abs(result.final.H - one.final.H).max() <= COLLAPSE_TOL, twin
+        u = velocities(result.final.H, result.final.q, twin.partition)
+        assert np.abs(u - u1).max() <= COLLAPSE_TOL, twin

@@ -102,7 +102,6 @@ the stepper applies, to the audit or to the snapshot schedule shows up
 here.  A change that alters them on purpose has to explain every
 changed digit and re-record them.
 """
-import functools
 import hashlib
 import itertools
 import random
@@ -544,8 +543,7 @@ def test_a_mutated_golden_config_fails_check_or_runs_to_an_exit(tmp_path, capsys
     # fails check with exit 1 or runs, capped in steps, to exit 0 or a
     # located abort (exit 2), with RuntimeWarnings as errors and within
     # a wall budget that an alarm enforces in this process
-    monkeypatch.setattr(cli, "accepted_steps",
-                        functools.partial(timeloop.accepted_steps, max_steps=MUTATION_STEPS))
+    monkeypatch.setattr(timeloop, "MAX_STEPS", MUTATION_STEPS)
     rng = random.Random(0)
     keys, names = sorted(_REGISTRY), sorted(GOLDEN)
     cases = FLOAT_RANGE_CASES + [
@@ -587,7 +585,7 @@ def _tiny_cell_dam_break(x_max, g, u, mu, bc, n=40):
                     physics=PhysicsSpec(g=g, mu=mu), controls=ControlsSpec(t_end=1e-3 * x_max))
 
 
-def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located():
+def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located(monkeypatch):
     # the first tendencies divide the initial flux and pressure by the cell
     # width, before run's located checks see the state: check bounds the
     # quotients, so an accepted config runs or aborts at a named step, with
@@ -595,6 +593,7 @@ def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located():
     with pytest.raises(ConfigError) as err:
         _tiny_cell_dam_break(1e-228, 1e200, 0.0, 0.0, "wall", n=100).built
     assert err.value.problems[0].startswith("physics.g: puts the initial state's flux")
+    monkeypatch.setattr(timeloop, "MAX_STEPS", 50)
     outcomes = {"check": 0, "ran": 0, "aborted": 0}
     for case in itertools.product((1e-100, 1e-200, 1e-250, 1e-290, 1e-305),
                                   (1.0, 1e50, 1e100, 1e150, 1e200, 1e250),
@@ -606,7 +605,7 @@ def test_a_tiny_cell_config_that_check_accepts_runs_or_aborts_located():
             outcomes["check"] += 1
             continue
         try:
-            run(scn, max_steps=50)
+            run(scn)
             outcomes["ran"] += 1
         except SolverAbort as exc:
             assert exc.step is not None, (case, str(exc))

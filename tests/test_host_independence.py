@@ -16,6 +16,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from layerflow.scenario import exp_nonpositive
 
@@ -134,3 +135,20 @@ def test_a_viscous_run_of_12000_unknowns_is_the_same_at_one_and_two_blas_threads
                        capture_output=True)
         written.append((out / "energy.csv").read_bytes())
     assert written[0] == written[1] and written[0].count(b"\n") == 7
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set"])
+def test_importing_layerflow_starts_no_blas_worker_unless_asked(threads):
+    # a fresh process counts its threads after `import layerflow`; an
+    # explicit OPENBLAS_NUM_THREADS wins (OpenBLAS caps it at the CPUs)
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = ("import os, layerflow; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    expected = min(2, len(os.sched_getaffinity(0))) if threads else 1
+    assert done.stdout.split() == [str(expected), str(threads)]

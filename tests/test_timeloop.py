@@ -1,6 +1,5 @@
 """Adaptive stepping, stage clipping and the audited run loop."""
 import ast
-import functools
 import gc
 import itertools
 import re
@@ -405,9 +404,10 @@ def test_run_is_deterministic():
     assert (a.E_total == b.E_total).all()
 
 
-def test_run_honors_step_budget():
+def test_run_honors_step_budget(monkeypatch):
+    monkeypatch.setattr(timeloop, "MAX_STEPS", 3)
     with pytest.raises(SolverAbort):
-        run(_smooth_scenario(), max_steps=3)
+        run(_smooth_scenario())
 
 
 @pytest.mark.parametrize("integrator", ["forward-euler", "ssp-rk2"])
@@ -731,7 +731,7 @@ output.snapshot_every = 0
 
 
 def test_a_run_over_the_step_budget_aborts_before_its_first_step(tmp_path, capsys, monkeypatch):
-    # the advective step dt0 is about 2.3e-3 here: 4.4e7 steps to t_end = 1e5,
+    # the advective step dt is about 2.3e-3 here: 4.4e7 steps to t_end = 1e5,
     # hours of work before the 10M-step budget would run out
     def no_step(*args, **kwargs):
         raise AssertionError("the run took a step")
@@ -740,7 +740,7 @@ def test_a_run_over_the_step_budget_aborts_before_its_first_step(tmp_path, capsy
     cfg.write_text(VISCOUS_SHEAR.replace("controls.t_end = 0.012", "controls.t_end = 1e5"))
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "dt0=" in err and "budget of 10000000" in err and "(step 0, t=0)" in err
+    assert "dt=" in err and "budget of 10000000" in err and "(step 0, t=0)" in err
 
 
 @pytest.mark.parametrize("failing_call, clip, rows", [(7, None, 3), (8, None, 4), (7, 600, 4)],
@@ -818,16 +818,25 @@ def test_only_the_stepping_loop_steps_a_scenario():
 
 
 def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monkeypatch):
-    # the step-0 projection is about 334 steps, within a budget of 340, but
-    # the run takes 383: the frames and rows before the abort are the
-    # finished run's, and the closing row books no stage and no residual
+    # a kernel aborts in the second stage of step 340 of 383, past the
+    # 18th frame: the frames and rows before the abort are the finished
+    # run's, and the closing row books no stage and no residual.  A budget
+    # of 340 stops the run at step 1: its first step projects about 334
+    # steps, but the second projects past the budget
     cfg, full, cut = tmp_path / "case.cfg", tmp_path / "full", tmp_path / "cut"
     cfg.write_text(DAM_BUMP_WALL)
     assert cli.main(["run", str(cfg), "--output", str(full)]) == 0
-    monkeypatch.setattr(cli, "accepted_steps",
-                        functools.partial(timeloop.accepted_steps, max_steps=340))
+    calls = []
+
+    def fail_later(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2 * 340 + 2:
+            raise SolverAbort("non-finite edge trace in flux evaluation")
+        return euler_rhs(*args, **kwargs)
+    monkeypatch.setattr(timeloop, "euler_rhs", fail_later)
     assert cli.main(["run", str(cfg), "--output", str(cut)]) == 2
-    assert "solver abort: step budget exhausted (step 341, t=" in capsys.readouterr().err
+    assert "solver abort: non-finite edge trace in flux evaluation (step 340, t=" in (
+        capsys.readouterr().err)
     frames = [f"snapshot_{i:04d}.csv" for i in range(18)]
     assert sorted(p.name for p in cut.iterdir()) == ["energy.csv"] + frames
     assert len(list(full.glob("snapshot_*.csv"))) > len(frames)
@@ -839,6 +848,13 @@ def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monk
     reached = done[341].split(",")
     assert [t, E, D_G, mass] == [reached[0], reached[1], reached[2], reached[6]]
     assert (R_E, friction, residual) == ("0", "0", "nan")
+    monkeypatch.setattr(timeloop, "euler_rhs", euler_rhs)
+    monkeypatch.setattr(timeloop, "MAX_STEPS", 340)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "budget")]) == 2
+    assert re.fullmatch(r"solver abort: stable step dt=\d\.\d{3}e-04 needs about \d+ more steps, "
+                        r"over the budget of 340 \(step 1, t=[^,()]+\)\n",
+                        capsys.readouterr().err)
+    assert len((tmp_path / "budget" / "energy.csv").read_text().splitlines()) == 1 + 2
 
 
 @pytest.mark.parametrize("physics", ["physics.g = 9.81", "physics.g = 9.81\nphysics.mu = 1e-3"],
