@@ -1,6 +1,8 @@
 """Command-line front end.
 
     layerflow run <config>     integrate a scenario and write CSV output
+    layerflow derive <config> <dir>
+                               write the full frames of dir's snapshots to dir/full
     layerflow check <config>   parse and validate a config file
     layerflow verify           run the built-in acceptance suite
 
@@ -10,13 +12,15 @@ failed acceptance checks), 2 when the solver aborts at runtime.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 import time
 from typing import Optional
 
 from .errors import ConfigError, SolverAbort
-from .output import snapshot_frame, write_energy_series, write_snapshot
+from .output import (full_frame, read_snapshot, snapshot_frame, write_energy_series,
+                     write_snapshot)
 from .scenario import parse_scenario
 # make_context and run are unused here but stay exported: perfbench/child.py calls them
 from .timeloop import RunResult, accepted_steps, make_context, run  # noqa: F401
@@ -73,6 +77,28 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _cmd_derive(args) -> int:
+    scn = _load_scenario(args.config)
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.directory), "snapshot_*.csv")))
+    if not paths:
+        raise ConfigError([f"no snapshot_*.csv in {args.directory}"])
+    out_dir = os.path.join(args.directory, "full")
+    for path in paths:
+        try:
+            frame = full_frame(read_snapshot(path), scn)
+        except OSError as exc:
+            raise ConfigError([f"cannot read {path}: {exc.strerror}"])
+        except ValueError as exc:  # not a whole state frame of this config
+            raise ConfigError([f"{path}: {exc}"])
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            write_snapshot(os.path.join(out_dir, os.path.basename(path)), frame)
+        except OSError as exc:
+            raise ConfigError([f"cannot write {exc.filename or out_dir}: {exc.strerror}"])
+    print(f"wrote {len(paths)} full frames to {out_dir}")
+    return EXIT_OK
+
+
 def _cmd_check(args) -> int:
     scn = _load_scenario(args.config)
     print(f"ok: {args.config} ({scn.mesh.n_cells} cells, {scn.layers.n} layers)")
@@ -110,6 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--progress", type=int, default=0, metavar="N",
                        help="print progress every N steps")
     p_run.set_defaults(fn=_cmd_run)
+
+    p_derive = sub.add_parser("derive", help="rebuild the full frames of written snapshots")
+    p_derive.add_argument("config", help="the config the snapshots were run from")
+    p_derive.add_argument("directory", help="directory holding snapshot_*.csv")
+    p_derive.set_defaults(fn=_cmd_derive)
 
     p_check = sub.add_parser("check", help="validate a scenario config")
     p_check.add_argument("config", help="path to a scenario config file")

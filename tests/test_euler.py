@@ -466,8 +466,7 @@ def test_wet_window_diagnostics_match_the_whole_domain_bitwise(bc, N, kind):
     for trial in range(15):
         H, q = _dry_stretch_state(rng, N, kind)
         d = rhs(LayerState(H, q)).diagnose()
-        _, table = output.snapshot_frame(0.0, H, d, ctx)
-        names = output.snapshot_header(N)
+        _, names, table = output.full_frame(output.snapshot_frame(0.0, H, d, ctx), ctx)
         frame = {c: table[[i for i, name in enumerate(names) if name.startswith(c)]]
                  for c in ("eta", "u_", "w_", "G_", "p_", "E_")}
         # the same fields evaluated over every cell

@@ -97,6 +97,12 @@ both signs, had cancelled in the old sum.  Its residual floor, max|residual|, fe
 2.85e-13 to 4.9e-16, 1.6e-11 of max|R_E + friction|; the other cases'
 residuals are the scheme's own and moved by round-off only.
 
+When the snapshots began to hold the state alone (x, zb, H, u, G), their
+digests were recorded anew in STATE_SNAPSHOTS.  GOLDEN keeps the digests
+of the full frames as they were: `layerflow derive` rebuilds them from
+the state files byte for byte, so no digit of the old files moved, and
+every `energy.csv` is unchanged.
+
 The CSVs carry 17 significant digits, so any change to the arithmetic
 the stepper applies, to the audit or to the snapshot schedule shows up
 here.  A change that alters them on purpose has to explain every
@@ -361,6 +367,67 @@ GOLDEN = {
     }),
 }
 
+# The state files `layerflow run` writes.  GOLDEN's snapshot digests are
+# those of the full frames that `layerflow derive` rebuilds from them.
+STATE_SNAPSHOTS = {
+    "dry_front_transmissive_euler": {
+        "snapshot_0000.csv": "dfd48c1f9ea3f2cb1571422594124c632ade817ed39db105349dd27c0a4a0401",
+        "snapshot_0001.csv": "27c2a9b5d0393f0db4af157e01f9f4c9f5539bdda8c6b16aeca34d895e5aa61b",
+    },
+    "inviscid_periodic_bump_rk2": {
+        "snapshot_0000.csv": "500ef92d52d1b8f2dd76c38084aa13d175563592f804a9aafed208102f6f36d5",
+        "snapshot_0001.csv": "85d0a934b9fdec8028e658b4252d11a230190b593ccfc649fc177ec970fb8109",
+        "snapshot_0002.csv": "af335e3b41b2bbefde55afc9bbf2f25f791931f7cba93c7309e252f22faf3ebf",
+        "snapshot_0003.csv": "801124209c9c3f3676ee16a26196dbac126a36b5ed8f25110e36dfab7d4343a7",
+        "snapshot_0004.csv": "b30ca0adb898a9c6af0a8720781f3476da900f3af7d7305fd2190b05bff9a0d3",
+    },
+    "inviscid_receding_transmissive_rk2": {
+        "snapshot_0000.csv": "d272482be9a00c8c2651fe660c6c664ead5c37b971ef464a02d7c5d201cb85a1",
+        "snapshot_0001.csv": "0006a9ecfd11ea8ce67943714bcf57496863f6e01c6cdd589f10f9601dc411bc",
+        "snapshot_0002.csv": "d9137df532ef137556c950d80b4efd9dab644892e1ff2e3fd9743991355a575e",
+        "snapshot_0003.csv": "7b7d3874d8982c5d38fde08820829ca98377a5480dc28b20e284de4d860539bb",
+        "snapshot_0004.csv": "e75071d9dd049ed15aa30e875c723b6d936a645b2d1b29c26c0f56942f6833b6",
+    },
+    "inviscid_wall_default_cfl_rk2": {
+        "snapshot_0000.csv": "58049928a8765520137868a147de72682c7fe888139ece85b8a260269c94a6c0",
+        "snapshot_0001.csv": "28e284cb4c6cddf77985489481836fce9c0af58695c645a99c6d2a1895b72958",
+        "snapshot_0002.csv": "1aed6a5afc26f7bf436cbf0b4de6d8fcfe7e9cc57c3ed231c39d199352328053",
+        "snapshot_0003.csv": "9e4175d8d443330f097ed2eeeda67d62eb58cf538873c7695f0cfa86648b7a45",
+        "snapshot_0004.csv": "44b340694c40b9c0766fe407f406346b3388d03fecb820a3b28a445d9a72f549",
+    },
+    "inviscid_wall_dry_stretch_rk2": {
+        "snapshot_0000.csv": "c61449479883c6be562742d21ba6162840c01e6a2cebddbcde127eb620f3bae6",
+        "snapshot_0001.csv": "48c870932a25be51788f5e17ba2908037f64c107d1e8fb307639d8c9a9a6634c",
+        "snapshot_0002.csv": "2ff24a60778be39928b41decca01c4b0548f496c046e237c8012f33ace420703",
+        "snapshot_0003.csv": "23d1a9bc15eec0d48e92ee360547f1b2e440c5168614eb55d87edd864b6ebc3d",
+    },
+    "inviscid_wall_rk2": {
+        "snapshot_0000.csv": "58049928a8765520137868a147de72682c7fe888139ece85b8a260269c94a6c0",
+        "snapshot_0001.csv": "485dae915e4d73cfc5b811f5ab09020e96009fa93bb2b172c3ba643e03d7dd6a",
+        "snapshot_0002.csv": "d8a7f2ccfd65642e9c44aa60843bf8f217ac50d36bbcade79b6bdcee5c290691",
+        "snapshot_0003.csv": "1076375ce080065c9ff351682dbd417d34ac915562143569724fff6151928089",
+        "snapshot_0004.csv": "f98ffd61bc53cce2ad4af8f76eebf139d3ed3185f82239e7d4f13da82bd70432",
+    },
+    "viscous_friction_periodic_rk2": {
+        "snapshot_0000.csv": "d45f2fad5f8d6ce90767789b64f7e12ace6be8eb8e4e9bfd1616147139eb68d6",
+        "snapshot_0001.csv": "e6a7af8da6fe367d32d0ccad0b8d7551bd3f3bc2523b442d0f9adb4f8d527ddd",
+        "snapshot_0002.csv": "f0a224a7fc594b4a832895db847c8f5179e4e6e017163a36d27ab8d4e6490bc2",
+        "snapshot_0003.csv": "a77d9b82bb052f3044ea2156387f0c669de1ad627a4daf9c00411c57b356ab90",
+    },
+    "viscous_friction_wall_rk2": {
+        "snapshot_0000.csv": "d8fe6146093dd9fab1207fffa36a679a1ef72b2136ac48051e71356fb8a5944c",
+        "snapshot_0001.csv": "0efe8bb3564e138a137cf49e37005f3695d6712024bc047810dcdfb94311bf8f",
+        "snapshot_0002.csv": "7f44e4cb9638cf94d0ccef05cc63bd27dc3ce51fd885e9429d7acad2b5138db0",
+        "snapshot_0003.csv": "19437fd23c7d16e32b2862f0c65860f2306c6a915a08f20b15748176987e3121",
+    },
+    "viscous_interface_transmissive_rk2": {
+        "snapshot_0000.csv": "d06cc40dfc465b47ff70f8899334146a1c53edff65459df82cbb23d2860a41dc",
+        "snapshot_0001.csv": "fecbeb5e13c7d1e89aa78e96933d0abc99802d4733f407b6ef1121b9066fd6eb",
+        "snapshot_0002.csv": "3c9d95d0bd2fb3bfa80d9496b38ecd6d3bb3ae1c2d3b2ef372318555d014a51b",
+        "snapshot_0003.csv": "ddbb1ae45b7dd0505a492e92228fa2b5fe699ff44d7187caef970ea00f7a8562",
+    },
+}
+
 
 def test_the_audit_of_an_x_uniform_shear_closes_to_round_off():
     # a flat periodic bed carries no flux and no exchange, so each step's
@@ -380,7 +447,23 @@ def test_run_reproduces_golden_files(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == digests
+    assert written == {"energy.csv": digests["energy.csv"], **STATE_SNAPSHOTS[name]}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_derive_reproduces_golden_full_frames(name, tmp_path, capsys):
+    # every derived column is rebuilt bit for bit, so the full frames are
+    # the files `layerflow run` wrote before it wrote the state alone
+    config, digests = GOLDEN[name]
+    cfg, out = tmp_path / "case.cfg", tmp_path / "out"
+    cfg.write_text(config)
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
+    state = {p.name: p.read_bytes() for p in out.iterdir()}
+    for _ in range(2):  # derive leaves the state files as they are, so it can run again
+        assert cli.main(["derive", str(cfg), str(out)]) == 0
+        full = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (out / "full").iterdir()}
+        assert full == {k: v for k, v in digests.items() if k != "energy.csv"}
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == state
 
 
 def test_raising_the_viscous_wall_case_changes_nothing():

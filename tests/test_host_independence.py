@@ -100,7 +100,7 @@ def test_the_goldens_and_pinned_criteria_hold_under_the_avx2_dispatch(tmp_path):
     done = subprocess.run(args, cwd=ROOT, env=_child_env(**AVX2_DISPATCH),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout[-3000:]
-    assert done.stdout.splitlines()[-1].startswith("21 passed,"), done.stdout[-3000:]
+    assert done.stdout.splitlines()[-1].startswith("30 passed,"), done.stdout[-3000:]
 
 
 SHEAR_12 = """mesh.x_min = 0

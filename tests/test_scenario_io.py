@@ -11,21 +11,12 @@ import pytest
 from layerflow import cli, output, timeloop
 from layerflow.errors import ConfigError, SolverAbort
 from layerflow.geometry import LayerPartition
-from layerflow.output import (ENERGY_COLUMNS, snapshot_header, write_energy_series,
-                              write_snapshot)
+from layerflow.output import (ENERGY_COLUMNS, read_snapshot, snapshot_header,
+                              write_energy_series, write_snapshot)
 from layerflow.scenario import (_REGISTRY, ControlsSpec, InitSpec, LayersSpec,
                                 MeshSpec, PhysicsSpec, Scenario, bathymetry_values,
                                 format_scenario, initial_fields, parse_scenario)
 from layerflow.timeloop import run
-
-
-def read_snapshot(path) -> tuple[float, list[str], np.ndarray]:
-    """Inverse of write_snapshot: (t, column names, table (n, n_cols))."""
-    with open(path) as f:
-        t = float(f.readline().split("=", 1)[1])
-        names = f.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
-    return t, names, np.array(rows)
 
 
 def read_energy_series(path) -> tuple[list[str], np.ndarray]:
@@ -380,29 +371,33 @@ def test_initial_fields_table_layout():
 def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(79)
     N, n = 3, 12
-    header = snapshot_header(N)
-    frame = (0.62519, rng.standard_normal((len(header), n)))
-    path = tmp_path / "snap.csv"
-    write_snapshot(path, frame)
-    t, names, table = read_snapshot(path)
-    assert t == frame[0]
-    assert names == header
-    assert table.shape == (n, len(names))
-    # 17 significant digits reproduce doubles exactly
-    assert (table == frame[1].T).all()
+    for full in (False, True):  # the state layout and the full one
+        header = snapshot_header(N, full)
+        table = rng.standard_normal((len(header), n))
+        table[3, 4:8] = [-0.0, 5e-324, np.nan, -np.inf]
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, (0.62519, header, table))
+        t, names, back = read_snapshot(path)
+        assert t == 0.62519
+        assert names == header
+        # 17 significant digits reproduce doubles exactly
+        assert back.shape == table.shape and back.tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 3])
 def test_a_snapshot_frame_has_one_row_per_header_column(N):
+    # the state frame, and the full frame derive builds from it
     scn = Scenario(mesh=MeshSpec(0.0, 1.0, 16), layers=LayersSpec(n=N),
                    init=InitSpec(kind="dam_break", eta_l=1.0, eta_r=0.0, x0=0.5),
                    physics=PhysicsSpec(g=9.81))
     state, rhs, _ = timeloop.make_rhs(scn)
-    t, table = output.snapshot_frame(0.5, state.H, rhs(state).diagnose(), scn)
-    names = snapshot_header(N)
-    assert t == 0.5 and table.shape == (len(names), 16)
-    for name, want in (("x", scn.mesh.x), ("zb", scn.bed.zb), ("H", state.H)):
-        assert table[names.index(name)].tobytes() == want.tobytes()
+    frame = output.snapshot_frame(0.5, state.H, rhs(state).diagnose(), scn)
+    for full, (t, names, table) in enumerate([frame, output.full_frame(frame, scn)]):
+        assert names == snapshot_header(N, full=bool(full))
+        assert t == 0.5 and table.shape == (len(names), 16)
+        for name, want in (("x", scn.mesh.x), ("zb", scn.bed.zb), ("H", state.H)):
+            assert table[names.index(name)].tobytes() == want.tobytes()
+    assert len(frame[1]) == 2 * N + 2
 
 
 REST_CASES = {
@@ -415,8 +410,8 @@ REST_CASES = {
 NOT_AT_REST = {"negative zero": -0.0, "subnormal": 5e-324, "nan": np.nan, "inf": np.inf}
 
 
-def _value_by_value(t: float, table: np.ndarray, N: int) -> str:
-    lines = [f"# t = {t:.17g}", ",".join(snapshot_header(N))]
+def _value_by_value(t: float, names: list[str], table: np.ndarray) -> str:
+    lines = [f"# t = {t:.17g}", ",".join(names)]
     lines += [",".join("%.17g" % v for v in row) for row in table.T.tolist()]
     return "\n".join(lines) + "\n"
 
@@ -424,21 +419,24 @@ def _value_by_value(t: float, table: np.ndarray, N: int) -> str:
 @pytest.mark.parametrize("N", [1, 3])
 @pytest.mark.parametrize("case", [*REST_CASES, *NOT_AT_REST])
 def test_snapshot_cells_at_rest_are_written_byte_for_byte(tmp_path, N, case):
-    """write_snapshot writes a cell at rest (every value after eta +0.0) as
-    a fixed tail of zeros; its file must equal one formatted value by value."""
+    """write_snapshot writes a cell at rest (every value after H +0.0) as
+    a fixed tail of zeros; its file must equal one formatted value by value,
+    in the state layout and in the full one."""
     rng = np.random.default_rng(24)
     rest = np.array(REST_CASES.get(case, [True, True, False, True, True]))
-    table = rng.standard_normal((len(snapshot_header(N)), rest.size))
-    table[4:, rest] = 0.0
-    if case in NOT_AT_REST:
-        table[4:, 2] = 0.0
-        table[-2, 2] = NOT_AT_REST[case]
-    path = tmp_path / "snap.csv"
-    write_snapshot(path, (0.25, table))
-    text = path.read_text()
-    assert text == _value_by_value(0.25, table, N)
-    if case == "negative zero":
-        assert text.splitlines()[4].endswith(",-0,0")
+    for full in (False, True):
+        names = snapshot_header(N, full)
+        table = rng.standard_normal((len(names), rest.size))
+        table[3:, rest] = 0.0
+        if case in NOT_AT_REST:
+            table[3:, 2] = 0.0
+            table[-2, 2] = NOT_AT_REST[case]
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, (0.25, names, table))
+        text = path.read_text()
+        assert text == _value_by_value(0.25, names, table)
+        if case == "negative zero":
+            assert text.splitlines()[4].endswith(",-0,0")
 
 
 def test_energy_series_round_trip(tmp_path):
@@ -488,6 +486,71 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert (out / "snapshot_0003.csv").exists()
     text = capsys.readouterr().out
     assert "finished" in text and "mass drift" in text
+
+
+def _spoil(case, cfg, out, tmp_path):
+    """Spoil the run in out as `case` says; (directory to derive, the one
+    error line derive must print)."""
+    path = out / "snapshot_0001.csv"
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    if case == "no_frames":
+        for p in out.glob("snapshot_*.csv"):
+            p.unlink()
+        return out, f"no snapshot_*.csv in {out}"
+    if case in ("cells", "layers", "mesh"):
+        other = tmp_path / "other.cfg"
+        other.write_text(CLI_CFG.replace(*{"cells": ("n_cells = 40", "n_cells = 20"),
+                                           "layers": ("layers.n = 2", "layers.n = 3"),
+                                           "mesh": ("x_max = 1", "x_max = 2")}[case]))
+        assert cli.main(["run", str(other), "--output", str(tmp_path / "other")]) == 0
+        path.write_bytes((tmp_path / "other" / path.name).read_bytes())
+        return out, f"{path}: " + {
+            "cells": "20 cells, the config has 40",
+            "layers": "columns x,zb,H,u_1,u_2,u_3,G_1h,G_2h, not those of 2 layers",
+            "mesh": "its x and zb are not the config's mesh and bed"}[case]
+    if case == "full_layout":
+        assert cli.main(["derive", str(cfg), str(out)]) == 0
+        return out / "full", f"{out / 'full' / 'snapshot_0000.csv'}: already in the full layout"
+    if case == "cut_short":
+        path.write_text(text[:text.index(",", len(text) // 2)])
+        return out, (f"{path}: not a whole snapshot: a time line, a header and rows, "
+                     "each ending in a newline")
+    if case == "short_row":
+        lines[6] = lines[6].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        return out, f"{path}: line 7 holds 5 values for 6 columns"
+    if case == "negative_depth":
+        lines[6] = ",".join(["{}", "{}", "-1", *lines[6].split(",")[3:]]).format(
+            *lines[6].split(",")[:2])
+        path.write_text("".join(lines))
+        return out, f"{path}: negative depth H=-1 at cell 4"
+    if case == "not_utf8":
+        path.write_bytes(b"\xff" + text.encode())
+        return out, (f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte")
+    if case == "full_is_a_file":
+        (out / "full").write_text("")
+        return out, f"cannot write {out / 'full'}: File exists"
+    path.unlink()
+    path.mkdir()
+    return out, f"cannot read {path}: Is a directory"
+
+
+@pytest.mark.parametrize("case", ["no_frames", "cells", "layers", "mesh", "full_layout",
+                                  "cut_short", "short_row", "negative_depth", "not_utf8",
+                                  "a_directory", "full_is_a_file"])
+def test_derive_names_the_file_it_cannot_derive(case, tmp_path, capsys):
+    # a directory with no frame, a frame of another config, a full frame,
+    # a truncated or unreadable file, an output that cannot be written:
+    # exit 1, one line naming the file
+    cfg, out = tmp_path / "case.cfg", tmp_path / "out"
+    cfg.write_text(CLI_CFG)
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == 0
+    directory, problem = _spoil(case, cfg, out, tmp_path)
+    capsys.readouterr()
+    assert cli.main(["derive", str(cfg), str(directory)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {problem}"]
 
 
 BUILDERS = ("make_context", "validate_scenario", "bathymetry_values", "make_bathymetry",

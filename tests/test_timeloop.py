@@ -306,8 +306,8 @@ def _count_reconstruct_w(monkeypatch, module):
 
 
 def test_inviscid_audit_reconstructs_no_w(monkeypatch):
-    # no audit term reads w without a stress field; snapshots rebuild it
-    # once per frame
+    # no audit term reads w without a stress field; a state frame holds no
+    # w, and its full frame rebuilds it once
     in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
     scn = _smooth_scenario(boundary="wall")
@@ -315,7 +315,9 @@ def test_inviscid_audit_reconstructs_no_w(monkeypatch):
     d = rhs(state).diagnose()
     assert np.isfinite(d.influx)
     assert in_closure == []
-    output.snapshot_frame(0.0, state.H, d, ctx)
+    frame = output.snapshot_frame(0.0, state.H, d, ctx)
+    assert in_output == []
+    output.full_frame(frame, ctx)
     assert len(in_output) == 1
     run(scn)
     assert in_closure == []
@@ -330,8 +332,8 @@ def _moving_viscous_scenario():
 def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
     # the transport and the audit reconstruct no w; the viscous stage
     # reconstructs it once per application of its operator, in the stress
-    # closure, and the snapshot of the stage's starting state rebuilds the
-    # first application's w bit for bit
+    # closure, and the full frame of the stage's starting state rebuilds
+    # the first application's w bit for bit
     assert not hasattr(timeloop, "reconstruct_w")
     in_closure = _count_reconstruct_w(monkeypatch, rheology)
     in_output = _count_reconstruct_w(monkeypatch, output)
@@ -344,10 +346,11 @@ def test_viscous_evaluation_reconstructs_w_once(monkeypatch):
                         lambda *a: closures.append(a) or real(*a))
     timeloop.viscous_stage(state.copy(), d.dt, ctx)
     assert len(in_closure) == len(closures) >= 2 and in_output == []
-    _, table = output.snapshot_frame(0.0, state.H, d, ctx)
+    frame = output.snapshot_frame(0.0, state.H, d, ctx)
+    assert in_output == []
+    _, names, table = output.full_frame(frame, ctx)
     assert (len(in_closure), len(in_output)) == (len(closures), 1)
     w = in_closure[0][0]
-    names = output.snapshot_header(w.shape[0])
     assert table[names.index("w_1"):names.index("w_1") + w.shape[0]].tobytes() == w.tobytes()
 
 
@@ -364,15 +367,33 @@ def _record_slope_reads(monkeypatch):
 
 @pytest.mark.parametrize("bc", ["periodic", "wall", "transmissive"])
 def test_inviscid_run_and_snapshots_compute_no_slope_fields(monkeypatch, bc):
-    # only the stresses read interface or midpoint slopes or midpoint gaps
+    # only the stresses read interface or midpoint slopes or midpoint gaps,
+    # and a full frame reads none of them
     reads = _record_slope_reads(monkeypatch)
     scn = _smooth_scenario(boundary=bc, bathymetry=BathymetrySpec(
         kind="bump", a=0.1, x0=0.3, width=0.1))
     result = run(scn)
     ctx = make_context(scn)
     for t, d, state in result.snapshots:
-        output.snapshot_frame(t, state.H, d, ctx)
+        output.full_frame(output.snapshot_frame(t, state.H, d, ctx), ctx)
     assert len(result.snapshots) > 2 and reads == []
+
+
+def test_a_run_and_its_state_frames_build_no_geometry_and_no_w(monkeypatch):
+    # an inviscid run writes the state alone: what derive rebuilds (the
+    # surface, w, pressures and energies) costs the run path nothing
+    stepped = _record_geometry(monkeypatch)
+    for_output = []
+    real = output.build_geometry
+    monkeypatch.setattr(output, "build_geometry", lambda *a: for_output.append(a) or real(*a))
+    w_calls = [_count_reconstruct_w(monkeypatch, m) for m in (output, rheology)]
+    scn = _smooth_scenario(boundary="wall", bathymetry=BathymetrySpec(
+        kind="bump", a=0.1, x0=0.3, width=0.1))
+    result = run(scn)
+    for t, d, state in result.snapshots:
+        output.snapshot_frame(t, state.H, d, scn)
+    assert len(result.snapshots) > 2
+    assert (len(stepped), len(for_output), *map(len, w_calls)) == (0, 0, 0, 0)
 
 
 def test_viscous_evaluation_computes_each_slope_field_once(monkeypatch):
@@ -848,6 +869,11 @@ def test_an_aborted_run_leaves_its_frames_and_energy_rows(tmp_path, capsys, monk
     reached = done[341].split(",")
     assert [t, E, D_G, mass] == [reached[0], reached[1], reached[2], reached[6]]
     assert (R_E, friction, residual) == ("0", "0", "nan")
+    # its frames derive as the finished run's do
+    for d in (cut, full):
+        assert cli.main(["derive", str(cfg), str(d)]) == 0
+    for name in frames:
+        assert (cut / "full" / name).read_bytes() == (full / "full" / name).read_bytes(), name
     monkeypatch.setattr(timeloop, "euler_rhs", euler_rhs)
     monkeypatch.setattr(timeloop, "MAX_STEPS", 340)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "budget")]) == 2
